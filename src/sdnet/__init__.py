@@ -5,7 +5,8 @@ Hermitian-imbalance Laplacians), node/link splitters, clustering and
 link-prediction metrics, and deterministic experiment pipelines.
 """
 
-from .cluster import kmeans, spectral_cluster
+from .cluster import (cluster_embedding, kmeans, spectral_cluster,
+                      spectral_embedding)
 from .generators import (BlockSizes, GeneratedInstance, MetaGraph, block_sizes,
                          custom_meta, dsbm, f1_meta, f2_meta, meta_graph,
                          pol_ssbm, sdsbm, signed_erdos_renyi, ssbm)
@@ -35,8 +36,8 @@ __all__ = [
     "MetricReport", "NodeSplit", "NumericError", "RunRecord", "RunResult",
     "SignedDirectedGraph", "SignedPair", "SoftAssignment", "SpectralMatrix",
     "accuracy", "ari", "auc", "balanced_triangle_ratio", "block_sizes",
-    "cluster_sweep", "custom_meta", "dsbm", "eigh", "f1_meta", "f2_meta",
-    "generate_from_params", "hermitian_imbalance",
+    "cluster_embedding", "cluster_sweep", "custom_meta", "dsbm", "eigh",
+    "f1_meta", "f2_meta", "generate_from_params", "hermitian_imbalance",
     "hermitian_spectral_features", "is_directed", "is_signed", "kmeans",
     "largest_weakly_connected_component", "link_class_split", "linkpred_run",
     "logistic_train", "macro_f1", "magnetic_laplacian", "meta_graph",
@@ -44,5 +45,5 @@ __all__ = [
     "prob_imbalance", "sdsbm", "separate_positive_negative",
     "signed_degree_features", "signed_erdos_renyi", "signed_laplacian",
     "signed_magnetic_laplacian", "signed_spectral_features", "spanning_forest",
-    "spectral_cluster", "ssbm", "unhappy_ratio",
+    "spectral_cluster", "spectral_embedding", "ssbm", "unhappy_ratio",
 ]

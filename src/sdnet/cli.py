@@ -20,7 +20,7 @@ from . import metrics as met
 from .config import ConfigError, load
 from .graph import is_directed, is_signed
 from .pipeline import (ExperimentConfig, cluster_run, cluster_sweep,
-                       generate_from_params, linkpred_run)
+                       generate_from_params, linkpred_run, resolve_combiner)
 from .plotsvg import render_line_plot
 from .spectral import NumericError
 from .splitters import link_class_split, node_split
@@ -143,18 +143,18 @@ def cmd_linkpred(cfg, outdir: Path, seed_override):
                      task=task, splits=sec, seeds=tuple(seeds),
                      output_dir=str(outdir))
     graph, _, gparams = _load_graph(cfg, seed_override)
-    result = linkpred_run(
-        graph, task,
-        embed_method=sec.get("embed", "signed_spectral"),
-        embed_dim=sec.get("embed_dim", 8),
-        seeds=seeds,
-        prob_val=sec.get("prob_val", 0.15),
-        prob_test=sec.get("prob_test", 0.05),
-        maintain_connectedness=sec.get("maintain_connectedness", False),
-        combine=sec.get("combine"),  # None: the library default
-        lr=sec.get("lr", 0.1), epochs=sec.get("epochs", 500),
-        l2=sec.get("l2", 1e-4), q=sec.get("q", 0.25), tau=sec.get("tau", 0.25))
-    params = {**gparams, "task": task, "embed": sec.get("embed", "signed_spectral")}
+    embed = sec.get("embed", "signed_spectral")
+    settings = {"combine": resolve_combiner(embed, sec.get("combine")),
+                "embed_dim": sec.get("embed_dim", 8),
+                "epochs": sec.get("epochs", 500), "lr": sec.get("lr", 0.1),
+                "l2": sec.get("l2", 1e-4), "q": sec.get("q", 0.25),
+                "tau": sec.get("tau", 0.25),
+                "prob_val": sec.get("prob_val", 0.15),
+                "prob_test": sec.get("prob_test", 0.05),
+                "maintain_connectedness": sec.get("maintain_connectedness", False)}
+    result = linkpred_run(graph, task, embed_method=embed, seeds=seeds, **settings)
+    # the resolved settings, so the header names what produced the runs
+    params = {**gparams, "task": task, "embed": embed, **settings}
     _write_runs(outdir, result, params)
 
 

@@ -1,11 +1,13 @@
 """K-means and spectral clustering pipelines.
 
-``spectral_cluster`` builds the requested operator, embeds nodes with
-its informative eigenvectors (smallest for Laplacian kinds, largest by
-absolute eigenvalue for the Hermitian imbalance operator, real and
-imaginary parts stacked for complex kinds), row-normalizes and runs
-k-means. Soft assignments come from a softmax over negated distances to
-the final centroids (temperature 1); hard labels feed the metrics.
+``spectral_cluster`` is ``spectral_embedding`` then ``cluster_embedding``.
+The embedding builds the requested operator and takes its informative
+eigenvectors (smallest for Laplacian kinds, largest by absolute
+eigenvalue for the Hermitian imbalance operator, real and imaginary
+parts stacked for complex kinds), row-normalized; it holds the one
+eigensolve. ``cluster_embedding`` runs k-means on it; soft assignments
+come from a softmax over negated distances to the final centroids
+(temperature 1), and hard labels feed the metrics.
 """
 
 from __future__ import annotations
@@ -135,16 +137,24 @@ def _embedding(g: SignedDirectedGraph, method: str, k: int, q: float,
     raise ValueError(f"unknown clustering method {method!r}")
 
 
-def spectral_cluster(g: SignedDirectedGraph, method: str, k: int, seed: int = 0,
-                     q: float = 0.25, tau: float = 0.25):
-    """Cluster nodes with the given spectral method.
+def spectral_embedding(g: SignedDirectedGraph, method: str, k: int,
+                       q: float = 0.25, tau: float = 0.25) -> np.ndarray:
+    """Row-normalized node embedding that ``spectral_cluster`` clusters.
 
-    Returns (SoftAssignment, hard labels). ``q`` only affects magnetic
-    kinds and ``tau`` only the regularized-adjacency features.
+    Holds the method's one eigensolve, so callers clustering the same
+    graph under several k-means seeds compute it once.
     """
     if method not in CLUSTER_METHODS:
         raise ValueError(f"unknown clustering method {method!r}")
-    emb = _row_normalize(_embedding(g, method, k, q, tau))
+    return _row_normalize(_embedding(g, method, k, q, tau))
+
+
+def cluster_embedding(emb: np.ndarray, k: int, seed: int = 0):
+    """k-means on an embedding plus soft assignments from its centroids.
+
+    Returns (SoftAssignment, hard labels); the soft rows are a softmax
+    over negated distances to the final centroids (temperature 1).
+    """
     labels, centers, _ = kmeans_full(emb, k, seed=seed)
     diff = emb[:, None, :] - centers[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
@@ -153,3 +163,14 @@ def spectral_cluster(g: SignedDirectedGraph, method: str, k: int, seed: int = 0,
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
     return SoftAssignment(p), labels
+
+
+def spectral_cluster(g: SignedDirectedGraph, method: str, k: int, seed: int = 0,
+                     q: float = 0.25, tau: float = 0.25):
+    """Cluster nodes with the given spectral method.
+
+    ``spectral_embedding`` followed by ``cluster_embedding``. Returns
+    (SoftAssignment, hard labels). ``q`` only affects magnetic kinds and
+    ``tau`` only the regularized-adjacency features.
+    """
+    return cluster_embedding(spectral_embedding(g, method, k, q=q, tau=tau), k, seed=seed)

@@ -237,6 +237,40 @@ def largest_weakly_connected_component(
     return sub, index_map
 
 
+def symmetric_pairs(g: SignedDirectedGraph):
+    """Cells of the symmetrized support with both directed weights, in O(m).
+
+    Returns (lo, hi, a_lh, a_hl): one entry per unordered node pair
+    {lo, hi} (lo <= hi) joined by an edge in either direction, ordered by
+    (lo, hi), with a_lh = A[lo, hi] and a_hl = A[hi, lo] (0 where there
+    is no edge). A self-loop gives lo == hi and a_lh == a_hl == its
+    weight, so it counts once. Reciprocal pairs whose weights cancel
+    keep their cell, unlike the support of a summed A + A^T.
+    """
+    n = max(g.num_nodes, 1)
+    lo = np.minimum(g.src, g.dst)
+    hi = np.maximum(g.src, g.dst)
+    cells, inv = np.unique(lo * n + hi, return_inverse=True)
+    a_lh = np.zeros(cells.size)
+    a_hl = np.zeros(cells.size)
+    up = g.src <= g.dst
+    a_lh[inv[up]] = g.weight[up]
+    down = g.src >= g.dst
+    a_hl[inv[down]] = g.weight[down]
+    return cells // n, cells % n, a_lh, a_hl
+
+
+def pair_row_sums(num_nodes: int, lo: np.ndarray, hi: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric matrix with ``values`` at (lo, hi) and (hi, lo).
+
+    A diagonal cell (lo == hi) is counted once.
+    """
+    off = lo != hi
+    return (np.bincount(lo, values, minlength=num_nodes)
+            + np.bincount(hi[off], values[off], minlength=num_nodes))
+
+
 def symmetrized_adjacency(g: SignedDirectedGraph, absolute: bool = False) -> np.ndarray:
     """(A + A^T) / 2, optionally on absolute weights."""
     a = g.adjacency()

@@ -158,12 +158,17 @@ def write_metric_reports_csv(path, reports, params: dict | None = None) -> None:
 
 
 def write_matrix_csv(path, matrix, params: dict | None = None) -> None:
-    """Debug dump of a spectral operator as (row, col, re, im) rows."""
-    entries = np.asarray(matrix.entries)
+    """Debug dump of a spectral operator as (row, col, re, im) rows.
+
+    Walks the CSR's stored entries, which are in row-major order with
+    sorted columns, and skips exact zeros, so the rows are the nonzero
+    cells of the dense matrix in row-major order.
+    """
+    entries = matrix.entries
+    rows = np.repeat(np.arange(entries.shape[0]), np.diff(entries.indptr))
+    keep = entries.data != 0
     lines = ["row,col,re,im"]
-    for i in range(entries.shape[0]):
-        for j in range(entries.shape[1]):
-            z = entries[i, j]
-            if z != 0:
-                lines.append(f"{i},{j},{repr(float(z.real))},{repr(float(z.imag))}")
+    lines.extend(f"{i},{j},{repr(float(z.real))},{repr(float(z.imag))}"
+                 for i, j, z in zip(rows[keep], entries.indices[keep],
+                                    entries.data[keep]))
     _write_lines(path, params, lines)

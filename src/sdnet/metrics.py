@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph
+from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 
 
 @dataclass(frozen=True)
@@ -169,21 +169,24 @@ def pbnc_loss(g: SignedDirectedGraph, assignment) -> float:
     soft = _as_soft(assignment)
     if soft.P.shape[0] != g.num_nodes:
         raise ValueError("assignment rows must equal node count")
-    a = g.adjacency()
-    a_s = (a + a.T) / 2.0
+    lo, hi, a_lh, a_hl = symmetric_pairs(g)
+    a_s = (a_lh + a_hl) / 2.0
     a_pos = np.where(a_s > 0, a_s, 0.0)
     a_neg = np.where(a_s < 0, -a_s, 0.0)
-    d_pos = a_pos.sum(axis=1)
-    d_neg = a_neg.sum(axis=1)
-    d_bar = d_pos + d_neg
+    n = g.num_nodes
+    d_pos = pair_row_sums(n, lo, hi, a_pos)
+    d_bar = d_pos + pair_row_sums(n, lo, hi, a_neg)
+    # x^T B x for a symmetric B stored per cell: off-diagonal cells twice
+    twice = np.where(lo == hi, 1.0, 2.0)
     total = 0.0
     for k in range(soft.num_clusters):
         x = soft.P[:, k]
         vol = float(x @ (d_bar * x))
         if vol == 0.0:
             continue
-        cut_pos = float(x @ (d_pos * x) - x @ (a_pos @ x))
-        within_neg = float(x @ (a_neg @ x))
+        xx = twice * x[lo] * x[hi]
+        cut_pos = float(x @ (d_pos * x) - xx @ a_pos)
+        within_neg = float(xx @ a_neg)
         total += (cut_pos + within_neg) / vol
     return total
 
@@ -201,7 +204,8 @@ def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
         raise ValueError("flow imbalance needs at least 2 clusters")
     if soft.P.shape[0] != g.num_nodes:
         raise ValueError("assignment rows must equal node count")
-    w = soft.P.T @ np.abs(g.adjacency()) @ soft.P
+    p = soft.P
+    w = (p[g.src] * np.abs(g.weight)[:, None]).T @ p[g.dst]
     total = 0.0
     for i in range(k):
         for j in range(i + 1, k):

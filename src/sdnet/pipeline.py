@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators as gen
-from .cluster import _embedding, spectral_cluster
+from .cluster import (_embedding, cluster_embedding, spectral_cluster,
+                      spectral_embedding)
 from .graph import SignedDirectedGraph, signed_degree_features
 from .logistic import logistic_train
 from .metrics import accuracy, ari, auc, macro_f1
@@ -220,6 +221,23 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
     return [_standardize(x, ref=xs[0]) for x in xs]
 
 
+def resolve_combiner(embed_method: str, combine: str | None = None) -> str:
+    """The edge combiner ``linkpred_run`` uses for ``combine``.
+
+    None gives ``phase`` for COMPLEX_EMBEDDINGS and ``concat`` otherwise;
+    an unknown combiner, or ``phase`` with a real embedding, raises
+    ValueError.
+    """
+    if combine is None:
+        combine = "phase" if embed_method in COMPLEX_EMBEDDINGS else "concat"
+    if combine not in EDGE_COMBINERS:
+        raise ValueError(f"unknown edge combiner {combine!r}")
+    if combine == "phase" and embed_method not in COMPLEX_EMBEDDINGS:
+        raise ValueError(f"the phase combiner needs a complex embedding, "
+                         f"not {embed_method!r}")
+    return combine
+
+
 def linkpred_run(g: SignedDirectedGraph, task: str,
                  embed_method: str = "signed_spectral", embed_dim: int = 8,
                  seeds=(0, 1, 2, 3, 4), prob_val: float = 0.15,
@@ -239,13 +257,7 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
     binary tasks.
     """
     task = canonical_task(task)
-    if combine is None:
-        combine = "phase" if embed_method in COMPLEX_EMBEDDINGS else "concat"
-    if combine not in EDGE_COMBINERS:
-        raise ValueError(f"unknown edge combiner {combine!r}")
-    if combine == "phase" and embed_method not in COMPLEX_EMBEDDINGS:
-        raise ValueError(f"the phase combiner needs a complex embedding, "
-                         f"not {embed_method!r}")
+    combine = resolve_combiner(embed_method, combine)
     records = []
     for s in seeds:
         split = link_class_split(g, task, prob_val=prob_val, prob_test=prob_test,
@@ -284,9 +296,12 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
                   tau: float = 0.25) -> RunResult:
     """Sweep a generator parameter and report test-node ARI per run.
 
-    For each (value, instance, seed): generate an instance (seed derived
-    from the base seed, sweep index and instance index), draw one node
-    split, cluster, and score ARI on the test mask only.
+    For each (value, instance): generate an instance (seed derived from
+    the base seed, sweep index and instance index) and embed it once
+    (``spectral_embedding``, one eigensolve). For each seed: draw one
+    node split, run k-means on that embedding (``cluster_embedding``)
+    and score ARI on the test mask only. Records equal those of calling
+    ``spectral_cluster`` per seed.
     """
     if param not in ("eta", "gamma", "p", "rho"):
         raise ValueError(f"unsupported sweep parameter {param!r}")
@@ -298,14 +313,12 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
         for inst in range(instances):
             instance = generate_from_params(gp, seed=derive(base_seed, vi, inst))
             labels = instance.labels
-            graph = instance.graph
+            emb = spectral_embedding(instance.graph, method, k, q=q, tau=tau)
             for s in seeds:
                 split = node_split(labels, train_frac=train_frac, val_frac=val_frac,
                                    test_frac=test_frac, num_splits=1,
                                    seed=derive(base_seed, vi, inst, s, 1))
-                _, pred = spectral_cluster(graph, method, k,
-                                           seed=derive(base_seed, vi, inst, s, 2),
-                                           q=q, tau=tau)
+                _, pred = cluster_embedding(emb, k, seed=derive(base_seed, vi, inst, s, 2))
                 mask = split.test[:, 0]
                 records.append(RunRecord(float(value), inst, int(s), "ari",
                                          ari(labels[mask], pred[mask])))

@@ -145,7 +145,7 @@ def test_c3_spectral_correctness():
         if not signed:
             ops.append(magnetic_laplacian(g, q=0.25, normalized=True))
         for op in ops:
-            m = op.entries
+            m = op.toarray()
             scale = max(1.0, np.linalg.norm(m))
             assert np.linalg.norm(m - m.conj().T) <= 1e-12 * scale
             pairs = eigh(op)
@@ -160,17 +160,17 @@ def test_c3_spectral_correctness():
                 assert pairs.values.max() <= 2.0 + 1e-9
         # reduction identities
         if not signed:
-            d = np.max(np.abs(magnetic_laplacian(g, q=0.0).entries
-                              - normalized_laplacian(g).entries))
+            d = np.max(np.abs(magnetic_laplacian(g, q=0.0).toarray()
+                              - normalized_laplacian(g).toarray()))
             assert d <= 1e-12
-            d = np.max(np.abs(signed_magnetic_laplacian(g, q=0.2).entries
-                              - magnetic_laplacian(g, q=0.2).entries))
+            d = np.max(np.abs(signed_magnetic_laplacian(g, q=0.2).toarray()
+                              - magnetic_laplacian(g, q=0.2).toarray()))
             assert d <= 1e-12
         if not sdnet.is_directed(g):
             for normalized in (False, True):
                 d = np.max(np.abs(
-                    signed_magnetic_laplacian(g, q=0.3, normalized=normalized).entries
-                    - signed_laplacian(g, normalized=normalized).entries))
+                    signed_magnetic_laplacian(g, q=0.3, normalized=normalized).toarray()
+                    - signed_laplacian(g, normalized=normalized).toarray()))
                 assert d <= 1e-12
 
 

@@ -222,3 +222,21 @@ def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def _header(path):
+    return [ln for ln in Path(path).read_text().splitlines() if ln.startswith("#")]
+
+
+def test_linkpred_header_records_resolved_settings(tmp_path):
+    heads = {}
+    for name, extra in (("default", ""), ("concat", 'combine = "concat"\n')):
+        cfg = write(tmp_path / f"{name}.toml", DP_CFG + extra)
+        assert run(["linkpred", "--config", cfg, "--out", tmp_path / name]) == 0
+        heads[name] = _header(tmp_path / name / "runs.csv")
+    assert heads["default"] != heads["concat"]
+    assert '# combine = "phase"' in heads["default"]
+    assert '# combine = "concat"' in heads["concat"]
+    for line in ("# embed_dim = 3", "# epochs = 50", "# lr = 0.1", "# l2 = 0.0001",
+                 "# q = 0.25", "# tau = 0.25", "# prob_val = 0.15", "# prob_test = 0.05"):
+        assert line in heads["default"]

@@ -181,3 +181,60 @@ def test_cluster_sweep_bad_param():
     with pytest.raises(ValueError):
         cluster_sweep({"model": "dsbm", "n": 30, "k": 3, "p": 0.2},
                       "zeta", [0.1], "hermitian_imbalance", 3)
+
+
+@pytest.mark.parametrize("gp,method", [
+    ({"model": "dsbm", "meta": "cycle", "n": 90, "k": 3, "p": 0.2, "seed": 2},
+     "hermitian_imbalance"),
+    ({"model": "sdsbm", "meta": "f1", "n": 90, "p": 0.3, "eta": 0.1, "seed": 3},
+     "signed_magnetic_laplacian"),
+])
+def test_cluster_sweep_equals_per_seed_spectral_cluster(gp, method):
+    from sdnet.cluster import spectral_cluster
+    from sdnet.metrics import ari
+    from sdnet.rng import derive
+    from sdnet.splitters import node_split
+    param = "eta" if gp["model"] == "dsbm" else "gamma"
+    values, seeds = [0.0, 0.2], [0, 1, 2]
+    res = cluster_sweep(gp, param, values, method, 3, instances=2, seeds=seeds)
+    want = []
+    for vi, value in enumerate(values):
+        for inst in range(2):
+            instance = generate_from_params({**gp, param: value},
+                                            seed=derive(gp["seed"], vi, inst))
+            for s in seeds:
+                split = node_split(instance.labels, train_frac=0.8, val_frac=0.1,
+                                   test_frac=0.1, num_splits=1,
+                                   seed=derive(gp["seed"], vi, inst, s, 1))
+                _, pred = spectral_cluster(instance.graph, method, 3,
+                                           seed=derive(gp["seed"], vi, inst, s, 2))
+                mask = split.test[:, 0]
+                want.append(RunRecord(value, inst, s, "ari",
+                                      ari(instance.labels[mask], pred[mask])))
+    assert list(res.records) == want
+
+
+def test_pipelines_without_operators_load_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = """
+import sys
+import sdnet
+assert "scipy" not in sys.modules, "import sdnet"
+from sdnet.pipeline import generate_from_params, linkpred_run
+sp = generate_from_params({"model": "sdsbm", "meta": "f1", "n": 80, "p": 0.2}, seed=0).graph
+linkpred_run(sp, "SP", embed_method="signed_spectral", embed_dim=4, seeds=[0], epochs=20)
+dp = generate_from_params({"model": "dsbm", "meta": "cycle", "n": 90, "k": 3, "p": 0.2},
+                          seed=0).graph
+linkpred_run(dp, "DP", embed_method="hermitian_spectral", embed_dim=3, seeds=[0], epochs=20)
+sdnet.link_class_split(sp, "4C", maintain_connectedness=True, seed=1)
+sdnet.largest_weakly_connected_component(sp)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
