@@ -8,9 +8,22 @@ signed directed SBM), plus a signed Erdos-Renyi helper.
 All generators are pure functions of their parameters and a seed; one
 independent Philox stream is opened per call, so identical inputs give
 bit-identical edge lists. Block membership is contiguous by node index.
-Self-loops are never generated. Sign-flip uniforms are always drawn for
-present edges (even at flip probability 0), so instances that share a
-seed but differ only in the flip rate have identical edge sets.
+Self-loops are never generated.
+
+Every family draws its support with one block-pair sampler, in O(K^2 +
+n + m) time and memory rather than O(n^2). The stream is laid out as:
+
+1. Block pairs (k, l) in row-major order, only l >= k for the undirected
+   families. Within a pair the present cells are found by geometric
+   skipping (Batagelj & Brandes, "Efficient generation of large random
+   networks", Phys. Rev. E 71, 2005): Geometric(q) gaps between
+   consecutive present cells, drawn in chunks. A pair with probability
+   0 draws nothing.
+2. Then one uniform per present edge (per unordered pair for the
+   undirected families), in ascending (src, dst) order, decides its sign
+   or sign flip. It is drawn even at flip probability 0, so instances
+   that share a seed but differ only in the flip rate have identical
+   edge sets.
 """
 
 from __future__ import annotations
@@ -131,48 +144,63 @@ def _check_prob(name, value, upper=1.0):
         raise ValueError(f"{name} must lie in [0, {upper}], got {value}")
 
 
-def _ssbm_undirected_edges(rng, labels, p_in, p_out, eta_in, eta_out):
-    """Sample unordered signed pairs for a signed SBM on given labels.
+def _present_cells(rng, cells: int, q: float) -> np.ndarray:
+    """Ascending indices in [0, cells), each present independently w.p. q.
 
-    Within-block pairs get +1 edges w.p. p_in, across-block pairs -1
-    edges w.p. p_out; signs of present edges then flip w.p. eta_in /
-    eta_out respectively. Returns (i, j, w) arrays with i < j.
+    Geometric skipping: the gaps between consecutive present cells are
+    Geometric(q), drawn in chunks sized to the expected count plus four
+    standard deviations, so work and memory are O(cells drawn); q >= 1
+    gives every cell and q <= 0 draws nothing.
     """
-    n = labels.shape[0]
-    us, vs, ws = [], [], []
-    for i in range(n - 1):
-        same = labels[i + 1:] == labels[i]
-        prob = np.where(same, p_in, p_out)
-        hit = rng.random(n - 1 - i) < prob
-        j = np.nonzero(hit)[0]
-        same_hit = same[j]
-        sign = np.where(same_hit, 1.0, -1.0)
-        flip = rng.random(j.size) < np.where(same_hit, eta_in, eta_out)
-        if j.size:
-            us.append(np.full(j.size, i, dtype=np.int64))
-            vs.append(j.astype(np.int64) + i + 1)
-            ws.append(np.where(flip, -sign, sign))
-    if not us:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0, dtype=np.float64)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+    if cells <= 0 or q <= 0:
+        return np.zeros(0, dtype=np.int64)
+    q = min(q, 1.0)
+    found = []
+    last = -1
+    while last < cells - 1:
+        left = cells - 1 - last
+        mean = left * q
+        chunk = min(left, int(mean + 4.0 * np.sqrt(mean)) + 16)
+        # a gap past the block's end ends it; capping keeps cumsum in range
+        gaps = np.minimum(rng.geometric(q, size=chunk), left + 1)
+        pos = last + np.cumsum(gaps)
+        found.append(pos[pos < cells])
+        last = int(pos[-1])
+    return np.concatenate(found)
 
 
-def _signed_er_edges(rng, n, p):
-    """Unordered +-1 pairs, each present w.p. p, sign uniform."""
-    us, vs, ws = [], [], []
-    for i in range(n - 1):
-        hit = rng.random(n - 1 - i) < p
-        j = np.nonzero(hit)[0]
-        sign = np.where(rng.random(j.size) < 0.5, 1.0, -1.0)
-        if j.size:
-            us.append(np.full(j.size, i, dtype=np.int64))
-            vs.append(j.astype(np.int64) + i + 1)
-            ws.append(sign)
-    if not us:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, np.zeros(0, dtype=np.float64)
-    return np.concatenate(us), np.concatenate(vs), np.concatenate(ws)
+def _block_pairs(rng, sizes, prob, directed: bool):
+    """Support of a block model: (src, dst) arrays sorted by (src, dst).
+
+    Block k holds a contiguous run of ``sizes[k]`` nodes (empty blocks are
+    allowed). Block pairs (k, l) are visited in row-major order, only
+    l >= k when undirected. Within a pair the cells (i, j) are taken in
+    row-major order, skipping i == j on a diagonal block and keeping only
+    i < j there when undirected; each cell is present independently with
+    probability ``prob[k, l]`` (see ``_present_cells``).
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    n = max(int(starts[-1]), 1)
+    codes = []
+    for k, sk in enumerate(sizes.tolist()):
+        for l in range(0 if directed else k, sizes.size):
+            sl = int(sizes[l])
+            if k != l:
+                pos = _present_cells(rng, sk * sl, prob[k, l])
+                row, col = np.divmod(pos, max(sl, 1))
+            elif directed:
+                pos = _present_cells(rng, sk * (sk - 1), prob[k, l])
+                row, col = np.divmod(pos, max(sk - 1, 1))
+                col += col >= row
+            else:
+                pos = _present_cells(rng, sk * (sk - 1) // 2, prob[k, l])
+                r = np.arange(sk, dtype=np.int64)
+                row_start = r * (2 * sk - r - 1) // 2
+                row = np.searchsorted(row_start, pos, side="right") - 1
+                col = pos - row_start[row] + row + 1
+            codes.append((starts[k] + row) * n + starts[l] + col)
+    return np.divmod(np.sort(np.concatenate(codes)), n)
 
 
 def _both_directions(u, v, w):
@@ -201,8 +229,12 @@ def ssbm(n: int, K: int, p_in: float, p_out: float, rho: float = 1.0,
     sizes = block_sizes(n, K, rho)
     labels = sizes.labels()
     rng = stream(seed)
-    u, v, w = _ssbm_undirected_edges(rng, labels, p_in, p_out, eta_in, eta_out)
-    src, dst, ww = _both_directions(u, v, w)
+    prob = np.where(np.eye(K, dtype=bool), p_in, p_out)
+    u, v = _block_pairs(rng, sizes.sizes, prob, directed=False)
+    same = labels[u] == labels[v]
+    sign = np.where(same, 1.0, -1.0)
+    flip = rng.random(u.size) < np.where(same, eta_in, eta_out)
+    src, dst, ww = _both_directions(u, v, np.where(flip, -sign, sign))
     params = {"model": "ssbm", "n": n, "k": K, "p_in": p_in, "p_out": p_out,
               "rho": rho, "eta_in": eta_in, "eta_out": eta_out, "seed": seed}
     graph = SignedDirectedGraph(n, src, dst, ww, labels=labels)
@@ -213,7 +245,8 @@ def signed_erdos_renyi(n: int, p: float, seed: int = 0) -> SignedDirectedGraph:
     """Undirected graph, each pair present w.p. p with a uniform +-1 sign."""
     _check_prob("p", p)
     rng = stream(seed)
-    u, v, w = _signed_er_edges(rng, n, p)
+    u, v = _block_pairs(rng, [n], np.full((1, 1), p), directed=False)
+    w = np.where(rng.random(u.size) < 0.5, 1.0, -1.0)
     src, dst, ww = _both_directions(u, v, w)
     return SignedDirectedGraph(n, src, dst, ww)
 
@@ -224,7 +257,10 @@ def pol_ssbm(n: int, r: int, p: float, rho: float = 1.0, eta: float = 0.0,
 
     Community sizes come from the block-size recursion over r communities
     with ratio rho and r*N total community nodes (default N = n // (2r)).
-    Planted subgraphs overwrite the background inside their node sets.
+    Every pair is present w.p. p. A pair inside one community takes the
+    SSBM sign (+1 within a half, -1 across the halves, flipped w.p. eta);
+    any other pair takes a uniform sign. That is the distribution of
+    planting each community's SSBM over the signed ER background.
     Labels: community c contributes clusters 2c and 2c+1; leftover
     (ambient) nodes get cluster id 2r.
     """
@@ -237,28 +273,17 @@ def pol_ssbm(n: int, r: int, p: float, rho: float = 1.0, eta: float = 0.0,
     if r * N > n:
         raise ValueError(f"community budget r*N = {r * N} exceeds n = {n}")
     comm_sizes = block_sizes(r * N, r, rho)
+    # blocks: the two halves of each community, then the ambient nodes
+    halves = [block_sizes(int(size), 2, rho).sizes for size in comm_sizes.sizes]
+    sizes = np.concatenate(halves + [[n - r * N]])
+    labels = np.repeat(np.arange(2 * r + 1, dtype=np.int64), sizes)
     rng = stream(seed)
-    bg_u, bg_v, bg_w = _signed_er_edges(rng, n, p)
-
-    labels = np.full(n, 2 * r, dtype=np.int64)
-    keep = np.ones(bg_u.size, dtype=bool)
-    plant = [[], [], []]
-    offset = 0
-    for c, size in enumerate(comm_sizes.sizes):
-        size = int(size)
-        sub_labels = block_sizes(size, 2, rho).labels()
-        su, sv, sw = _ssbm_undirected_edges(rng, sub_labels, p, p, eta, eta)
-        plant[0].append(su + offset)
-        plant[1].append(sv + offset)
-        plant[2].append(sw)
-        labels[offset:offset + size] = 2 * c + sub_labels
-        keep &= ~((bg_u >= offset) & (bg_u < offset + size)
-                  & (bg_v >= offset) & (bg_v < offset + size))
-        offset += size
-
-    u = np.concatenate([bg_u[keep]] + plant[0])
-    v = np.concatenate([bg_v[keep]] + plant[1])
-    w = np.concatenate([bg_w[keep]] + plant[2])
+    u, v = _block_pairs(rng, sizes, np.full((2 * r + 1, 2 * r + 1), p), directed=False)
+    lu, lv = labels[u], labels[v]
+    planted = (lu // 2 == lv // 2) & (lu < 2 * r)
+    sign = np.where(lu == lv, 1.0, -1.0)
+    x = rng.random(u.size)
+    w = np.where(planted, np.where(x < eta, -sign, sign), np.where(x < 0.5, 1.0, -1.0))
     src, dst, ww = _both_directions(u, v, w)
     params = {"model": "pol_ssbm", "n": n, "r": r, "p": p, "rho": rho,
               "eta": eta, "community_nodes": N, "seed": seed}
@@ -386,19 +411,7 @@ def dsbm(meta: MetaGraph, n: int, K: int, p: float, rho: float = 1.0,
     sizes = block_sizes(n, K, rho)
     labels = sizes.labels()
     rng = stream(seed)
-    srcs, dsts = [], []
-    for i in range(n):
-        prob = p * ff[labels[i], labels]
-        prob[i] = 0.0
-        hit = np.nonzero(rng.random(n) < prob)[0]
-        if hit.size:
-            srcs.append(np.full(hit.size, i, dtype=np.int64))
-            dsts.append(hit.astype(np.int64))
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-    else:
-        src = dst = np.zeros(0, dtype=np.int64)
+    src, dst = _block_pairs(rng, sizes.sizes, p * ff, directed=True)
     w = np.ones(src.size, dtype=np.float64)
     params = {"model": "dsbm", "n": n, "k": K, "p": p, "rho": rho,
               "seed": seed, "meta_kind": meta.kind,
@@ -425,26 +438,10 @@ def sdsbm(meta: MetaGraph, n: int, p: float, rho: float = 1.0,
     sizes = block_sizes(n, K, rho)
     labels = sizes.labels()
     rng = stream(seed)
-    mag = np.abs(F)
-    sgn = np.where(F < 0, -1.0, 1.0)
-    srcs, dsts, ws = [], [], []
-    for i in range(n):
-        prob = p * mag[labels[i], labels]
-        prob[i] = 0.0
-        hit = np.nonzero(rng.random(n) < prob)[0]
-        base = sgn[labels[i], labels[hit]]
-        flip = rng.random(hit.size) < eta
-        if hit.size:
-            srcs.append(np.full(hit.size, i, dtype=np.int64))
-            dsts.append(hit.astype(np.int64))
-            ws.append(np.where(flip, -base, base))
-    if srcs:
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        w = np.concatenate(ws)
-    else:
-        src = dst = np.zeros(0, dtype=np.int64)
-        w = np.zeros(0, dtype=np.float64)
+    src, dst = _block_pairs(rng, sizes.sizes, p * np.abs(F), directed=True)
+    base = np.where(F < 0, -1.0, 1.0)[labels[src], labels[dst]]
+    flip = rng.random(src.size) < eta
+    w = np.where(flip, -base, base)
     params = {"model": "sdsbm", "n": n, "p": p, "rho": rho, "eta": eta,
               "seed": seed, "meta_kind": meta.kind,
               "meta_f": meta.F.tolist(),

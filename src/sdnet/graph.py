@@ -46,8 +46,8 @@ class SignedDirectedGraph:
                 raise ValueError("edge endpoints out of range")
             if not np.all(np.isfinite(weight)) or np.any(weight == 0.0):
                 raise ValueError("edge weights must be finite and nonzero")
-            codes = src * n + dst
-            if np.unique(codes).size != codes.size:
+            codes = np.sort(src * n + dst)
+            if np.any(codes[1:] == codes[:-1]):
                 raise ValueError("duplicate ordered edge (multi-edges not supported)")
         feats = self.features
         if feats is not None:
@@ -90,16 +90,6 @@ class SignedDirectedGraph:
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
         a[self.src, self.dst] = self.weight
         return a
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row-sorted CSR view as (indptr, indices, data)."""
-        order = np.lexsort((self.dst, self.src))
-        indices = self.dst[order]
-        data = self.weight[order]
-        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.add.at(indptr, self.src[order] + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, indices, data
 
     def replace_edges(self, src, dst, weight) -> "SignedDirectedGraph":
         """New graph on the same node set (features/labels carried over)."""
@@ -181,25 +171,26 @@ def separate_positive_negative(g: SignedDirectedGraph) -> SignedPair:
 
 
 def _component_labels(g: SignedDirectedGraph) -> np.ndarray:
-    """Union-find over the undirected support."""
-    parent = np.arange(g.num_nodes, dtype=np.int64)
+    """Weak component of every node, labelled by its smallest node id.
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for u, v in zip(g.src, g.dst):
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            if ru < rv:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    return np.array([find(i) for i in range(g.num_nodes)], dtype=np.int64)
+    Each round hooks every root to the smallest root across its edges,
+    then jumps pointers until every node points at a root; it stops when
+    a round changes nothing.
+    """
+    lab = np.arange(g.num_nodes, dtype=np.int64)
+    while True:
+        lo = np.minimum(lab[g.src], lab[g.dst])
+        new = lab.copy()
+        np.minimum.at(new, lab[g.src], lo)
+        np.minimum.at(new, lab[g.dst], lo)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, lab):
+            return lab
+        lab = new
 
 
 def largest_weakly_connected_component(

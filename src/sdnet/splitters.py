@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph
+from .graph import SignedDirectedGraph, symmetric_pairs
 from .rng import stream
 
 LINK_TASKS = ("SP", "DP", "EP", "3C", "4C", "5C")
@@ -165,7 +165,7 @@ class LinkTaskSplit:
 
     def __post_init__(self):
         alphabet = len(self.label_names)
-        seen = set()
+        folds = []
         for fold in ("train", "val", "test"):
             pairs = np.asarray(getattr(self, f"{fold}_pairs"), dtype=np.int64).reshape(-1, 2)
             labels = np.asarray(getattr(self, f"{fold}_labels"), dtype=np.int64).ravel()
@@ -173,12 +173,20 @@ class LinkTaskSplit:
                 raise ValueError("pairs and labels must align")
             if labels.size and (labels.min() < 0 or labels.max() >= alphabet):
                 raise ValueError("label outside the task alphabet")
-            keys = {(int(u), int(v)) for u, v in pairs}
-            if keys & seen:
-                raise ValueError("query pairs must be disjoint across folds")
-            seen |= keys
+            folds.append(pairs)
             object.__setattr__(self, f"{fold}_pairs", pairs)
             object.__setattr__(self, f"{fold}_labels", labels)
+        every = np.concatenate(folds)
+        if every.size:
+            # equal codes sort next to each other, in fold order (stable);
+            # repeats inside one fold are allowed, a code in two folds is not
+            low = every.min()
+            codes = (every[:, 0] - low) * (every.max() - low + 1) + (every[:, 1] - low)
+            which = np.repeat(np.arange(3), [p.shape[0] for p in folds])
+            order = np.argsort(codes, kind="stable")
+            codes, which = codes[order], which[order]
+            if np.any((codes[1:] == codes[:-1]) & (which[1:] != which[:-1])):
+                raise ValueError("query pairs must be disjoint across folds")
         object.__setattr__(self, "discarded_pairs",
                            np.asarray(self.discarded_pairs, dtype=np.int64).reshape(-1, 2))
 
@@ -213,116 +221,100 @@ def spanning_forest(g: SignedDirectedGraph) -> np.ndarray:
     return np.array(sorted(chosen), dtype=np.int64)
 
 
-def _edge_tables(g: SignedDirectedGraph):
-    """Lookup helpers: ordered weight map and unordered pair table."""
-    weight_of = {}
-    for u, v, w in zip(g.src, g.dst, g.weight):
-        weight_of[(int(u), int(v))] = float(w)
-    pairs = {}
-    for (u, v), w in weight_of.items():
-        if u == v:
-            continue
-        a, b = (u, v) if u < v else (v, u)
-        entry = pairs.setdefault((a, b), [None, None])
-        entry[0 if (u, v) == (a, b) else 1] = w
-    return weight_of, pairs
+def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
+    """Membership of each code in an ascending int64 array.
+
+    A binary search; np.isin deduplicates both sides first, which costs
+    several times more on large code arrays.
+    """
+    idx = np.searchsorted(sorted_codes, codes)
+    hit = idx < sorted_codes.size
+    hit[hit] = sorted_codes[idx[hit]] == codes[hit]
+    return hit
 
 
 def _sample_nonedges(rng, n, count, forbidden, ordered):
-    """Uniform without-replacement non-edge pairs (ordered or u < v)."""
+    """Uniform without-replacement non-edge pairs (ordered or u < v).
+
+    ``forbidden`` is an ascending array of distinct codes u * n + v that
+    may not be drawn. Candidates are consecutive pairs (u, v) of
+    ``rng.integers(n)`` draws, accepted in draw order unless u == v, the
+    code is forbidden or it was accepted before. Each batch draws the
+    2 * need integers that the still missing ``need`` pairs could use at
+    best, so the stream stops exactly where a pair-by-pair loop would.
+    Returns a (count x 2) int64 array.
+    """
     if ordered:
-        available = n * (n - 1) - len(forbidden)
+        available = n * (n - 1) - forbidden.size
     else:
-        available = n * (n - 1) // 2 - len(forbidden)
+        available = n * (n - 1) // 2 - forbidden.size
     if count > available:
         raise ValueError(f"insufficient non-edges: need {count}, have {available}")
-    chosen: set[int] = set()
-    out = []
-    while len(out) < count:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        if not ordered and u > v:
-            u, v = v, u
-        code = u * n + v
-        if code in forbidden or code in chosen:
-            continue
-        chosen.add(code)
-        out.append((u, v))
-    return out
+    picked = np.zeros(0, dtype=np.int64)
+    while picked.size < count:
+        draw = rng.integers(n, size=2 * (count - picked.size))
+        u, v = draw[0::2], draw[1::2]
+        loop = u == v
+        u, v = u[~loop], v[~loop]
+        if not ordered:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        codes = u * n + v
+        codes = codes[~_in_sorted(codes, forbidden) & ~_in_sorted(codes, np.sort(picked))]
+        _, first = np.unique(codes, return_index=True)
+        picked = np.concatenate([picked, codes[np.sort(first)]])
+    return np.column_stack(np.divmod(picked, n))
 
 
 def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
     """Candidate (query, label) samples plus discarded ambiguous pairs.
 
-    Returns (pairs, labels, underlying, discarded) where ``underlying``
-    holds the stored edge a query came from ((-1, -1) for non-edges).
+    Returns int64 arrays (pairs, labels, underlying, discarded): k x 2
+    queries, their k labels, the k x 2 stored edges they came from
+    ((-1, -1) for non-edges) and the d x 2 reciprocal pairs (a < b)
+    that were discarded.
     """
     n = g.num_nodes
-    weight_of, pair_table = _edge_tables(g)
-    upair_keys = sorted(pair_table)
-    queries: list[tuple[int, int]] = []
-    labels: list[int] = []
-    underlying: list[tuple[int, int]] = []
-    discarded: list[tuple[int, int]] = []
+    discarded = np.zeros((0, 2), dtype=np.int64)
+    if task in ("SP", "EP"):
+        edge = g.src != g.dst
+        under = np.column_stack([g.src[edge], g.dst[edge]])
+        if task == "SP":
+            return under, np.where(g.weight[edge] > 0, 0, 1), under, discarded
+        forbidden = np.sort(under[:, 0] * n + under[:, 1])
+        non = _sample_nonedges(rng, n, under.shape[0], forbidden, ordered=True)
+        queries = np.concatenate([under, non])
+        labels = np.repeat(np.array([0, 1]), [under.shape[0], non.shape[0]])
+        underlying = np.concatenate([under, np.full_like(non, -1)])
+        return queries, labels, underlying, discarded
 
-    if task == "SP":
-        for u, v in zip(g.src, g.dst):
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            queries.append((u, v))
-            labels.append(0 if weight_of[(u, v)] > 0 else 1)
-            underlying.append((u, v))
-    elif task == "EP":
-        for u, v in zip(g.src, g.dst):
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            queries.append((u, v))
-            labels.append(0)
-            underlying.append((u, v))
-        forbidden = {u * n + v for (u, v) in queries}
-        for u, v in _sample_nonedges(rng, n, len(queries), forbidden, ordered=True):
-            queries.append((u, v))
-            labels.append(1)
-            underlying.append((-1, -1))
-    else:  # DP / 3C / 4C / 5C share the direction-bearing enumeration
-        signed_task = task in ("4C", "5C")
-        for (a, b) in upair_keys:
-            w_fwd, w_bwd = pair_table[(a, b)]
-            if w_fwd is not None and w_bwd is not None:
-                discarded.append((a, b))
-                continue
-            if w_fwd is not None:
-                edge, w = (a, b), w_fwd
-            else:
-                edge, w = (b, a), w_bwd
-            flip = rng.random() < 0.5
-            query = (edge[1], edge[0]) if flip else edge
-            if signed_task:
-                label = (1 if flip else 0) + (2 if w < 0 else 0)
-            else:
-                label = 1 if flip else 0
-            queries.append(query)
-            labels.append(label)
-            underlying.append(edge)
-        if task in ("3C", "5C"):
-            nonedge_label = 2 if task == "3C" else 4
-            present = np.bincount(np.asarray(labels, dtype=np.int64),
-                                  minlength=nonedge_label)[:nonedge_label]
-            nonempty = int(np.count_nonzero(present))
-            count = len(queries) // nonempty if nonempty else 0
-            forbidden = {a * n + b for (a, b) in upair_keys}
-            for u, v in _sample_nonedges(rng, n, count, forbidden, ordered=False):
-                if rng.random() < 0.5:
-                    u, v = v, u
-                queries.append((u, v))
-                labels.append(nonedge_label)
-                underlying.append((-1, -1))
-
-    return queries, labels, underlying, discarded
+    # DP / 3C / 4C / 5C share the direction-bearing enumeration over the
+    # unordered pairs, in ascending (a, b) order
+    lo, hi, a_lh, a_hl = symmetric_pairs(g)
+    off = lo != hi
+    lo, hi, a_lh, a_hl = lo[off], hi[off], a_lh[off], a_hl[off]
+    both = (a_lh != 0) & (a_hl != 0)
+    discarded = np.column_stack([lo[both], hi[both]])
+    a, b, a_lh, a_hl = lo[~both], hi[~both], a_lh[~both], a_hl[~both]
+    fwd = a_lh != 0
+    under = np.column_stack([np.where(fwd, a, b), np.where(fwd, b, a)])
+    w = np.where(fwd, a_lh, a_hl)
+    flip = rng.random(a.size) < 0.5
+    queries = np.where(flip[:, None], under[:, ::-1], under)
+    labels = flip.astype(np.int64)
+    if task in ("4C", "5C"):
+        labels += np.where(w < 0, 2, 0)
+    if task in ("3C", "5C"):
+        nonedge_label = 2 if task == "3C" else 4
+        present = np.bincount(labels, minlength=nonedge_label)[:nonedge_label]
+        nonempty = int(np.count_nonzero(present))
+        count = labels.size // nonempty if nonempty else 0
+        non = _sample_nonedges(rng, n, count, lo * n + hi, ordered=False)
+        swap = rng.random(count) < 0.5
+        non = np.where(swap[:, None], non[:, ::-1], non)
+        queries = np.concatenate([queries, non])
+        labels = np.concatenate([labels, np.full(count, nonedge_label)])
+        under = np.concatenate([under, np.full_like(non, -1)])
+    return queries, labels, under, discarded
 
 
 def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
@@ -342,31 +334,24 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
     if prob_val < 0 or prob_test < 0 or prob_val + prob_test >= 1:
         raise ValueError("need prob_val + prob_test < 1 and both nonnegative")
     rng = stream(seed)
-    queries, labels, underlying, discarded = _enumerate_candidates(g, task, rng)
+    query_arr, label_arr, under_arr, discarded = _enumerate_candidates(g, task, rng)
     names = LABEL_NAMES[task]
-    label_arr = np.asarray(labels, dtype=np.int64)
-    class_counts = np.bincount(label_arr, minlength=len(names)) if label_arr.size \
-        else np.zeros(len(names), dtype=np.int64)
+    class_counts = np.bincount(label_arr, minlength=len(names))
     for cls, cnt in enumerate(class_counts):
         if cnt == 0:
             raise ValueError(
                 f"task {task}: class {names[cls]!r} has no samples after discarding")
 
-    forest_codes: set[int] = set()
+    n = g.num_nodes
+    u, v = under_arr[:, 0], under_arr[:, 1]
+    fold = np.zeros(label_arr.size, dtype=np.int64)
+    locked = np.zeros(label_arr.size, dtype=bool)
     if maintain_connectedness:
-        n = g.num_nodes
-        for e in spanning_forest(g):
-            a, b = int(g.src[e]), int(g.dst[e])
-            forest_codes.add(min(a, b) * n + max(a, b))
-
-    m = label_arr.size
-    fold = np.zeros(m, dtype=np.int64)
-    locked = np.zeros(m, dtype=bool)
-    if forest_codes:
-        n = g.num_nodes
-        for i, (u, v) in enumerate(underlying):
-            if u >= 0 and min(u, v) * n + max(u, v) in forest_codes:
-                locked[i] = True
+        forest = spanning_forest(g)
+        fs, fd = g.src[forest], g.dst[forest]
+        forest_codes = np.minimum(fs, fd) * n + np.maximum(fs, fd)
+        locked = (u >= 0) & _in_sorted(np.minimum(u, v) * n + np.maximum(u, v),
+                                       np.sort(forest_codes))
     for cls in range(len(names)):
         idx = np.nonzero(label_arr == cls)[0]
         free = idx[~locked[idx]]
@@ -376,13 +361,8 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
         fold[perm[:n_val]] = 1
         fold[perm[n_val:n_val + n_test]] = 2
 
-    query_arr = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
-    under_arr = np.asarray(underlying, dtype=np.int64).reshape(-1, 2)
-    hidden = under_arr[(fold > 0) & (under_arr[:, 0] >= 0)]
-    n = g.num_nodes
-    hidden_codes = {int(u) * n + int(v) for u, v in hidden}
-    edge_codes = g.src * n + g.dst
-    keep = np.array([c not in hidden_codes for c in edge_codes], dtype=bool)
+    hidden = (fold > 0) & (u >= 0)
+    keep = ~_in_sorted(g.src * n + g.dst, np.sort(u[hidden] * n + v[hidden]))
     observed = g.replace_edges(g.src[keep], g.dst[keep], g.weight[keep])
 
     def fold_of(which):
@@ -398,6 +378,6 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
         val_pairs=val_p, val_labels=val_l,
         test_pairs=test_p, test_labels=test_l,
         observed_graph=observed,
-        discarded_pairs=np.asarray(discarded, dtype=np.int64).reshape(-1, 2),
+        discarded_pairs=discarded,
         label_names=names,
     )

@@ -440,10 +440,10 @@ def test_c8b_dp_accuracy():
     # discards reciprocal pairs, so a within-cluster query's label is a
     # fair coin independent of everything observable. No classifier can
     # beat the meta-graph oracle (forward iff F[c_u, c_v] >= F[c_v, c_u]),
-    # which therefore sets the ceiling (about 0.835 here, not 1.0).
+    # which therefore sets the ceiling (about 0.84 here, not 1.0).
     # A 0.9 bar is 80% of the way from chance (0.5) to a perfect 1.0; the
     # same 80% is asserted here from the majority rate to that ceiling.
-    # A direction-blind pipeline (the additive concat combiner, 0.495)
+    # A direction-blind pipeline (the additive concat combiner, 0.494)
     # fails it; the same pipeline reaches 1.0 when the task is fully
     # solvable (test_linkpred_direction_learnable_on_acyclic_meta).
     start = time.monotonic()

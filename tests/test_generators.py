@@ -344,3 +344,169 @@ def test_generator_determinism_property(seed):
 def test_labels_match_graph_labels():
     inst = ssbm(30, 2, 0.3, 0.3, seed=0)
     assert np.array_equal(inst.labels, inst.graph.labels)
+
+
+# ------------------------------------------------------- block-pair sampler
+
+def _edge_set(g):
+    return {(u, v): w for u, v, w in g.edge_list()}
+
+
+def _all_ordered_pairs(n):
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def test_dsbm_unit_probability_cells_all_present():
+    # block_sizes(5, 3) = [1, 1, 3]: two blocks of size 1
+    F = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    inst = dsbm(custom_meta(F), 5, 3, 1.0, seed=0)
+    lab = inst.labels
+    want = {(i, j) for i, j in _all_ordered_pairs(5) if F[lab[i], lab[j]] == 1.0}
+    assert set(_edge_set(inst.graph)) == want
+    full = dsbm(custom_meta(np.ones((3, 3))), 5, 3, 1.0, seed=1)
+    assert set(_edge_set(full.graph)) == set(_all_ordered_pairs(5))
+
+
+def test_sdsbm_unit_magnitude_cells_all_present():
+    F = np.array([[1.0, -1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
+    for eta, seed in ((0.0, 0), (0.5, 3)):
+        inst = sdsbm(custom_meta(F), 5, 1.0, eta=eta, seed=seed)
+        lab = inst.labels
+        edges = _edge_set(inst.graph)
+        assert set(edges) == {(i, j) for i, j in _all_ordered_pairs(5)
+                              if F[lab[i], lab[j]] != 0.0}
+        if eta == 0.0:
+            assert all(w == F[lab[u], lab[v]] for (u, v), w in edges.items())
+
+
+def test_ssbm_and_signed_er_unit_probability():
+    inside = ssbm(5, 3, 1.0, 0.0, seed=0)  # blocks [1, 1, 3]
+    lab = inside.labels
+    edges = _edge_set(inside.graph)
+    assert set(edges) == {(i, j) for i, j in _all_ordered_pairs(5) if lab[i] == lab[j]}
+    assert set(edges.values()) == {1.0}
+    across = ssbm(5, 3, 0.0, 1.0, seed=0)
+    edges = _edge_set(across.graph)
+    assert set(edges) == {(i, j) for i, j in _all_ordered_pairs(5) if lab[i] != lab[j]}
+    assert set(edges.values()) == {-1.0}
+    er = signed_erdos_renyi(7, 1.0, seed=2)
+    assert set(_edge_set(er)) == set(_all_ordered_pairs(7))
+
+
+def test_pol_ssbm_unit_probability():
+    # two communities of 2 nodes (halves of size 1) and one ambient node
+    inst = pol_ssbm(5, 2, 1.0, N=2, seed=0)
+    lab = inst.labels
+    assert lab.tolist() == [0, 1, 2, 3, 4]
+    edges = _edge_set(inst.graph)
+    assert set(edges) == set(_all_ordered_pairs(5))
+    assert edges[(0, 1)] == -1.0 and edges[(2, 3)] == -1.0  # across halves
+    big = pol_ssbm(12, 2, 1.0, N=5, seed=1)  # halves [2, 3], 2 ambient nodes
+    lab = big.labels
+    for (u, v), w in _edge_set(big.graph).items():
+        if lab[u] == lab[v] and lab[u] < 4:
+            assert w == 1.0
+
+
+def _sampler_families(eta):
+    yield "ssbm", ssbm(40, 3, 0.3, 0.2, rho=2.0, eta=eta, seed=7).graph
+    yield "er", signed_erdos_renyi(30, 0.2, seed=7)
+    yield "pol_ssbm", pol_ssbm(40, 2, 0.3, eta=eta, N=12, seed=7).graph
+    yield "dsbm", dsbm(meta_graph("cycle", 3, eta=0.2), 40, 3, 0.4, rho=2.0, seed=7).graph
+    yield "sdsbm", sdsbm(f1_meta(0.3), 40, 0.5, rho=2.0, eta=eta, seed=7).graph
+
+
+def test_sampler_sorted_without_self_loops_or_duplicates():
+    for name, g in _sampler_families(0.1):
+        codes = g.src * g.num_nodes + g.dst
+        assert np.all(np.diff(codes) > 0), name  # (src, dst) order, distinct
+        assert np.all(g.src != g.dst), name
+        assert g.num_edges > 0, name
+
+
+def test_same_seed_same_support_across_eta():
+    for (name, a), (_, b) in zip(_sampler_families(0.0), _sampler_families(0.4)):
+        if name in ("ssbm", "pol_ssbm", "sdsbm"):
+            assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst), name
+            assert not np.array_equal(a.weight, b.weight), name
+
+
+# Many-seed exactness: for each family, the per-cell presence probability
+# P and the probability of a + sign given presence are written out here
+# from the model definitions, then compared with counts over many seeds.
+
+SEEDS = 200
+
+
+def _cycle_filled(eta):
+    return np.array([[0.5, 1 - eta, eta], [eta, 0.5, 1 - eta], [1 - eta, eta, 0.5]])
+
+
+def _exact_models():
+    # (name, make(seed) -> (graph, labels), directed, P(lab_i, lab_j), P(+)(lab_i, lab_j))
+    lab = block_sizes(12, 3, 2.0).labels()
+    cyc = 0.6 * _cycle_filled(0.2)
+    yield ("dsbm", lambda s: dsbm(meta_graph("cycle", 3, eta=0.2), 12, 3, 0.6,
+                                  rho=2.0, seed=s), True, lab, cyc, np.ones((3, 3)))
+    g1 = 0.3
+    f1 = np.array([[0.5, g1, -g1], [1 - g1, 0.5, -0.5], [-1 + g1, -0.5, 0.5]])
+    yield ("sdsbm", lambda s: sdsbm(f1_meta(g1), 12, 0.8, rho=2.0, eta=0.2, seed=s),
+           True, lab, 0.8 * np.abs(f1), np.where(f1 > 0, 0.8, 0.2))
+    same = np.eye(3, dtype=bool)
+    yield ("ssbm", lambda s: ssbm(12, 3, 0.5, 0.2, rho=2.0, eta_in=0.1, eta_out=0.3,
+                                  seed=s), False, lab,
+           np.where(same, 0.5, 0.2), np.where(same, 0.9, 0.3))
+    yield ("er", lambda s: signed_erdos_renyi(12, 0.3, seed=s), False,
+           np.zeros(12, dtype=np.int64), np.full((1, 1), 0.3), np.full((1, 1), 0.5))
+    # pol_ssbm, r=2, N=5: halves [2, 3] per community and 4 ambient nodes
+    pol = np.repeat(np.arange(5), [2, 3, 2, 3, 4])
+    pos = np.full((5, 5), 0.5)
+    for c in (0, 2):
+        pos[c:c + 2, c:c + 2] = [[0.8, 0.2], [0.2, 0.8]]
+    yield ("pol_ssbm", lambda s: pol_ssbm(14, 2, 0.4, eta=0.2, N=5, seed=s), False,
+           pol, np.full((5, 5), 0.4), pos)
+
+
+@pytest.mark.parametrize("model", list(_exact_models()), ids=lambda m: m[0])
+def test_sampler_exact_over_many_seeds(model):
+    name, make, directed, lab, prob, pos_prob = model
+    n, K = lab.size, prob.shape[0]
+    cells = ~np.eye(n, dtype=bool) if directed else np.triu(np.ones((n, n), bool), 1)
+    P = prob[lab[:, None], lab[None, :]]
+    Q = pos_prob[lab[:, None], lab[None, :]]
+    blocks = [(k, l) for k in range(K) for l in range(K) if directed or k <= l]
+    hits = np.zeros((n, n))
+    pos = np.zeros((n, n))
+    per_seed = np.zeros((SEEDS, len(blocks)))
+    for s in range(SEEDS):
+        made = make(s)
+        g = getattr(made, "graph", made)
+        A = np.zeros((n, n))
+        A[g.src, g.dst] = g.weight
+        if not directed:
+            assert np.array_equal(A, A.T)
+        present = (A != 0) & cells
+        hits += present
+        pos += (A > 0) & cells
+        for b, (k, l) in enumerate(blocks):
+            sel = cells & (lab[:, None] == k) & (lab[None, :] == l)
+            p_sel = P[sel]
+            per_seed[s, b] = ((present[sel].sum() - p_sel.sum())
+                              / np.sqrt((p_sel * (1 - p_sel)).sum()))
+    # per block pair: the pooled count, the spread of the per-seed z-scores
+    # and the + signs among present edges, each against its exact law
+    for b, (k, l) in enumerate(blocks):
+        sel = cells & (lab[:, None] == k) & (lab[None, :] == l)
+        pooled = per_seed[:, b].mean() * np.sqrt(SEEDS)
+        assert abs(pooled) < 4.0, (name, k, l, pooled)
+        assert 0.8 < per_seed[:, b].std() < 1.2, (name, k, l, per_seed[:, b].std())
+        h, q = hits[sel], Q[sel]
+        var = (h * q * (1 - q)).sum()
+        if var > 0:
+            z_sign = (pos[sel].sum() - (h * q).sum()) / np.sqrt(var)
+            assert abs(z_sign) < 4.0, (name, k, l, z_sign)
+    # per cell: every cell, the first and last of each block included
+    p_cell = P[cells]
+    z_cell = (hits[cells] - SEEDS * p_cell) / np.sqrt(SEEDS * p_cell * (1 - p_cell))
+    assert np.abs(z_cell).max() < 4.5, (name, np.abs(z_cell).max())
+    assert not np.diag(hits).any()  # no self-loops

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, is_directed,
+from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_labels,
+                         is_directed,
                          is_signed, largest_weakly_connected_component,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
@@ -97,6 +98,39 @@ def test_wcc_carries_labels():
     g = G(4, [(0, 1, 1.0)], labels=[5, 6, 7, 8])
     sub, idx = largest_weakly_connected_component(g)
     assert list(sub.labels) == [5, 6]
+
+
+def _bfs_component_labels(g):
+    """Reference: breadth-first search from each unvisited node in id order."""
+    adj = [[] for _ in range(g.num_nodes)]
+    for u, v in zip(g.src.tolist(), g.dst.tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    lab = [-1] * g.num_nodes
+    for s in range(g.num_nodes):
+        if lab[s] >= 0:
+            continue
+        lab[s], queue = s, [s]
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if lab[y] < 0:
+                    lab[y] = s
+                    queue.append(y)
+    return lab
+
+
+def test_component_labels_match_bfs():
+    rng = np.random.default_rng(0)
+    for trial in range(40):
+        n = int(rng.integers(1, 80))
+        m = int(rng.integers(0, 2 * n))
+        pairs = {(int(u), int(v)) for u, v in rng.integers(n, size=(m, 2))}
+        # sparse draws leave isolated nodes; u == v adds self-loops
+        pairs |= {(u, u) for u in rng.integers(n, size=3).tolist()}
+        g = G(n, [(u, v, 1.0) for u, v in sorted(pairs)])
+        assert _component_labels(g).tolist() == _bfs_component_labels(g)
+    assert _component_labels(G(0, [])).size == 0
 
 
 # ------------------------------------------------------------ spectral feats

@@ -230,7 +230,12 @@ dp = generate_from_params({"model": "dsbm", "meta": "cycle", "n": 90, "k": 3, "p
                           seed=0).graph
 linkpred_run(dp, "DP", embed_method="hermitian_spectral", embed_dim=3, seeds=[0], epochs=20)
 sdnet.link_class_split(sp, "4C", maintain_connectedness=True, seed=1)
+sdnet.link_class_split(sp, "EP", seed=1)
 sdnet.largest_weakly_connected_component(sp)
+from sdnet.generators import pol_ssbm, signed_erdos_renyi, ssbm
+ssbm(60, 3, 0.2, 0.1, eta=0.1, seed=0)
+pol_ssbm(60, 2, 0.2, eta=0.1, seed=0)
+signed_erdos_renyi(60, 0.1, seed=0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,9 +4,9 @@ import pytest
 from sdnet.generators import ssbm
 from sdnet.graph import SignedDirectedGraph, is_signed
 from sdnet.rng import stream
-from sdnet.splitters import (LABEL_NAMES, canonical_task, link_class_split,
-                             node_split, spanning_forest, _enumerate_candidates,
-                             _mask_counts)
+from sdnet.splitters import (LABEL_NAMES, LinkTaskSplit, canonical_task,
+                             link_class_split, node_split, spanning_forest,
+                             _enumerate_candidates, _mask_counts)
 
 
 def G(n, edges):
@@ -128,8 +128,8 @@ def test_spanning_forest_skips_self_loops():
 def test_dp_two_cycle_discarded():
     g = G(2, [(0, 1, 1.0), (1, 0, 1.0)])
     queries, labels, _, discarded = _enumerate_candidates(g, "DP", stream(0))
-    assert queries == [] and labels == []
-    assert discarded == [(0, 1)]
+    assert queries.tolist() == [] and labels.tolist() == []
+    assert [tuple(d) for d in discarded.tolist()] == [(0, 1)]
     with pytest.raises(ValueError):
         link_class_split(g, "DP", seed=0)
 
@@ -137,14 +137,14 @@ def test_dp_two_cycle_discarded():
 def test_5c_hand_enumeration():
     g = G(5, [(0, 1, 1.0), (2, 1, -1.0), (3, 4, 1.0)])
     queries, labels, under, discarded = _enumerate_candidates(g, "5C", stream(0))
-    assert len(queries) == 4 and discarded == []
+    assert len(queries) == 4 and discarded.tolist() == []
     names = LABEL_NAMES["5C"]
     got = [names[l] for l in labels]
     assert sum(1 for s in got if s.endswith("positive")) == 2
     assert sum(1 for s in got if s.endswith("negative")) == 1
     assert got.count("nonedge") == 1  # mean nonempty edge-class count = 1
     # underlying edges preserved regardless of query orientation
-    assert sorted(under[:3]) == [(0, 1), (2, 1), (3, 4)]
+    assert sorted(map(tuple, under[:3].tolist())) == [(0, 1), (2, 1), (3, 4)]
 
 
 def test_task_aliases():
@@ -311,3 +311,22 @@ def test_sp_requires_both_signs():
     all_pos = G(4, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(ValueError):
         link_class_split(all_pos, "SP", seed=0)
+
+
+def test_link_task_split_rejects_overlapping_folds():
+    g = G(4, [(0, 1, 1.0), (1, 2, -1.0)])
+    fold = dict(train_pairs=[[0, 1], [1, 2], [0, 1]], train_labels=[0, 1, 0],
+                val_pairs=[[2, 3]], val_labels=[0],
+                test_pairs=[[3, 0]], test_labels=[1])
+    # repeats inside one fold are allowed
+    split = LinkTaskSplit("SP", **fold, observed_graph=g, discarded_pairs=[],
+                          label_names=LABEL_NAMES["SP"])
+    assert split.train_pairs.shape == (3, 2)
+    for overlap in ([[1, 2]], [[3, 0]]):
+        bad = dict(fold, val_pairs=overlap)
+        with pytest.raises(ValueError, match="disjoint"):
+            LinkTaskSplit("SP", **bad, observed_graph=g, discarded_pairs=[],
+                          label_names=LABEL_NAMES["SP"])
+    # the reversed pair is a different query
+    LinkTaskSplit("SP", **dict(fold, val_pairs=[[1, 0]]), observed_graph=g,
+                  discarded_pairs=[], label_names=LABEL_NAMES["SP"])
