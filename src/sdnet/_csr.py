@@ -25,7 +25,8 @@ def hermitian_from_upper(n: int, rows: np.ndarray, cols: np.ndarray,
     at (cols, rows) and an optional real or complex diagonal.
 
     (rows, cols) must be distinct strictly off-diagonal cells. Column
-    indices come out sorted within each row.
+    indices come out sorted within each row; the data keeps the dtype
+    of ``upper`` and ``diag``.
     """
     r = [rows, cols]
     c = [cols, rows]
@@ -37,7 +38,7 @@ def hermitian_from_upper(n: int, rows: np.ndarray, cols: np.ndarray,
     r = np.concatenate(r)
     c = np.concatenate(c)
     # + 0.0 turns a -0.0 component into 0.0, as an averaged (M + M^H) / 2 does
-    v = np.concatenate(v).astype(np.complex128) + 0.0
+    v = np.concatenate(v) + 0.0
     order = np.lexsort((c, r))
     index = np.int32 if max(n, v.size) < 2 ** 31 else np.int64
     indptr = np.zeros(n + 1, dtype=index)
@@ -46,12 +47,14 @@ def hermitian_from_upper(n: int, rows: np.ndarray, cols: np.ndarray,
 
 
 def as_csr(m) -> CSRMatrix:
-    """Complex CSR form of a dense array or sparse matrix, in canonical
-    format: duplicates summed and column indices sorted within rows."""
-    if not sparse.issparse(m):
-        return CSRMatrix(np.asarray(m, dtype=np.complex128))
-    out = CSRMatrix(m, dtype=np.complex128)
+    """CSR form of a dense array or sparse matrix, in canonical format
+    (duplicates summed, column indices sorted within rows): float64 when
+    every imaginary part is zero, complex128 otherwise."""
+    out = CSRMatrix(m if sparse.issparse(m) else np.asarray(m))
     if not out.has_canonical_format:
         out = out.copy()  # may share arrays with m, which stays as it was
         out.sum_duplicates()
+    real = not np.any(out.data.imag)
+    out.data = np.asarray(out.data.real if real else out.data,
+                          dtype=np.float64 if real else np.complex128)
     return out

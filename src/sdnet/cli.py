@@ -19,8 +19,8 @@ from . import io as sio
 from . import metrics as met
 from .config import ConfigError, load
 from .graph import is_directed, is_signed
-from .pipeline import (ExperimentConfig, cluster_run, cluster_sweep,
-                       generate_from_params, linkpred_run, resolve_combiner)
+from .pipeline import (ExperimentConfig, cluster_sweep, generate_from_params,
+                       linkpred_run, resolve_combiner, spectral_cluster)
 from .plotsvg import render_line_plot
 from .spectral import NumericError
 from .splitters import link_class_split, node_split
@@ -36,6 +36,34 @@ def _need(sec: dict, key: str, where: str):
     if key not in sec:
         raise ConfigError(f"[{where}] is missing required key {key!r}")
     return sec[key]
+
+
+# metric name -> (needs true labels, fn(graph, true, pred, soft)); reports
+# follow the order the names are requested in
+METRICS = {
+    "ari": (True, lambda g, true, pred, soft: met.ari(true, pred)),
+    "accuracy": (True, lambda g, true, pred, soft: met.accuracy(pred, true)),
+    "unhappy_ratio": (False, lambda g, true, pred, soft: met.unhappy_ratio(g, pred)),
+    "balanced_triangle_ratio": (False, lambda g, true, pred, soft:
+                                met.balanced_triangle_ratio(g)),
+    "prob_imbalance": (False, lambda g, true, pred, soft: met.prob_imbalance(g, soft)),
+    "pbnc_loss": (False, lambda g, true, pred, soft: met.pbnc_loss(g, soft)),
+}
+SOFT_METRICS = ("prob_imbalance", "pbnc_loss")
+
+
+def _metric_reports(names, graph, true, pred, soft) -> list:
+    """One MetricReport per name, in order; ``soft`` feeds SOFT_METRICS."""
+    reports = []
+    for name in names:
+        if name not in METRICS:
+            raise ConfigError(f"unknown metric {name!r}")
+        needs_true, fn = METRICS[name]
+        if needs_true and true is None:
+            raise ConfigError(f"{name} needs true labels")
+        reports.append(met.MetricReport(name, fn(graph, true, pred, soft),
+                                        graph.num_nodes))
+    return reports
 
 
 def _load_graph(cfg: dict, seed_override: int | None):
@@ -98,24 +126,18 @@ def cmd_cluster(cfg, outdir: Path, seed_override):
     method = _need(sec, "method", "cluster")
     k = _need(sec, "k", "cluster")
     ExperimentConfig(graph=_section(cfg, "graph"), method=method,
-                     task="clustering", output_dir=str(outdir))
+                     task="clustering")
     graph, labels, gparams = _load_graph(cfg, seed_override)
-    soft, pred = cluster_run(graph, method, k, seed=sec.get("seed", 0),
-                             q=sec.get("q", 0.25), tau=sec.get("tau", 0.25))
+    soft, pred = spectral_cluster(graph, method, k, seed=sec.get("seed", 0),
+                                  q=sec.get("q", 0.25), tau=sec.get("tau", 0.25))
     params = {**gparams, "method": method, "k": k}
     sio.write_labels_csv(outdir / "pred_labels.csv", pred, params)
-    reports = []
-    n = graph.num_nodes
-    if labels is not None:
-        reports.append(met.MetricReport("ari", met.ari(labels, pred), n))
+    names = [] if labels is None else ["ari"]
     if is_signed(graph) and graph.num_edges:
-        reports.append(met.MetricReport("unhappy_ratio",
-                                        met.unhappy_ratio(graph, pred), n))
-        reports.append(met.MetricReport("pbnc_loss",
-                                        met.pbnc_loss(graph, soft), n))
+        names += ["unhappy_ratio", "pbnc_loss"]
     if is_directed(graph) and k >= 2:
-        reports.append(met.MetricReport("prob_imbalance",
-                                        met.prob_imbalance(graph, soft), n))
+        names.append("prob_imbalance")
+    reports = _metric_reports(names, graph, labels, pred, soft)
     sio.write_metric_reports_csv(outdir / "metrics.csv", reports, params)
 
 
@@ -140,8 +162,7 @@ def cmd_linkpred(cfg, outdir: Path, seed_override):
     task = _need(sec, "task", "linkpred")
     seeds = sec.get("seeds", [0, 1, 2, 3, 4])
     ExperimentConfig(graph=_section(cfg, "graph"), method=sec.get("embed"),
-                     task=task, splits=sec, seeds=tuple(seeds),
-                     output_dir=str(outdir))
+                     task=task, splits=sec, seeds=tuple(seeds))
     graph, _, gparams = _load_graph(cfg, seed_override)
     embed = sec.get("embed", "signed_spectral")
     settings = {"combine": resolve_combiner(embed, sec.get("combine")),
@@ -172,7 +193,7 @@ def cmd_sweep(cfg, outdir: Path, seed_override):
     k = _need(sec, "k", "sweep")
     ExperimentConfig(graph=gsec, method=method, task="clustering",
                      seeds=tuple(sec.get("seeds", [0, 1, 2, 3, 4])),
-                     output_dir=str(outdir), sweep=sec)
+                     sweep=sec)
     result = cluster_sweep(
         gparams, param, values, method, k,
         instances=sec.get("instances", 2),
@@ -199,33 +220,9 @@ def cmd_metrics(cfg, outdir: Path, seed_override):
     if "labels_true" in sec:
         true = sio.read_labels_csv(sec["labels_true"])
     names = sec.get("names", ["ari"])
-    n = graph.num_nodes
-    reports = []
-    for name in names:
-        if name == "ari":
-            if true is None:
-                raise ConfigError("ari needs true labels")
-            reports.append(met.MetricReport("ari", met.ari(true, pred), n))
-        elif name == "accuracy":
-            if true is None:
-                raise ConfigError("accuracy needs true labels")
-            reports.append(met.MetricReport("accuracy", met.accuracy(pred, true), n))
-        elif name == "unhappy_ratio":
-            reports.append(met.MetricReport("unhappy_ratio",
-                                            met.unhappy_ratio(graph, pred), n))
-        elif name == "balanced_triangle_ratio":
-            reports.append(met.MetricReport("balanced_triangle_ratio",
-                                            met.balanced_triangle_ratio(graph), n))
-        elif name == "prob_imbalance":
-            soft = met.SoftAssignment.from_labels(pred)
-            reports.append(met.MetricReport("prob_imbalance",
-                                            met.prob_imbalance(graph, soft), n))
-        elif name == "pbnc_loss":
-            soft = met.SoftAssignment.from_labels(pred)
-            reports.append(met.MetricReport("pbnc_loss",
-                                            met.pbnc_loss(graph, soft), n))
-        else:
-            raise ConfigError(f"unknown metric {name!r}")
+    soft = (met.SoftAssignment.from_labels(pred)
+            if any(name in SOFT_METRICS for name in names) else None)
+    reports = _metric_reports(names, graph, true, pred, soft)
     sio.write_metric_reports_csv(outdir / "metrics.csv", reports, gparams)
 
 

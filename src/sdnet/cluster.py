@@ -1,16 +1,19 @@
 """K-means and spectral clustering pipelines.
 
 ``spectral_cluster`` is ``spectral_embedding`` then ``cluster_embedding``.
-The embedding builds the requested operator and takes its informative
-eigenvectors (smallest for Laplacian kinds, largest by absolute
-eigenvalue for the Hermitian imbalance operator, real and imaginary
-parts stacked for complex kinds), row-normalized; it holds the one
-eigensolve. ``cluster_embedding`` runs k-means on it; soft assignments
-come from a softmax over negated distances to the final centroids
-(temperature 1), and hard labels feed the metrics.
+The embedding computes the method's vectors as its ``EMBEDDINGS`` entry
+says (an operator and the eigenpairs to keep: smallest for Laplacian
+kinds, largest by absolute eigenvalue for the Hermitian imbalance
+operator; or a ``graph`` feature function), stacks real and imaginary
+parts of complex ones and row-normalizes; it holds the one eigensolve.
+``cluster_embedding`` runs k-means on it; soft assignments come from a
+softmax over negated distances to the final centroids (temperature 1),
+and hard labels feed the metrics.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +24,60 @@ from .graph import (SignedDirectedGraph, _fix_phase, _fix_sign,
 from .metrics import SoftAssignment
 from .rng import stream
 
-CLUSTER_METHODS = sp.SPECTRAL_KINDS + (
-    "signed_spectral", "hermitian_spectral", "signed_degree")
+
+class Embedding(NamedTuple):
+    """An operator ``build(g, q)`` solved for the k pairs named by
+    ``which``, or ``features(g, k, tau)`` giving the finished vectors."""
+
+    complex: bool
+    build: Callable | None = None
+    which: str = "smallest"
+    features: Callable | None = None
+
+
+def _as_complex(stacked: np.ndarray) -> np.ndarray:
+    """z from its [Re | Im] halves, bit for bit (-0.0 included)."""
+    z = stacked[:, :stacked.shape[1] // 2].astype(np.complex128)
+    z.imag = stacked[:, z.shape[1]:]
+    return z
+
+
+# Builders and feature functions are looked up when an entry is called,
+# through ``sp`` or this module's globals, so a wrapper bound over one of
+# those names sees every call.
+EMBEDDINGS = {
+    "normalized_laplacian": Embedding(False, lambda g, q: sp.normalized_laplacian(g)),
+    "signed_laplacian": Embedding(
+        False, lambda g, q: sp.signed_laplacian(g, normalized=False)),
+    "signed_laplacian_sym": Embedding(
+        False, lambda g, q: sp.signed_laplacian(g, normalized=True)),
+    "magnetic_laplacian": Embedding(True, lambda g, q: sp.magnetic_laplacian(g, q=q)),
+    "signed_magnetic_laplacian": Embedding(
+        True, lambda g, q: sp.signed_magnetic_laplacian(g, q=q)),
+    "hermitian_imbalance": Embedding(
+        True, lambda g, q: sp.hermitian_imbalance(g), "largest_abs"),
+    "signed_spectral": Embedding(False, features=lambda g, k, tau: (
+        signed_spectral_features(g, k, tau=tau).values)),
+    # dense on purpose: the sparse operator would load scipy in link prediction
+    "hermitian_spectral": Embedding(True, features=lambda g, k, tau: _as_complex(
+        hermitian_spectral_features(g, k).values)),
+    "signed_degree": Embedding(False, features=lambda g, k, tau: (
+        signed_degree_features(g).values)),
+}
+
+CLUSTER_METHODS = tuple(EMBEDDINGS)
+
+
+def _entry(method: str) -> Embedding:
+    try:
+        return EMBEDDINGS[method]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown clustering method {method!r}") from None
+
+
+def is_complex(method: str) -> bool:
+    """True iff ``method`` embeds nodes as complex vectors (ValueError if unknown)."""
+    return _entry(method).complex
 
 
 def _kmeans_once(x: np.ndarray, k: int, max_iter: int, rng):
@@ -107,46 +162,29 @@ def _row_normalize(x: np.ndarray) -> np.ndarray:
 
 def _embedding(g: SignedDirectedGraph, method: str, k: int, q: float,
                tau: float) -> np.ndarray:
-    if method == "normalized_laplacian":
-        pairs = sp.eigh(sp.normalized_laplacian(g), k, "smallest")
-        return _fix_sign(pairs.vectors.real)
-    if method == "signed_laplacian":
-        pairs = sp.eigh(sp.signed_laplacian(g, normalized=False), k, "smallest")
-        return _fix_sign(pairs.vectors.real)
-    if method == "signed_laplacian_sym":
-        pairs = sp.eigh(sp.signed_laplacian(g, normalized=True), k, "smallest")
-        return _fix_sign(pairs.vectors.real)
-    if method == "magnetic_laplacian":
-        pairs = sp.eigh(sp.magnetic_laplacian(g, q=q), k, "smallest")
-        vecs = _fix_phase(pairs.vectors)
-        return np.hstack([vecs.real, vecs.imag])
-    if method == "signed_magnetic_laplacian":
-        pairs = sp.eigh(sp.signed_magnetic_laplacian(g, q=q), k, "smallest")
-        vecs = _fix_phase(pairs.vectors)
-        return np.hstack([vecs.real, vecs.imag])
-    if method == "hermitian_imbalance":
-        pairs = sp.eigh(sp.hermitian_imbalance(g), k, "largest_abs")
-        vecs = _fix_phase(pairs.vectors)
-        return np.hstack([vecs.real, vecs.imag])
-    if method == "signed_spectral":
-        return signed_spectral_features(g, k, tau=tau).values
-    if method == "hermitian_spectral":
-        return hermitian_spectral_features(g, k).values
-    if method == "signed_degree":
-        return signed_degree_features(g).values
-    raise ValueError(f"unknown clustering method {method!r}")
+    """The method's node vectors: phase-fixed complex z for a complex
+    method, sign-fixed real vectors (or degree features) otherwise."""
+    entry = _entry(method)
+    if entry.build is None:
+        return entry.features(g, k, tau)
+    vectors = sp.eigh(entry.build(g, q), k, entry.which).vectors
+    return _fix_phase(vectors) if entry.complex else _fix_sign(vectors.real)
+
+
+def real_columns(x: np.ndarray) -> np.ndarray:
+    """x itself if real, else [Re | Im]."""
+    return np.hstack([x.real, x.imag]) if np.iscomplexobj(x) else x
 
 
 def spectral_embedding(g: SignedDirectedGraph, method: str, k: int,
                        q: float = 0.25, tau: float = 0.25) -> np.ndarray:
     """Row-normalized node embedding that ``spectral_cluster`` clusters.
 
-    Holds the method's one eigensolve, so callers clustering the same
-    graph under several k-means seeds compute it once.
+    A complex method's vectors are stacked as [Re | Im]. Holds the
+    method's one eigensolve, so callers clustering the same graph under
+    several k-means seeds compute it once.
     """
-    if method not in CLUSTER_METHODS:
-        raise ValueError(f"unknown clustering method {method!r}")
-    return _row_normalize(_embedding(g, method, k, q, tau))
+    return _row_normalize(real_columns(_embedding(g, method, k, q, tau)))
 
 
 def cluster_embedding(emb: np.ndarray, k: int, seed: int = 0):

@@ -143,22 +143,8 @@ def is_signed(g: SignedDirectedGraph) -> bool:
 
 def is_directed(g: SignedDirectedGraph) -> bool:
     """True iff some edge lacks a reciprocal edge of equal weight."""
-    m = g.num_edges
-    if m == 0:
-        return False
-    n = g.num_nodes
-    codes = g.src * n + g.dst
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    sorted_w = g.weight[order]
-    rev = g.dst * n + g.src
-    pos = np.searchsorted(sorted_codes, rev)
-    pos_ok = pos < m
-    match = np.zeros(m, dtype=bool)
-    match[pos_ok] = sorted_codes[pos[pos_ok]] == rev[pos_ok]
-    if not match.all():
-        return True
-    return bool(np.any(sorted_w[pos] != g.weight))
+    _, _, a_lh, a_hl = symmetric_pairs(g)
+    return bool(np.any(a_lh != a_hl))
 
 
 def separate_positive_negative(g: SignedDirectedGraph) -> SignedPair:
@@ -262,14 +248,6 @@ def pair_row_sums(num_nodes: int, lo: np.ndarray, hi: np.ndarray,
             + np.bincount(hi[off], values[off], minlength=num_nodes))
 
 
-def symmetrized_adjacency(g: SignedDirectedGraph, absolute: bool = False) -> np.ndarray:
-    """(A + A^T) / 2, optionally on absolute weights."""
-    a = g.adjacency()
-    if absolute:
-        a = np.abs(a)
-    return (a + a.T) / 2.0
-
-
 def _fix_sign(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     out = vectors.copy()
@@ -309,7 +287,8 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
         raise ValueError("cannot build spectral features on an empty graph")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    a_s = symmetrized_adjacency(g)
+    a = g.adjacency()
+    a_s = (a + a.T) / 2.0
     dbar = float(np.abs(a_s).sum(axis=1).mean())
     reg = a_s + tau * (dbar / n) * np.ones((n, n))
     if not reg.any():
@@ -357,12 +336,20 @@ def signed_degree_counts(g: SignedDirectedGraph) -> np.ndarray:
     return counts
 
 
+def standardize_columns(x: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
+    """Zero-mean unit-variance columns by the statistics of ``ref`` (default x).
+
+    Columns constant in ``ref`` come out as 0.
+    """
+    ref = x if ref is None else ref
+    mean = ref.mean(axis=0)
+    std = ref.std(axis=0)
+    out = np.zeros_like(x)
+    nz = std > 0
+    out[:, nz] = (x[:, nz] - mean[nz]) / std[nz]
+    return out
+
+
 def signed_degree_features(g: SignedDirectedGraph) -> FeatureMatrix:
     """Standardized signed in/out degree features (constant columns -> 0)."""
-    counts = signed_degree_counts(g)
-    mean = counts.mean(axis=0)
-    std = counts.std(axis=0)
-    out = np.zeros_like(counts)
-    nz = std > 0
-    out[:, nz] = (counts[:, nz] - mean[nz]) / std[nz]
-    return FeatureMatrix(out, "signed_degree")
+    return FeatureMatrix(standardize_columns(signed_degree_counts(g)), "signed_degree")

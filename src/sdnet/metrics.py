@@ -124,16 +124,10 @@ def auc(scores, true_binary) -> float:
         raise ValueError("scores and labels must have equal length")
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # a tie group holding 1-based ranks end - count + 1 .. end shares their mean
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[group]
     n_pos = float(np.sum(y == 1))
     n_neg = float(np.sum(y == 0))
     rank_sum = float(ranks[y == 1].sum())

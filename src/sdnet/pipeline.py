@@ -20,20 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators as gen
-from .cluster import (_embedding, cluster_embedding, spectral_cluster,
-                      spectral_embedding)
-from .graph import SignedDirectedGraph, signed_degree_features
+# spectral_cluster is bound here for the CLI, which looks it up in this module
+from .cluster import (_embedding, cluster_embedding, is_complex, real_columns,
+                      spectral_cluster, spectral_embedding)
+from .graph import (SignedDirectedGraph, signed_degree_features,
+                    standardize_columns)
 from .logistic import logistic_train
 from .metrics import accuracy, ari, auc, macro_f1
 from .rng import derive
 from .splitters import canonical_task, link_class_split, node_split
 
 # Edge combiners for ``linkpred_run``. ``phase`` needs a complex
-# embedding (one of COMPLEX_EMBEDDINGS) and is their default; real
+# embedding (``cluster.is_complex``) and is their default; real
 # embeddings default to ``concat``.
 EDGE_COMBINERS = ("concat", "hadamard", "difference", "phase")
-COMPLEX_EMBEDDINGS = ("hermitian_spectral", "hermitian_imbalance",
-                      "magnetic_laplacian", "signed_magnetic_laplacian")
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,6 @@ class RunResult:
             out[key] = (float(vals.mean()), sd, int(vals.size))
         return out
 
-    def metric_values(self, metric: str) -> list[float]:
-        return [r.value for r in self.records if r.metric == metric]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,7 +78,6 @@ class ExperimentConfig:
     task: str | None = None
     splits: dict = field(default_factory=dict)
     seeds: tuple[int, ...] = (0,)
-    output_dir: str | None = None
     sweep: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -174,65 +170,55 @@ def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,
     raise ValueError(f"unknown edge combiner {combine!r}")
 
 
-def _standardize(x: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
-    """Zero-mean unit-variance columns by the statistics of ``ref`` (default x)."""
-    ref = x if ref is None else ref
-    mean = ref.mean(axis=0)
-    std = ref.std(axis=0)
-    out = np.zeros_like(x)
-    nz = std > 0
-    out[:, nz] = (x[:, nz] - mean[nz]) / std[nz]
-    return out
-
-
 def link_node_embedding(g: SignedDirectedGraph, embed_method: str,
                         embed_dim: int, q: float = 0.25,
                         tau: float = 0.25) -> np.ndarray:
     """Spectral embedding stacked with standardized signed degrees.
 
-    Columns are standardized so eigenvector coordinates (magnitude about
-    n**-0.5) and degree features share a common scale for the classifier.
+    A complex embedding enters as [Re | Im]. Columns are standardized so
+    eigenvector coordinates (magnitude about n**-0.5) and degree features
+    share a common scale for the classifier.
     """
     deg = signed_degree_features(g).values
     if embed_method in ("none", "signed_degree"):
         return deg
-    emb = _standardize(_embedding(g, embed_method, embed_dim, q, tau))
-    return np.hstack([emb, deg])
+    emb = real_columns(_embedding(g, embed_method, embed_dim, q, tau))
+    return np.hstack([standardize_columns(emb), deg])
 
 
 def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
                    embed_dim: int, combine: str, q: float, tau: float) -> list:
     """Edge features for each pair set from one embedding of ``g``.
 
-    ``phase`` rebuilds the complex eigenvectors z from the unstandardized
-    [Re | Im] embedding, stacks the phase-difference block with both
-    endpoints' signed degrees and standardizes every column with the
-    statistics of the first pair set (the training fold).
+    ``phase`` takes the complex embedding z as it is, stacks the
+    phase-difference block with both endpoints' signed degrees and
+    standardizes every column with the statistics of the first pair set
+    (the training fold).
     """
     if combine != "phase":
         node_x = link_node_embedding(g, embed_method, embed_dim, q=q, tau=tau)
         return [edge_feature_matrix(node_x, p, combine) for p in pair_sets]
-    emb = _embedding(g, embed_method, embed_dim, q, tau)
-    k = emb.shape[1] // 2
-    z = emb[:, :k] + 1j * emb[:, k:]
+    z = _embedding(g, embed_method, embed_dim, q, tau)
     deg = signed_degree_features(g).values
     xs = [np.hstack([edge_feature_matrix(z, p, "phase"),
                      edge_feature_matrix(deg, p, "concat")]) for p in pair_sets]
-    return [_standardize(x, ref=xs[0]) for x in xs]
+    return [standardize_columns(x, ref=xs[0]) for x in xs]
 
 
 def resolve_combiner(embed_method: str, combine: str | None = None) -> str:
     """The edge combiner ``linkpred_run`` uses for ``combine``.
 
-    None gives ``phase`` for COMPLEX_EMBEDDINGS and ``concat`` otherwise;
-    an unknown combiner, or ``phase`` with a real embedding, raises
-    ValueError.
+    None gives ``phase`` for a complex embedding (``cluster.is_complex``)
+    and ``concat`` otherwise; an unknown embedding or combiner, or
+    ``phase`` with a real embedding, raises ValueError. ``"none"`` embeds
+    nodes by their signed degrees alone.
     """
+    complex_embedding = embed_method != "none" and is_complex(embed_method)
     if combine is None:
-        combine = "phase" if embed_method in COMPLEX_EMBEDDINGS else "concat"
+        combine = "phase" if complex_embedding else "concat"
     if combine not in EDGE_COMBINERS:
         raise ValueError(f"unknown edge combiner {combine!r}")
-    if combine == "phase" and embed_method not in COMPLEX_EMBEDDINGS:
+    if combine == "phase" and not complex_embedding:
         raise ValueError(f"the phase combiner needs a complex embedding, "
                          f"not {embed_method!r}")
     return combine
@@ -247,7 +233,7 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
     """Embed-then-classify link prediction over several split seeds.
 
     ``combine`` is one of EDGE_COMBINERS. It defaults to ``phase`` for
-    the complex embeddings (COMPLEX_EMBEDDINGS), whose direction signal
+    the complex embeddings (``cluster.is_complex``), whose direction signal
     lives in the phase difference conj(z_u) * z_v that the additive
     ``concat`` form cannot express, and to ``concat`` otherwise.
     ``phase`` with a real embedding raises ValueError.
@@ -281,12 +267,6 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
             records.append(RunRecord(0.0, 0, s, "macro_f1",
                                      macro_f1(pred, truth, classes=classes)))
     return RunResult(tuple(records))
-
-
-def cluster_run(g: SignedDirectedGraph, method: str, k: int, seed: int = 0,
-                q: float = 0.25, tau: float = 0.25):
-    """Single clustering run; returns (SoftAssignment, labels)."""
-    return spectral_cluster(g, method, k, seed=seed, q=q, tau=tau)
 
 
 def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,

@@ -47,12 +47,14 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Sparse Hermitian operator; real kinds have zero imaginary part.
+    """Sparse Hermitian operator.
 
-    ``entries`` is a complex CSR array (a dense input is stored sparse)
-    whose ``nbytes`` counts its data, indices and indptr;
-    ``toarray()`` gives the dense n x n view. Hermiticity is checked in
-    O(nnz) on construction.
+    ``entries`` is a CSR array (a dense input is stored sparse) whose
+    ``nbytes`` counts its data, indices and indptr. Its dtype is decided
+    here, once: float64 when every imaginary part is zero (the real
+    kinds, and a complex kind whose phases all vanish), complex128
+    otherwise. ``toarray()`` gives the dense n x n view. Hermiticity is
+    checked in O(nnz) on construction.
     """
 
     entries: object
@@ -79,7 +81,7 @@ class SpectralMatrix:
         return int(self.entries.shape[0])
 
     def toarray(self) -> np.ndarray:
-        """Dense complex n x n copy of the operator."""
+        """Dense n x n copy of the operator, in its stored dtype."""
         return self.entries.toarray()
 
 
@@ -120,9 +122,9 @@ def _laplacian(g: SignedDirectedGraph, lo, hi, h, d, normalized: bool,
     if normalized:
         dis = _inv_sqrt_degrees(d)
         h = dis[lo] * h * dis[hi]
-        diag = np.ones(n, dtype=np.complex128)
+        diag = np.ones(n, dtype=h.dtype)
     else:
-        diag = d.astype(np.complex128)
+        diag = d.astype(h.dtype)
     loop = lo == hi
     diag[lo[loop]] -= h[loop]
     off = ~loop
@@ -225,8 +227,8 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
 
     ``smallest`` takes the largest-algebraic pairs of c I - L with c the
     Gershgorin bound (max absolute row sum), so every wanted eigenvalue
-    is the top of a nonnegative spectrum. Real kinds run in real
-    arithmetic. ARPACK's complex driver does not return orthonormal
+    is the top of a nonnegative spectrum. A float64 operator runs in
+    real arithmetic. ARPACK's complex driver does not return orthonormal
     Ritz vectors, so the basis is orthonormalized (QR) and the k x k
     projection Q^H L Q diagonalized, giving orthonormal vectors and
     ascending values.
@@ -235,8 +237,6 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     from scipy.sparse.linalg import ArpackError, eigsh
     a = op.entries
     n = op.num_nodes
-    if not np.any(a.data.imag):
-        a = a.real
     z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
     v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
     shift = 0.0
@@ -289,5 +289,5 @@ def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:
     if sparse:
         if k < n - 1:
             return _lanczos_eigh(matrix, k, which)
-        m = matrix.toarray()
+        m = matrix.toarray().astype(np.complex128)  # solved like a raw array
     return _dense_eigh(m, k, which)

@@ -196,6 +196,53 @@ names = ["ari", "accuracy", "unhappy_ratio", "balanced_triangle_ratio"]
     assert "ari,1.0," in text
 
 
+METRIC_NAMES = ["ari", "accuracy", "unhappy_ratio", "balanced_triangle_ratio",
+                "prob_imbalance", "pbnc_loss"]
+
+
+def _metrics_cfg(tmp_path, names, with_true=True):
+    gdir = tmp_path / "gen"
+    if not gdir.exists():
+        assert run(["generate", "--config", write(tmp_path / "g.toml", GEN_CFG),
+                    "--out", gdir]) == 0
+    true = f'labels_true = "{gdir}/labels.csv"\n' if with_true else ""
+    listed = ", ".join(f'"{n}"' for n in names)
+    return write(tmp_path / "m.toml", f"""
+[graph]
+path = "{gdir}/edges.tsv"
+
+[metrics]
+{true}labels_pred = "{gdir}/labels.csv"
+names = [{listed}]
+""")
+
+
+def test_metrics_command_every_name(tmp_path):
+    for name in METRIC_NAMES:
+        out = tmp_path / name
+        assert run(["metrics", "--config", _metrics_cfg(tmp_path, [name]),
+                    "--out", out]) == 0
+        rows = [ln for ln in (out / "metrics.csv").read_text().splitlines()
+                if ln and not ln.startswith("#")]
+        assert [r.split(",")[0] for r in rows[1:]] == [name]
+    out = tmp_path / "all"
+    names = METRIC_NAMES[::-1]
+    assert run(["metrics", "--config", _metrics_cfg(tmp_path, names), "--out", out]) == 0
+    rows = [ln for ln in (out / "metrics.csv").read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    assert [r.split(",")[0] for r in rows[1:]] == names
+
+
+def test_metrics_command_config_errors(tmp_path, capsys):
+    cfg = _metrics_cfg(tmp_path, ["ari", "bogus"])
+    assert run(["metrics", "--config", cfg, "--out", tmp_path / "a"]) == 2
+    assert "unknown metric 'bogus'" in capsys.readouterr().err
+    cfg = _metrics_cfg(tmp_path, ["unhappy_ratio", "ari"], with_true=False)
+    assert run(["metrics", "--config", cfg, "--out", tmp_path / "b"]) == 2
+    assert "ari needs true labels" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "metrics.csv").exists()
+
+
 def test_exit_code_config_error(tmp_path):
     missing = tmp_path / "nope.toml"
     assert run(["generate", "--config", missing, "--out", tmp_path / "x"]) == 2

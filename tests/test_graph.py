@@ -6,7 +6,7 @@ from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_labels,
                          is_signed, largest_weakly_connected_component,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
-                         hermitian_spectral_features)
+                         hermitian_spectral_features, standardize_columns)
 from sdnet.generators import ssbm, dsbm, meta_graph, signed_erdos_renyi
 from sdnet.cluster import kmeans
 
@@ -43,6 +43,32 @@ def test_is_directed():
     assert is_directed(G(2, [(0, 1, 1.0)]))
     assert is_directed(G(2, [(0, 1, 1.0), (1, 0, 2.0)]))
     assert not is_directed(G(2, []))
+
+
+def test_is_directed_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        a = np.zeros((n, n))
+        mask = rng.random((n, n)) < 0.3  # self-loops included
+        a[mask] = rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=int(mask.sum()))
+        if trial % 3 == 0:
+            a = np.triu(a) + np.triu(a, 1).T  # symmetric, keeps loops
+        if trial % 3 == 1 and n > 1:
+            # reciprocal pairs with equal, unequal and cancelling weights
+            a[0, 1], a[1, 0] = 1.5, 1.5 if trial % 2 else -1.5
+        src, dst = np.nonzero(a)
+        g = SignedDirectedGraph(n, src, dst, a[src, dst])
+        assert is_directed(g) == bool(np.any(a != a.T)), trial
+
+
+def test_standardize_columns_uses_reference_statistics():
+    x = np.array([[1.0, 5.0, 2.0], [3.0, 5.0, 4.0]])
+    ref = np.array([[0.0, 7.0, 2.0], [2.0, 7.0, 2.0]])
+    assert np.array_equal(standardize_columns(x, ref=ref),
+                          [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    assert np.array_equal(standardize_columns(x),
+                          [[-1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])
 
 
 def test_separate_positive_negative():

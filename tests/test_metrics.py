@@ -118,6 +118,16 @@ def test_auc_matches_pairwise_oracle():
             auc_pairwise_oracle(list(scores), list(y)), abs=1e-12)
 
 
+def test_auc_heavy_ties_equal_pairwise_oracle_exactly():
+    rng = stream(10)
+    for levels in (1, 2, 3, 5):
+        y = rng.integers(0, 2, size=300)
+        y[:2] = [0, 1]
+        scores = rng.integers(0, levels, size=300) / 4.0
+        # midranks are exact halves, so both sides round once, identically
+        assert auc(scores, y) == auc_pairwise_oracle(list(scores), list(y))
+
+
 def test_auc_single_class_error():
     with pytest.raises(ValueError):
         auc([0.1, 0.2], [1, 1])

@@ -396,6 +396,41 @@ def test_operator_entries_are_sparse_with_nbytes():
     assert csr.nbytes < op.toarray().nbytes // 10
 
 
+def test_operator_dtype_per_kind():
+    signed = random_graph(30, 7)
+    unsigned = random_graph(30, 8, signed=False)
+    sym = random_graph(30, 9, directed=False)
+    real = [normalized_laplacian(signed), signed_laplacian(signed),
+            signed_laplacian(signed, normalized=True),
+            # complex kinds whose phases all vanish
+            magnetic_laplacian(unsigned, q=0.0),
+            magnetic_laplacian(random_graph(30, 10, signed=False, directed=False)),
+            signed_magnetic_laplacian(sym), hermitian_imbalance(sym)]
+    cplx = [magnetic_laplacian(unsigned), signed_magnetic_laplacian(signed),
+            hermitian_imbalance(signed)]
+    for op in real:
+        assert op.entries.dtype == np.float64, op.kind
+    for op in cplx:
+        assert op.entries.dtype == np.complex128, op.kind
+    for op in real + cplx:
+        assert op.toarray().dtype == op.entries.dtype
+
+
+def test_real_operator_stored_once_as_float64():
+    g = sdsbm(f1_meta(0.0), 300, 0.05, seed=1).graph
+    op = signed_laplacian(g, normalized=True)
+    csr = op.entries
+    assert csr.nbytes == csr.data.size * 8 + csr.indices.nbytes + csr.indptr.nbytes
+    # a complex input with zero imaginary parts is stored as float64 too,
+    # and solves to the same eigenpairs
+    as_complex = SpectralMatrix(csr.astype(np.complex128), op.kind)
+    assert as_complex.entries.dtype == np.float64
+    for which in ("smallest", "largest"):
+        a, b = eigh(op, 3, which), eigh(as_complex, 3, which)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.vectors, b.vectors)
+
+
 def test_spectral_matrix_rejects_sparse_non_hermitian():
     op = signed_laplacian(undirected(3, [(0, 1, 1.0), (1, 2, -1.0)]))
     skew = op.entries.copy()
