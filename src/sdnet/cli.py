@@ -163,16 +163,14 @@ def cmd_linkpred(cfg, outdir: Path, seed_override):
     seeds = sec.get("seeds", [0, 1, 2, 3, 4])
     ExperimentConfig(graph=_section(cfg, "graph"), method=sec.get("embed"),
                      task=task, splits=sec, seeds=tuple(seeds))
-    graph, _, gparams = _load_graph(cfg, seed_override)
     embed = sec.get("embed", "signed_spectral")
     settings = {"combine": resolve_combiner(embed, sec.get("combine")),
                 "embed_dim": sec.get("embed_dim", 8),
-                "epochs": sec.get("epochs", 500), "lr": sec.get("lr", 0.1),
-                "l2": sec.get("l2", 1e-4), "q": sec.get("q", 0.25),
-                "tau": sec.get("tau", 0.25),
+                "q": sec.get("q", 0.25), "tau": sec.get("tau", 0.25),
                 "prob_val": sec.get("prob_val", 0.15),
                 "prob_test": sec.get("prob_test", 0.05),
                 "maintain_connectedness": sec.get("maintain_connectedness", False)}
+    graph, _, gparams = _load_graph(cfg, seed_override)
     result = linkpred_run(graph, task, embed_method=embed, seeds=seeds, **settings)
     # the resolved settings, so the header names what produced the runs
     params = {**gparams, "task": task, "embed": embed, **settings}

@@ -1,4 +1,20 @@
-"""Multinomial logistic regression by full-batch gradient descent."""
+"""Multinomial logistic regression by a damped Newton (IRLS) solve.
+
+``logistic_train`` minimizes the mean cross-entropy plus (l2/2)||W||^2,
+with an unregularized bias, over all (d + 1) * K weights at once
+(Böhning, "Multinomial logistic regression algorithm", Ann. Inst. Stat.
+Math. 1992). Each iteration builds the full Hessian, takes the Newton
+direction and backtracks along it until the Armijo condition holds, or,
+once the loss change is below the loss's rounding error, until the
+gradient norm falls. Adding one constant to every class bias leaves the
+loss unchanged, so the Hessian is singular along that direction; the
+gradient is orthogonal to it, and the direction is solved with
+H + n n^T, n the normalized all-bias direction. The solve stops once
+the Newton decrement g^T H^-1 g, twice the predicted remaining loss
+decrease, is at most eps * loss. Not getting there within a fixed
+iteration cap, or a line search that finds no acceptable step, raises
+``NumericError``.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +22,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectral import NumericError
+
+_MAX_ITER = 100
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0 ** -30
+_EPS = float(np.finfo(np.float64).eps)
+# The loss sums terms of one sign, so its rounding error is a few
+# _EPS * loss; a change smaller than _ROUNDOFF * loss cannot judge a step.
+_ROUNDOFF = 64 * _EPS
+# Hessian products run over blocks of this many rows, so the weighted copy
+# of the features they need stays small next to the features themselves
+_BLOCK = 2048
+
 
 @dataclass
 class LogisticModel:
-    """Softmax classifier with weights (d x K), bias (K) and class ids."""
+    """Softmax classifier with weights (d x K), bias (K) and class ids.
+
+    ``losses`` holds the loss at every Newton iterate, the starting point
+    first; ``grad_norm`` is the gradient norm at the returned weights.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
     classes: np.ndarray
     losses: list[float] = field(default_factory=list)
+    grad_norm: float = float("nan")
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         logits = np.asarray(x, dtype=np.float64) @ self.weights + self.bias
@@ -26,51 +60,139 @@ class LogisticModel:
         return self.classes[np.argmax(self.predict_proba(x), axis=1)]
 
 
-def _loss_grad(x, onehot, w, b, l2):
-    """Mean cross-entropy plus (l2/2)||W||^2; bias is unregularized."""
-    m = x.shape[0]
-    logits = x @ w + b
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    proba = expl / expl.sum(axis=1, keepdims=True)
-    ce = -np.sum(onehot * np.log(np.maximum(proba, 1e-300))) / m
-    loss = ce + 0.5 * l2 * float((w * w).sum())
-    diff = (proba - onehot) / m
-    grad_w = x.T @ diff + l2 * w
-    grad_b = diff.sum(axis=0)
-    return loss, grad_w, grad_b
+def _loss_grad(x1t, yi, theta, l2):
+    """Loss, gradient and class probabilities at ``theta``.
+
+    ``x1t`` is [x | 1]^T (d+1 x m), ``theta`` is [W; b]^T (K x d+1) and
+    ``yi`` holds class indices; everything runs class-major, so the
+    per-row reductions run along the long axis. The loss is the mean
+    cross-entropy plus (l2/2)||W||^2; the bias is unregularized.
+
+    Each row's cross-entropy is log1p(s) - z_y, with the logits z shifted
+    so their maximum is 0 and s the sum of the other exponentials: two
+    nonnegative terms, so the loss keeps its relative precision however
+    confident the fit. For the same reason 1 - p_y is s / (1 + s) where
+    z_y is the maximum.
+    """
+    k, m = theta.shape[0], x1t.shape[1]
+    rows = np.arange(m)
+    logits = theta @ x1t
+    logits -= logits.max(axis=0)
+    e = np.exp(logits)
+    below = logits < 0.0
+    # the exponentials below the maximum, plus 1 per further tied maximum
+    s = (e * below).sum(axis=0) + ((k - 1) - below.sum(axis=0))
+    norm = 1.0 + s
+    p = e / norm
+    zy = logits[yi, rows]
+    w = theta[:, :-1]
+    loss = (float(np.sum(np.log1p(s)) - np.sum(zy)) / m
+            + 0.5 * l2 * float((w * w).sum()))
+    diff = p.copy()
+    diff[yi, rows] -= 1.0
+    hit = zy == 0.0
+    diff[yi[hit], rows[hit]] = -s[hit] / norm[hit]
+    grad = diff @ x1t.T / m
+    grad[:, :-1] += l2 * w
+    return loss, grad, p
 
 
-def logistic_train(x, y, classes=None, l2: float = 1e-4, lr: float = 0.1,
-                   epochs: int = 500) -> LogisticModel:
-    """Train from zero weights; records the loss before every update.
+def _hessian(x1t: np.ndarray, p: np.ndarray, l2: float) -> np.ndarray:
+    """Hessian in class-major order, plus n n^T on the all-bias direction.
 
-    With zero epochs the model predicts uniform class probabilities.
+    Block (i, j) is x1^T diag(p_i (delta_ij - p_j)) x1 / m. Columns of p
+    sum to one, so a diagonal block is minus the sum of its row's
+    off-diagonal blocks and only the K(K - 1)/2 blocks i < j need a
+    product.
+    """
+    d1, m = x1t.shape
+    k = p.shape[0]
+    h = np.zeros((k, d1, k, d1))
+    for i in range(k):
+        for j in range(i + 1, k):
+            w = p[i] * p[j] / m
+            c = np.zeros((d1, d1))
+            for lo in range(0, m, _BLOCK):
+                xb = x1t[:, lo:lo + _BLOCK]
+                c += (xb * w[lo:lo + _BLOCK]) @ xb.T
+            h[i, :, j, :] = h[j, :, i, :] = -c
+            h[i, :, i, :] += c
+            h[j, :, j, :] += c
+    h = h.reshape(k * d1, k * d1)
+    reg = np.full(d1, l2)
+    reg[-1] = 0.0
+    h[np.diag_indices_from(h)] += np.tile(reg, k)
+    bias = np.arange(k) * d1 + d1 - 1
+    h[np.ix_(bias, bias)] += 1.0 / k
+    return h
+
+
+def logistic_train(x, y, classes=None, l2: float = 1e-4,
+                   start: LogisticModel | None = None) -> LogisticModel:
+    """Fit to the optimum from zero weights, or from ``start``'s weights.
+
+    ``classes`` lists the class ids (default: those in ``y``); every one
+    must occur in ``y``, since an absent class has no finite optimal bias.
+    ``l2`` must be positive. A warm start must have the same classes and
+    feature count.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y).ravel()
     if x.ndim != 2 or x.shape[0] != y.size:
         raise ValueError("x must be (m x d) aligned with y")
-    if classes is None:
-        classes = np.unique(y)
-    classes = np.asarray(classes)
-    if np.unique(y).size < 2:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    if not l2 > 0:
+        raise ValueError("l2 must be positive")
+    present = np.unique(y)
+    if present.size < 2:
         raise ValueError("logistic regression needs at least two classes present")
+    classes = present if classes is None else np.asarray(classes)
+    order = np.argsort(classes, kind="stable")
+    pos = np.minimum(np.searchsorted(classes, y, sorter=order), classes.size - 1)
+    yi = order[pos]
+    bad = classes[yi] != y
+    if bad.any():
+        raise ValueError(f"label {y[bad].tolist()[0]!r} not in the class list")
+    if np.bincount(yi, minlength=classes.size).min() == 0:
+        raise ValueError("every listed class must occur in y")
+    m, d = x.shape
     k = classes.size
-    index = {c: i for i, c in enumerate(classes.tolist())}
-    try:
-        yi = np.asarray([index[c] for c in y.tolist()], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"label {exc.args[0]!r} not in the class list") from exc
-    onehot = np.zeros((y.size, k))
-    onehot[np.arange(y.size), yi] = 1.0
-
-    w = np.zeros((x.shape[1], k))
-    b = np.zeros(k)
+    x1t = np.empty((d + 1, m))
+    x1t[:d] = x.T
+    x1t[d] = 1.0
+    if start is None:
+        theta = np.zeros((k, d + 1))
+    else:
+        if start.weights.shape != (d, k) or not np.array_equal(start.classes, classes):
+            raise ValueError("the warm start's classes or feature count differ")
+        theta = np.hstack([start.weights.T, start.bias[:, None]])
+    loss, grad, p = _loss_grad(x1t, yi, theta, l2)
     losses = []
-    for _ in range(epochs):
-        loss, gw, gb = _loss_grad(x, onehot, w, b, l2)
-        losses.append(float(loss))
-        w -= lr * gw
-        b -= lr * gb
-    return LogisticModel(w, b, classes, losses)
+    for _ in range(_MAX_ITER):
+        losses.append(loss)
+        g = grad.ravel()
+        step = -np.linalg.solve(_hessian(x1t, p, l2), g)
+        decrement = -float(g @ step)
+        # the predicted decrease, decrement / 2, is below half an ulp of the loss
+        if decrement <= _EPS * loss:
+            return LogisticModel(np.ascontiguousarray(theta[:, :-1].T),
+                                 theta[:, -1].copy(), classes, losses,
+                                 float(np.linalg.norm(g)))
+        step = step.reshape(k, d + 1)
+        t = 1.0
+        while True:
+            trial = theta + t * step
+            loss_t, grad_t, p_t = _loss_grad(x1t, yi, trial, l2)
+            if loss_t <= loss - _ARMIJO * t * decrement:
+                break
+            # near the optimum the loss cannot see the step; the gradient can
+            if (abs(loss_t - loss) <= _ROUNDOFF * loss
+                    and np.linalg.norm(grad_t) < np.linalg.norm(grad)):
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                raise NumericError(f"Newton line search failed at decrement "
+                                   f"{decrement:.3g}")
+        theta, loss, grad, p = trial, loss_t, grad_t, p_t
+    raise NumericError(f"Newton solve did not converge in {_MAX_ITER} iterations")

@@ -3,8 +3,9 @@
 ``linkpred_run`` realizes the embed-then-classify link-prediction
 recipe: split the task queries, embed nodes of the observed graph
 (spectral features stacked with signed degree features), form edge
-features from the query endpoints and train a logistic classifier on
-the training fold; complex embeddings feed the ``phase`` combiner,
+features from the query endpoints, fit a logistic classifier on the
+training fold for each l2 in ``L2_GRID`` and keep the fit with the best
+validation accuracy; complex embeddings feed the ``phase`` combiner,
 whose conj(z_u) * z_v block carries edge direction. ``cluster_sweep``
 drives spectral clustering over a swept generator parameter and reports
 test-mask agreement per run.
@@ -34,6 +35,9 @@ from .splitters import canonical_task, link_class_split, node_split
 # embedding (``cluster.is_complex``) and is their default; real
 # embeddings default to ``concat``.
 EDGE_COMBINERS = ("concat", "hadamard", "difference", "phase")
+# l2 penalties ``linkpred_run`` chooses from on the validation fold,
+# strongest first: each fit warm-starts from the one before it
+L2_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.task is not None and self.task != "clustering":
             canonical_task(self.task)
+        if self.task == "clustering" and self.method is not None:
+            is_complex(self.method)  # ValueError for an unknown method
 
 
 def _meta_from_params(p: dict, for_signed: bool) -> gen.MetaGraph:
@@ -228,8 +234,8 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
                  embed_method: str = "signed_spectral", embed_dim: int = 8,
                  seeds=(0, 1, 2, 3, 4), prob_val: float = 0.15,
                  prob_test: float = 0.05, maintain_connectedness: bool = False,
-                 combine: str | None = None, lr: float = 0.1, epochs: int = 500,
-                 l2: float = 1e-4, q: float = 0.25, tau: float = 0.25) -> RunResult:
+                 combine: str | None = None, q: float = 0.25,
+                 tau: float = 0.25) -> RunResult:
     """Embed-then-classify link prediction over several split seeds.
 
     ``combine`` is one of EDGE_COMBINERS. It defaults to ``phase`` for
@@ -237,6 +243,12 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
     lives in the phase difference conj(z_u) * z_v that the additive
     ``concat`` form cannot express, and to ``concat`` otherwise.
     ``phase`` with a real embedding raises ValueError.
+
+    Every split's one embedding gives features for the train, validation
+    and test folds. The classifier is fit on the training fold for each
+    l2 in L2_GRID and the fit with the highest validation accuracy is
+    scored on the test fold; ties go to the larger l2. An empty
+    validation fold raises ValueError.
 
     Reports accuracy and the test-fold majority-class rate for every
     task, plus AUC (score = probability of class 1) and macro F1 for
@@ -249,12 +261,20 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
         split = link_class_split(g, task, prob_val=prob_val, prob_test=prob_test,
                                  maintain_connectedness=maintain_connectedness,
                                  seed=s)
-        x_train, x_test = _link_features(split.observed_graph,
-                                         (split.train_pairs, split.test_pairs),
-                                         embed_method, embed_dim, combine, q, tau)
+        if split.val_labels.size == 0:
+            raise ValueError("the validation fold is empty; raise prob_val")
+        x_train, x_val, x_test = _link_features(
+            split.observed_graph, (split.train_pairs, split.val_pairs,
+                                   split.test_pairs),
+            embed_method, embed_dim, combine, q, tau)
         classes = np.arange(len(split.label_names))
-        model = logistic_train(x_train, split.train_labels, classes=classes,
-                               l2=l2, lr=lr, epochs=epochs)
+        fit, best_acc = None, -1.0
+        for l2 in L2_GRID:
+            fit = logistic_train(x_train, split.train_labels, classes=classes,
+                                 l2=l2, start=fit)
+            val_acc = accuracy(fit.predict(x_val), split.val_labels)
+            if val_acc > best_acc:
+                model, best_acc = fit, val_acc
         pred = model.predict(x_test)
         truth = split.test_labels
         records.append(RunRecord(0.0, 0, s, "accuracy", accuracy(pred, truth)))

@@ -253,6 +253,26 @@ def test_exit_code_config_error(tmp_path):
     assert run(["cluster", "--config", nosec, "--out", tmp_path / "z"]) == 2
 
 
+def test_unknown_method_rejected_before_generating(tmp_path, monkeypatch, capsys):
+    import sdnet.cli as cli
+    import sdnet.pipeline as pipeline
+    generated = []
+
+    def record(*a, **k):
+        generated.append(a)
+        raise AssertionError("the graph was generated")
+
+    monkeypatch.setattr(cli, "generate_from_params", record)
+    monkeypatch.setattr(pipeline, "generate_from_params", record)
+    for command, section in (("cluster", "[cluster]\nk = 3\n"),
+                             ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nk = 3\n')):
+        cfg = write(tmp_path / f"{command}.toml",
+                    GEN_CFG + section + 'method = "nope"\n')
+        assert run([command, "--config", cfg, "--out", tmp_path / command]) == 2
+        assert "'nope'" in capsys.readouterr().err
+    assert generated == []
+
+
 def test_exit_code_numeric_failure(tmp_path, monkeypatch):
     import sdnet.cli as cli
     from sdnet.spectral import NumericError
@@ -284,6 +304,9 @@ def test_linkpred_header_records_resolved_settings(tmp_path):
     assert heads["default"] != heads["concat"]
     assert '# combine = "phase"' in heads["default"]
     assert '# combine = "concat"' in heads["concat"]
-    for line in ("# embed_dim = 3", "# epochs = 50", "# lr = 0.1", "# l2 = 0.0001",
-                 "# q = 0.25", "# tau = 0.25", "# prob_val = 0.15", "# prob_test = 0.05"):
+    for line in ("# embed_dim = 3", "# q = 0.25", "# tau = 0.25", "# prob_val = 0.15",
+                 "# prob_test = 0.05"):
         assert line in heads["default"]
+    # the config's unread epochs key is not recorded as a setting
+    assert not any(ln.startswith(("# epochs", "# lr", "# l2"))
+                   for ln in heads["default"])

@@ -1,8 +1,54 @@
 import numpy as np
 import pytest
 
+import sdnet.logistic as logistic
 from sdnet.logistic import logistic_train, _loss_grad
 from sdnet.rng import stream
+from sdnet.spectral import NumericError
+
+
+# Reference: the full-batch gradient-descent trainer the Newton solve
+# replaced, kept as an oracle for the loss it minimizes.
+def ref_loss_grad(x, onehot, w, b, l2):
+    """Mean cross-entropy plus (l2/2)||W||^2; bias is unregularized."""
+    m = x.shape[0]
+    logits = x @ w + b
+    logits -= logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits)
+    proba = expl / expl.sum(axis=1, keepdims=True)
+    ce = -np.sum(onehot * np.log(np.maximum(proba, 1e-300))) / m
+    loss = ce + 0.5 * l2 * float((w * w).sum())
+    diff = (proba - onehot) / m
+    grad_w = x.T @ diff + l2 * w
+    grad_b = diff.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def ref_gradient_descent(x, y, k, l2=1e-4, lr=0.1, epochs=500):
+    """Train from zero weights by plain gradient steps; returns (w, b)."""
+    onehot = np.zeros((y.size, k))
+    onehot[np.arange(y.size), y] = 1.0
+    w = np.zeros((x.shape[1], k))
+    b = np.zeros(k)
+    for _ in range(epochs):
+        _, gw, gb = ref_loss_grad(x, onehot, w, b, l2)
+        w -= lr * gw
+        b -= lr * gb
+    return w, b
+
+
+def _onehot(y, k):
+    out = np.zeros((y.size, k))
+    out[np.arange(y.size), y] = 1.0
+    return out
+
+
+def _random_problem(seed, k, m=60, d=4):
+    rng = stream(seed)
+    centers = rng.normal(size=(k, d))
+    y = np.arange(m) % k
+    x = centers[y] + rng.normal(size=(m, d)) * 1.5
+    return x, y
 
 
 def test_linearly_separable_two_class():
@@ -13,50 +59,100 @@ def test_linearly_separable_two_class():
     assert np.mean(model.predict(x) == y) == 1.0
 
 
-def test_zero_epochs_uniform_probabilities():
+def test_constant_features_give_class_frequencies():
+    # W is penalized and the bias is not, so the optimum puts everything in
+    # the bias and the probabilities are the class frequencies
     x = np.ones((4, 3))
     y = np.array([0, 1, 2, 0])
-    model = logistic_train(x, y, epochs=0)
-    proba = model.predict_proba(x)
-    assert np.allclose(proba, 1.0 / 3.0)
+    model = logistic_train(x, y)
+    np.testing.assert_allclose(model.predict_proba(x),
+                               np.tile([0.5, 0.25, 0.25], (4, 1)), atol=1e-9)
 
 
 def test_gradient_matches_finite_differences():
     rng = stream(3)
     x = rng.normal(size=(20, 4))
     y = rng.integers(0, 3, size=20)
-    onehot = np.zeros((20, 3))
-    onehot[np.arange(20), y] = 1.0
-    w = rng.normal(size=(4, 3)) * 0.1
-    b = rng.normal(size=3) * 0.1
+    x1t = np.vstack([x.T, np.ones(20)])
+    theta = rng.normal(size=(3, 5)) * 0.1
     l2 = 1e-3
-    loss, gw, gb = _loss_grad(x, onehot, w, b, l2)
+    loss, grad, _ = _loss_grad(x1t, y, theta, l2)
+    ref_loss, ref_gw, ref_gb = ref_loss_grad(x, _onehot(y, 3), theta[:, :-1].T,
+                                             theta[:, -1], l2)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    np.testing.assert_allclose(grad, np.vstack([ref_gw, ref_gb]).T, atol=1e-14)
     eps = 1e-6
-    for idx in [(0, 0), (1, 2), (3, 1)]:
-        wp = w.copy(); wp[idx] += eps
-        wm = w.copy(); wm[idx] -= eps
-        lp, _, _ = _loss_grad(x, onehot, wp, b, l2)
-        lm, _, _ = _loss_grad(x, onehot, wm, b, l2)
+    for idx in [(0, 0), (2, 1), (1, 3), (0, 4), (1, 4), (2, 4)]:
+        tp = theta.copy(); tp[idx] += eps
+        tm = theta.copy(); tm[idx] -= eps
+        lp, _, _ = _loss_grad(x1t, y, tp, l2)
+        lm, _, _ = _loss_grad(x1t, y, tm, l2)
         fd = (lp - lm) / (2 * eps)
-        assert gw[idx] == pytest.approx(fd, rel=1e-5)
-    for j in range(3):
-        bp = b.copy(); bp[j] += eps
-        bm = b.copy(); bm[j] -= eps
-        lp, _, _ = _loss_grad(x, onehot, w, bp, l2)
-        lm, _, _ = _loss_grad(x, onehot, w, bm, l2)
-        fd = (lp - lm) / (2 * eps)
-        assert gb[j] == pytest.approx(fd, rel=1e-5)
+        assert grad[idx] == pytest.approx(fd, rel=1e-5)
 
 
-def test_loss_monotone_at_small_lr():
-    rng = stream(4)
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_newton_beats_gradient_descent_oracle(k):
     for seed in range(3):
-        rng2 = stream(seed + 10)
-        x = rng2.normal(size=(40, 5))
-        y = rng2.integers(0, 3, size=40)
-        model = logistic_train(x, y, lr=0.01, epochs=300)
+        x, y = _random_problem(seed + 20 * k, k)
+        model = logistic_train(x, y)
+        onehot = _onehot(y, k)
+        w, b = ref_gradient_descent(x, y, k, epochs=2000)
+        ref_loss, _, _ = ref_loss_grad(x, onehot, w, b, 1e-4)
+        loss, gw, gb = ref_loss_grad(x, onehot, model.weights, model.bias, 1e-4)
+        assert loss <= ref_loss
+        assert loss == pytest.approx(model.losses[-1], rel=1e-12)
+        assert np.linalg.norm(np.vstack([gw, gb])) <= 1e-8
+        assert model.grad_norm <= 1e-8
+
+
+def test_line_search_losses_decrease_monotonically():
+    for seed in range(3):
+        rng = stream(seed + 10)
+        x = rng.normal(size=(40, 5))
+        y = rng.integers(0, 3, size=40)
+        model = logistic_train(x, y)
         losses = np.asarray(model.losses)
-        assert np.all(np.diff(losses) <= 1e-12)
+        assert losses.size >= 2 and losses[-1] < losses[0]
+        # Armijo steps decrease the loss; a step taken once the loss cannot
+        # see it (the gradient norm falls) moves it by rounding error only
+        assert np.all(np.diff(losses) <= 64 * np.finfo(float).eps * losses[:-1])
+
+
+@pytest.mark.parametrize("seed,k,m,d,scale", [(566, 4, 196, 7, 2.0),
+                                               (55, 5, 85, 6, 1.0)])
+def test_confident_fit_converges(seed, k, m, d, scale):
+    # features in the thousands and a tiny l2 give a fit so confident that
+    # 1 - p_top is far below eps: the loss and gradient must keep their
+    # relative precision for the decrement to reach eps * loss, and the
+    # last steps, whose loss change is below rounding, are judged by the
+    # gradient norm (the second case fails its line search without that)
+    rng = stream(seed)
+    centers = rng.normal(size=(k, d)) * scale
+    y = np.arange(m) % k
+    x = (centers[y] + rng.normal(size=(m, d)) * scale + 6) * 1e3
+    model = logistic_train(x, y, l2=1e-7)
+    _, gw, gb = ref_loss_grad(x, _onehot(y, k), model.weights, model.bias, 1e-7)
+    assert np.linalg.norm(np.vstack([gw, gb])) <= 1e-8
+    assert model.grad_norm <= 1e-8
+
+
+def test_warm_start_reaches_the_same_optimum():
+    x, y = _random_problem(7, 3)
+    cold = logistic_train(x, y, l2=1e-3)
+    warm = logistic_train(x, y, l2=1e-3, start=logistic_train(x, y, l2=1e-1))
+    assert len(warm.losses) < len(cold.losses)
+    np.testing.assert_allclose(warm.predict_proba(x), cold.predict_proba(x),
+                               atol=1e-8)
+    with pytest.raises(ValueError):
+        logistic_train(x[:, :3], y, start=cold)
+
+
+def test_iteration_cap_raises_numeric_error(monkeypatch):
+    x, y = _random_problem(1, 3)
+    monkeypatch.setattr(logistic, "_MAX_ITER", 2)
+    with pytest.raises(NumericError):
+        logistic_train(x, y)
 
 
 def test_single_class_error():
@@ -64,9 +160,25 @@ def test_single_class_error():
         logistic_train(np.ones((3, 2)), np.array([1, 1, 1]))
 
 
+def test_listed_class_absent_from_y_raises():
+    x, y = _random_problem(2, 2)
+    with pytest.raises(ValueError, match="every listed class"):
+        logistic_train(x, y, classes=np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="not in the class list"):
+        logistic_train(x, y + 1, classes=np.array([0, 1]))
+
+
+def test_identical_calls_give_identical_weights():
+    x, y = _random_problem(3, 4)
+    a, b = logistic_train(x, y), logistic_train(x, y)
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.bias.tobytes() == b.bias.tobytes()
+    assert a.losses == b.losses
+
+
 def test_explicit_class_list_predicts_class_ids():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
     y = np.array([5, 9, 5, 9])
-    model = logistic_train(x, y, classes=np.array([5, 9]), epochs=200)
+    model = logistic_train(x, y, classes=np.array([5, 9]))
     assert set(model.predict(x)) <= {5, 9}
     assert model.predict_proba(x).shape == (4, 2)

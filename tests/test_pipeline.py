@@ -75,14 +75,13 @@ def test_phase_combiner_rejects_real_embedding():
                                  "meta": "f1", "gamma": 0.0}, seed=0)
     with pytest.raises(ValueError):
         linkpred_run(inst.graph, "SP", embed_method="signed_spectral",
-                     embed_dim=2, seeds=(0,), combine="phase", epochs=5)
+                     embed_dim=2, seeds=(0,), combine="phase")
 
 
 def test_linkpred_default_combiner_is_concat_for_real_embeddings():
     inst = generate_from_params({"model": "sdsbm", "n": 60, "p": 0.3,
                                  "meta": "f1", "gamma": 0.0}, seed=0)
-    kwargs = dict(embed_method="signed_spectral", embed_dim=2, seeds=(0,),
-                  epochs=20)
+    kwargs = dict(embed_method="signed_spectral", embed_dim=2, seeds=(0,))
     assert (linkpred_run(inst.graph, "SP", **kwargs).rows()
             == linkpred_run(inst.graph, "SP", combine="concat", **kwargs).rows())
 
@@ -103,8 +102,7 @@ def test_linkpred_ep_no_signal_on_dense_er():
     # dense ER: degrees concentrate, so edge presence is near-unpredictable
     from sdnet.generators import signed_erdos_renyi
     g = signed_erdos_renyi(80, 0.4, seed=1)
-    res = linkpred_run(g, "EP", embed_method="signed_degree", seeds=(0, 1, 2),
-                       epochs=100)
+    res = linkpred_run(g, "EP", embed_method="signed_degree", seeds=(0, 1, 2))
     acc = res.aggregate()[(0.0, "accuracy")][0]
     assert 0.35 <= acc <= 0.65
 
@@ -129,11 +127,46 @@ def test_linkpred_sp_signal():
     assert ("auc" in {k[1] for k in agg}) and ("macro_f1" in {k[1] for k in agg})
 
 
+@pytest.mark.parametrize("task,embed", [("SP", "signed_spectral"),
+                                        ("DP", "hermitian_spectral")])
+def test_linkpred_chooses_l2_on_the_validation_fold(task, embed):
+    from sdnet.logistic import logistic_train
+    from sdnet.metrics import accuracy, auc
+    from sdnet.pipeline import L2_GRID, _link_features, resolve_combiner
+    from sdnet.splitters import link_class_split
+    params = ({"model": "sdsbm", "n": 200, "p": 0.2, "meta": "f1", "gamma": 0.0}
+              if task == "SP" else
+              {"model": "dsbm", "meta": "cycle", "n": 150, "k": 3, "p": 0.2})
+    g = generate_from_params(params, seed=4).graph
+    split = link_class_split(g, task, seed=3)
+    x_train, x_val, x_test = _link_features(
+        split.observed_graph, (split.train_pairs, split.val_pairs, split.test_pairs),
+        embed, 6, resolve_combiner(embed), 0.25, 0.25)
+    fits, prev = [], None
+    for l2 in L2_GRID:
+        prev = logistic_train(x_train, split.train_labels, classes=np.arange(2),
+                              l2=l2, start=prev)
+        fits.append((accuracy(prev.predict(x_val), split.val_labels), prev))
+    best = max(acc for acc, _ in fits)
+    chosen = next(fit for acc, fit in fits if acc == best)  # larger l2 wins ties
+    got = {r.metric: r.value for r in linkpred_run(
+        g, task, embed_method=embed, embed_dim=6, seeds=(3,)).records}
+    assert got["accuracy"] == accuracy(chosen.predict(x_test), split.test_labels)
+    assert got["auc"] == auc(chosen.predict_proba(x_test)[:, 1], split.test_labels)
+
+
+def test_linkpred_needs_a_validation_fold():
+    inst = generate_from_params({"model": "sdsbm", "n": 60, "p": 0.3,
+                                 "meta": "f1", "gamma": 0.0}, seed=0)
+    with pytest.raises(ValueError, match="validation fold"):
+        linkpred_run(inst.graph, "SP", embed_dim=2, seeds=(0,), prob_val=0.0)
+
+
 def test_linkpred_multiclass_records_accuracy_only():
     inst = generate_from_params({"model": "sdsbm", "n": 150, "p": 0.25,
                                  "meta": "f1", "gamma": 0.0}, seed=1)
     res = linkpred_run(inst.graph, "4C", embed_method="signed_spectral",
-                       embed_dim=6, seeds=(0,), epochs=100)
+                       embed_dim=6, seeds=(0,))
     metrics = {k[1] for k in res.aggregate()}
     assert metrics == {"accuracy", "majority"}
 
@@ -225,10 +258,10 @@ import sdnet
 assert "scipy" not in sys.modules, "import sdnet"
 from sdnet.pipeline import generate_from_params, linkpred_run
 sp = generate_from_params({"model": "sdsbm", "meta": "f1", "n": 80, "p": 0.2}, seed=0).graph
-linkpred_run(sp, "SP", embed_method="signed_spectral", embed_dim=4, seeds=[0], epochs=20)
+linkpred_run(sp, "SP", embed_method="signed_spectral", embed_dim=4, seeds=[0])
 dp = generate_from_params({"model": "dsbm", "meta": "cycle", "n": 90, "k": 3, "p": 0.2},
                           seed=0).graph
-linkpred_run(dp, "DP", embed_method="hermitian_spectral", embed_dim=3, seeds=[0], epochs=20)
+linkpred_run(dp, "DP", embed_method="hermitian_spectral", embed_dim=3, seeds=[0])
 sdnet.link_class_split(sp, "4C", maintain_connectedness=True, seed=1)
 sdnet.link_class_split(sp, "EP", seed=1)
 sdnet.largest_weakly_connected_component(sp)
