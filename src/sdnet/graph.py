@@ -156,6 +156,19 @@ def separate_positive_negative(g: SignedDirectedGraph) -> SignedPair:
     return SignedPair(pos, neg)
 
 
+def _jump_to_roots(parent: np.ndarray) -> np.ndarray:
+    """Follow a forest of parent pointers until every node points at a root.
+
+    ``parent`` must be acyclic apart from roots pointing at themselves;
+    each jump halves the remaining path lengths.
+    """
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
 def _component_labels(g: SignedDirectedGraph) -> np.ndarray:
     """Weak component of every node, labelled by its smallest node id.
 
@@ -169,11 +182,7 @@ def _component_labels(g: SignedDirectedGraph) -> np.ndarray:
         new = lab.copy()
         np.minimum.at(new, lab[g.src], lo)
         np.minimum.at(new, lab[g.dst], lo)
-        while True:
-            jumped = new[new]
-            if np.array_equal(jumped, new):
-                break
-            new = jumped
+        new = _jump_to_roots(new)
         if np.array_equal(new, lab):
             return lab
         lab = new

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph, symmetric_pairs
+from .graph import SignedDirectedGraph, _jump_to_roots, symmetric_pairs
 from .rng import stream
 
 LINK_TASKS = ("SP", "DP", "EP", "3C", "4C", "5C")
@@ -192,33 +192,47 @@ class LinkTaskSplit:
 
 
 def spanning_forest(g: SignedDirectedGraph) -> np.ndarray:
-    """Edge indices of a spanning forest of the undirected support.
+    """Edge indices of a maximal-|weight| spanning forest of the undirected support.
 
-    Kruskal over edges ordered by descending |weight| with ties broken
-    by (src, dst); the result has n - #components edges. Self-loops are
-    never chosen.
+    Every edge that is not a self-loop gets a distinct rank: descending
+    |weight|, ties broken by (src, dst). Distinct ranks make the
+    minimum-rank spanning forest unique, so it is exactly the forest
+    Kruskal's greedy pass over that order keeps. It is found by Borůvka
+    rounds: drop the edges inside a component, take each component's
+    minimum-rank edge, hook the component to that edge's other end and
+    jump pointers to the new roots. Each round at least halves the
+    number of components. Returns the n - #components chosen indices as
+    an ascending int64 array; self-loops are never chosen.
     """
-    order = np.lexsort((g.dst, g.src, -np.abs(g.weight)))
-    parent = np.arange(g.num_nodes, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    chosen = []
-    for e in order:
-        u, v = int(g.src[e]), int(g.dst[e])
-        if u == v:
-            continue
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-            chosen.append(int(e))
-    return np.array(sorted(chosen), dtype=np.int64)
+    # the order of np.lexsort((dst, src, -|w|)) in two cheaper sorts: by the
+    # distinct pair codes, then stably by -|w|
+    order = np.argsort(g.src * g.num_nodes + g.dst)
+    order = order[np.argsort(-np.abs(g.weight[order]), kind="stable")]
+    order = order[g.src[order] != g.dst[order]]
+    # component of each end; edges stay in rank order, so position is rank
+    cu, cv = g.src[order], g.dst[order]
+    chosen = [np.zeros(0, dtype=np.int64)]
+    while True:
+        live = cu != cv
+        if not live.any():
+            return np.unique(np.concatenate(chosen))
+        order, cu, cv = order[live], cu[live], cv[live]
+        best = np.full(g.num_nodes, order.size)
+        pos = np.arange(order.size)
+        np.minimum.at(best, cu, pos)
+        np.minimum.at(best, cv, pos)
+        comps = np.nonzero(best < order.size)[0]
+        e = best[comps]
+        other = np.where(cu[e] == comps, cv[e], cu[e])
+        parent = np.arange(g.num_nodes, dtype=np.int64)
+        parent[comps] = other
+        # two components that chose the same edge point at each other:
+        # the smaller one becomes the root
+        mutual = comps[(parent[other] == comps) & (comps < other)]
+        parent[mutual] = mutual
+        chosen.append(order[e])
+        root = _jump_to_roots(parent)
+        cu, cv = root[cu], root[cv]
 
 
 def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sdnet import io as sio
-from sdnet.generators import ssbm
+from sdnet.generators import f2_meta, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.spectral import hermitian_imbalance
 from sdnet.splitters import link_class_split, node_split
@@ -26,6 +28,76 @@ def test_edge_tsv_header_num_nodes(tmp_path):
     (tmp_path / "h.tsv").write_text("0\t1\t-2.0\n")
     h = sio.read_edge_tsv(tmp_path / "h.tsv")
     assert h.num_nodes == 2 and h.edge_list() == [(0, 1, -2.0)]
+
+
+def _reference_edge_tsv(g, params=None):
+    """The per-edge f-string writer that write_edge_tsv replaced."""
+    hdr = dict(params or {})
+    hdr.setdefault("num_nodes", g.num_nodes)
+    lines = sio.format_params(hdr)
+    lines += [f"{u}\t{v}\t{repr(float(w))}" for u, v, w in zip(g.src, g.dst, g.weight)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("g", [
+    SignedDirectedGraph.from_edges(12, [
+        (0, 1, 0.1), (1, 0, -1e-300), (2, 3, 5e-324), (3, 11, 2.5e17), (4, 4, -3.0),
+        (5, 6, 0.1), (6, 5, -3.0), (11, 0, 2.5e17), (7, 8, 1.0 / 3.0)]),
+    SignedDirectedGraph.from_edges(0, []),
+    SignedDirectedGraph.from_edges(3, []),
+], ids=["awkward-weights", "n0", "no-edges"])
+def test_edge_tsv_bytes_match_per_edge_formatter(tmp_path, g):
+    path = tmp_path / "g.tsv"
+    params = {"model": "ssbm", "p": 0.25}
+    sio.write_edge_tsv(path, g, params)
+    assert path.read_text(encoding="utf-8") == _reference_edge_tsv(g, params)
+    back = sio.read_edge_tsv(path)
+    assert back.num_nodes == g.num_nodes
+    for field in ("src", "dst", "weight"):
+        got, want = getattr(back, field), getattr(g, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("line", [
+    "0\t1",            # two fields
+    "0\t1\t0.5\t",     # trailing tab: a fourth, empty field
+    "0\t1\t0.5\t2",    # four fields
+    "a\t1\t0.5",        # non-numeric id
+    "0\t1\tx",          # non-numeric weight
+    "1.5\t1\t0.5",      # non-integer id
+    "0 1 0.5",          # space separated
+])
+def test_edge_tsv_malformed_line(tmp_path, line):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# num_nodes = 3\n0\t2\t1.0\n{line}\n")
+    with pytest.raises(ValueError, match="malformed edge line"):
+        sio.read_edge_tsv(path)
+
+
+def test_edge_tsv_header_only_and_empty(tmp_path):
+    (tmp_path / "h.tsv").write_text("# model = \"ssbm\"\n# num_nodes = 4\n")
+    (tmp_path / "e.tsv").write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = sio.read_edge_tsv(tmp_path / "h.tsv")
+        e = sio.read_edge_tsv(tmp_path / "e.tsv")
+    assert h.num_nodes == 4 and h.num_edges == 0
+    assert e.num_nodes == 0 and e.num_edges == 0
+    for g in (h, e):
+        assert g.src.dtype == g.dst.dtype == np.int64 and g.weight.dtype == np.float64
+
+
+def test_edge_tsv_blank_lines_and_late_header(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("\n# num_nodes = 5\n0\t1\t0.5\n\n  \t \n 2\t3\t-1.5 \n"
+                    "  #num_nodes=9\n# other = 1\n")
+    g = sio.read_edge_tsv(path)
+    assert g.num_nodes == 9
+    assert g.edge_list() == [(0, 1, 0.5), (2, 3, -1.5)]
+    assert sio.read_edge_tsv(path, num_nodes=12).num_nodes == 12
+    # keys that merely contain num_nodes are not the header
+    path.write_text("# num_nodes_total = 30\n# x = \"num_nodes = 40\"\n0\t1\t1.0\n")
+    assert sio.read_edge_tsv(path).num_nodes == 2
 
 
 def test_labels_and_features_roundtrip(tmp_path):
@@ -59,6 +131,26 @@ def test_link_split_csv(tmp_path):
     assert labels <= {"positive", "negative"}
     folds = {ln.split(",")[3] for ln in lines[1:]}
     assert folds == {"train", "val", "test"}
+
+
+def _reference_link_split_csv(split):
+    """The per-query f-string rows that write_link_split_csv replaced."""
+    lines = ["u,v,label,fold"]
+    for fold, pairs, labels in (("train", split.train_pairs, split.train_labels),
+                                ("val", split.val_pairs, split.val_labels),
+                                ("test", split.test_pairs, split.test_labels)):
+        for (u, v), lab in zip(pairs, labels):
+            lines.append(f"{u},{v},{split.label_names[lab]},{fold}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("task", ["SP", "5C"])
+def test_link_split_csv_bytes_match_per_row_formatter(tmp_path, task):
+    inst = sdsbm(f2_meta(0.1), 200, 0.05, eta=0.1, seed=3)
+    split = link_class_split(inst.graph, task, seed=2)
+    path = tmp_path / "link.csv"
+    sio.write_link_split_csv(path, split)
+    assert path.read_text(encoding="utf-8") == _reference_link_split_csv(split)
 
 
 def test_matrix_csv(tmp_path):

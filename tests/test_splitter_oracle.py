@@ -1,23 +1,54 @@
-"""The array link splitter against the per-pair splitter it replaced.
+"""The array link splitter and forest against the loops they replaced.
 
 The functions between the two marker comments are a verbatim copy of the
 dict-and-set splitter that ``sdnet.splitters`` used before it moved to
-int64 pair codes. They draw from the random stream in the same order, so
-for a given graph and seed both must give byte-identical folds, observed
-graphs and discarded pairs.
+int64 pair codes, and of the Kruskal ``spanning_forest`` it used before
+the Borůvka forest (renamed ``kruskal_forest``; the reference splitter
+calls it). They draw from the random stream in the same order, so for a
+given graph and seed both must give byte-identical folds, observed
+graphs and discarded pairs, and the two forests identical edge arrays.
 """
 
 import numpy as np
 import pytest
 
 from sdnet import splitters
-from sdnet.generators import dsbm, meta_graph, ssbm
+from sdnet.generators import dsbm, f2_meta, meta_graph, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.rng import stream
-from sdnet.splitters import (LABEL_NAMES, LinkTaskSplit, canonical_task,
-                             spanning_forest)
+from sdnet.splitters import LABEL_NAMES, LinkTaskSplit, canonical_task
 
 # ---- reference splitter (verbatim copy) ----------------------------------
+
+def kruskal_forest(g: SignedDirectedGraph) -> np.ndarray:
+    """Edge indices of a spanning forest of the undirected support.
+
+    Kruskal over edges ordered by descending |weight| with ties broken
+    by (src, dst); the result has n - #components edges. Self-loops are
+    never chosen.
+    """
+    order = np.lexsort((g.dst, g.src, -np.abs(g.weight)))
+    parent = np.arange(g.num_nodes, dtype=np.int64)
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    chosen = []
+    for e in order:
+        u, v = int(g.src[e]), int(g.dst[e])
+        if u == v:
+            continue
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            chosen.append(int(e))
+    return np.array(sorted(chosen), dtype=np.int64)
+
 
 def _edge_tables(g: SignedDirectedGraph):
     """Lookup helpers: ordered weight map and unordered pair table."""
@@ -161,7 +192,7 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
     forest_codes: set[int] = set()
     if maintain_connectedness:
         n = g.num_nodes
-        for e in spanning_forest(g):
+        for e in kruskal_forest(g):
             a, b = int(g.src[e]), int(g.dst[e])
             forest_codes.add(min(a, b) * n + max(a, b))
 
@@ -295,3 +326,44 @@ def test_dense_graph_forces_nonedge_rejections():
                    (split.train_labels, split.val_labels, split.test_labels))
     free = n * (n - 1) - int(np.sum(g.src != g.dst))
     assert nonedges >= 0.75 * free
+
+
+def _forest_fuzz_graph(rng):
+    """n in [0, 40): self-loops, reciprocal pairs, |w| ties of both signs."""
+    n = int(rng.integers(0, 40))
+    if n == 0:
+        return SignedDirectedGraph.from_edges(0, [])
+    codes = rng.integers(0, n * n, size=int(rng.integers(0, 3 * n + 1)))
+    u, v = np.divmod(codes, n)
+    back = rng.random(u.size) < 0.3
+    u, v = np.concatenate([u, v[back]]), np.concatenate([v, u[back]])
+    codes = np.unique(u * n + v)
+    rng.shuffle(codes)
+    w = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=codes.size)
+    return SignedDirectedGraph(n, codes // n, codes % n, w)
+
+
+def _assert_same_forest(g):
+    got, want = splitters.spanning_forest(g), kruskal_forest(g)
+    _assert_same_array(got, want)
+    assert np.all(np.diff(got) > 0)  # ascending, no duplicates
+
+
+def test_boruvka_forest_matches_kruskal_on_random_graphs():
+    rng = np.random.default_rng(20260)
+    loops = reciprocal = 0
+    for _ in range(600):
+        g = _forest_fuzz_graph(rng)
+        loops += int(np.sum(g.src == g.dst))
+        reciprocal += int(np.isin(g.src * g.num_nodes + g.dst,
+                                  g.dst * g.num_nodes + g.src).sum())
+        _assert_same_forest(g)
+    assert loops > 0 and reciprocal > 0
+
+
+def test_boruvka_forest_matches_kruskal_on_sdsbm_f2():
+    g = sdsbm(f2_meta(0.1), 2000, 0.01, rho=1.5,
+              eta=0.1, seed=3).graph
+    forest = splitters.spanning_forest(g)
+    assert forest.size > 1900
+    _assert_same_forest(g)
