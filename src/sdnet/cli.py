@@ -26,10 +26,27 @@ from .spectral import NumericError
 from .splitters import link_class_split, node_split
 
 
+# the keys each command section reads; [graph] keys go to the generator
+SECTION_KEYS = {
+    "split": ("kind", "seed", "train_frac", "val_frac", "test_frac", "seed_frac",
+              "num_splits", "task", "prob_val", "prob_test", "maintain_connectedness"),
+    "cluster": ("method", "k", "seed", "q", "tau"),
+    "linkpred": ("task", "seeds", "embed", "combine", "embed_dim", "q", "tau",
+                 "prob_val", "prob_test", "maintain_connectedness"),
+    "sweep": ("param", "values", "method", "k", "seeds", "instances", "train_frac",
+              "val_frac", "test_frac", "q", "tau"),
+    "metrics": ("labels_pred", "labels_true", "names"),
+}
+
+
 def _section(cfg: dict, name: str) -> dict:
     if name not in cfg:
         raise ConfigError(f"missing [{name}] section")
-    return cfg[name]
+    sec = cfg[name]
+    unknown = sorted(set(sec) - set(SECTION_KEYS.get(name, sec)))
+    if unknown:
+        raise ConfigError(f"[{name}] has unknown key(s) {', '.join(map(repr, unknown))}")
+    return sec
 
 
 def _need(sec: dict, key: str, where: str):
@@ -90,8 +107,8 @@ def cmd_generate(cfg, outdir: Path, seed_override):
 
 
 def cmd_split(cfg, outdir: Path, seed_override):
-    graph, labels, gparams = _load_graph(cfg, seed_override)
     sec = _section(cfg, "split")
+    graph, labels, gparams = _load_graph(cfg, seed_override)
     kind = _need(sec, "kind", "split")
     params = {**gparams, **{f"split_{k}": v for k, v in sec.items()}}
     if kind == "node":
@@ -211,8 +228,8 @@ def cmd_sweep(cfg, outdir: Path, seed_override):
 
 
 def cmd_metrics(cfg, outdir: Path, seed_override):
-    graph, labels, gparams = _load_graph(cfg, seed_override)
     sec = _section(cfg, "metrics")
+    graph, labels, gparams = _load_graph(cfg, seed_override)
     pred = sio.read_labels_csv(_need(sec, "labels_pred", "metrics"))
     true = labels
     if "labels_true" in sec:

@@ -9,6 +9,12 @@ parts of complex ones and row-normalizes; it holds the one eigensolve.
 ``cluster_embedding`` runs k-means on it; soft assignments come from a
 softmax over negated distances to the final centroids (temperature 1),
 and hard labels feed the metrics.
+
+``kmeans_full`` runs all its restarts as one array program. Only the
+k-means++ seeding draws from the seeded stream, so every restart is
+seeded first, in order; Lloyd's steps then move all restarts' centres
+together, one (restarts, k, n) distance array per step, and a restart
+drops out of the batch once its labels stop changing.
 """
 
 from __future__ import annotations
@@ -80,15 +86,14 @@ def is_complex(method: str) -> bool:
     return _entry(method).complex
 
 
-def _kmeans_once(x: np.ndarray, k: int, max_iter: int, rng):
+def _kmeanspp(x: np.ndarray, sq: np.ndarray, k: int, rng) -> np.ndarray:
+    """k x d k-means++ seed centres; the only k-means step that draws from rng."""
     n = x.shape[0]
-    sq = (x * x).sum(axis=1)
 
     def dist2_to(centers):
         d = sq[:, None] - 2.0 * (x @ centers.T) + (centers * centers).sum(axis=1)[None, :]
         return np.maximum(d, 0.0)
 
-    # k-means++ seeding
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
     closest = dist2_to(centers[:1]).ravel()
@@ -102,30 +107,47 @@ def _kmeans_once(x: np.ndarray, k: int, max_iter: int, rng):
             idx = min(idx, n - 1)
         centers[j] = x[idx]
         closest = np.minimum(closest, dist2_to(centers[j:j + 1]).ravel())
+    return centers
 
-    labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
-        d2 = dist2_to(centers)
-        new_labels = d2.argmin(axis=1)
-        mind2 = d2[np.arange(n), new_labels]
-        # empty clusters grab the point farthest from every centroid
-        for j in range(k):
-            if not np.any(new_labels == j):
-                far = int(np.argmax(mind2))
-                centers[j] = x[far]
-                new_labels[far] = j
-                mind2[far] = 0.0
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for j in range(k):
-            members = x[labels == j]
-            if members.size:
-                centers[j] = members.mean(axis=0)
-    d2 = dist2_to(centers)
-    labels = d2.argmin(axis=1).astype(np.int64)
-    inertia = float(d2[np.arange(n), labels].sum())
-    return labels, centers, inertia
+
+def _dist2(xt: np.ndarray, sq: np.ndarray, centers: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """Squared distances from each restart's centres (r, k, d) to every
+    column of xt (d, n), written into ``out`` (r, k, n) without other
+    temporaries."""
+    r, k, d = centers.shape
+    # scaling by -2 is exact, so (-2 c) . x has the bits of -2 (c . x)
+    np.matmul(centers.reshape(r * k, d) * -2.0, xt, out=out.reshape(r * k, -1))
+    out += sq
+    out += (centers * centers).sum(axis=2)[:, :, None]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _nearest(d2: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Nearest centre per restart and row into ``labels`` (r, n), the lowest
+    index on ties as ``argmin`` gives; returns the distances to it, which
+    overwrite ``d2[:, 0]``."""
+    best = d2[:, 0]
+    labels.fill(0)
+    closer = np.empty(best.shape, dtype=bool)
+    index = np.min_scalar_type(d2.shape[1]).type  # keeps closer * j small
+    for j in range(1, d2.shape[1]):
+        np.less(d2[:, j], best, out=closer)
+        np.maximum(labels, closer * index(j), out=labels)  # labels < j so far
+        np.minimum(best, d2[:, j], out=best)
+    return best
+
+
+def _reseed_empty(x: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+                  mind2: np.ndarray) -> None:
+    """Each empty cluster, in index order, grabs the point farthest from
+    every centroid (one restart; all arguments are updated in place)."""
+    for j in range(centers.shape[0]):
+        if not np.any(labels == j):
+            far = int(np.argmax(mind2))
+            centers[j] = x[far]
+            labels[far] = j
+            mind2[far] = 0.0
 
 
 def kmeans(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
@@ -137,19 +159,67 @@ def kmeans(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
 
 def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
                 seed: int = 0):
-    """Like :func:`kmeans` but also returns centroids and inertia."""
+    """Like :func:`kmeans` but also returns centroids and inertia.
+
+    All restarts are seeded first, in order, then run Lloyd's steps
+    together on an (r, k, d) centre array; a restart leaves the batch once
+    its labels stop changing, and the lowest inertia wins (the first
+    restart on ties).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("data must be an n x d matrix")
-    if not 1 <= k <= x.shape[0]:
-        raise ValueError(f"K must be in [1, {x.shape[0]}], got {k}")
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"K must be in [1, {n}], got {k}")
+    if not np.isfinite(x).all():
+        raise ValueError("k-means data must be finite (found NaN or inf)")
+    sq = (x * x).sum(axis=1)
     rng = stream(seed)
-    best = None
-    for _ in range(max(restarts, 1)):
-        labels, centers, inertia = _kmeans_once(x, k, max_iter, rng)
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    return best
+    restarts = max(restarts, 1)
+    centers = np.stack([_kmeanspp(x, sq, k, rng) for _ in range(restarts)])
+    # the live temporaries: x^T, d2 (r, k, n) and two (r, n) label arrays
+    xt = np.ascontiguousarray(x.T)
+    d2 = np.empty((restarts, k, n))
+    labels = np.empty((restarts, n), dtype=np.int64)
+    prev = np.full((restarts, n), -1, dtype=np.int64)  # rows follow ``active``
+    offsets = np.arange(restarts)[:, None] * k
+    active = np.arange(restarts)
+    for _ in range(max_iter):
+        a = active.size
+        if not a:
+            break
+        c, new = centers[active], labels[:a]
+        mind2 = _nearest(_dist2(xt, sq, c, d2[:a]), new)
+        new += offsets[:a]  # bins: label + restart * k
+        counts = np.bincount(new.ravel(), minlength=a * k).reshape(a, k)
+        empty = np.flatnonzero((counts == 0).any(axis=1))
+        if empty.size:
+            new -= offsets[:a]
+            for i in empty:
+                _reseed_empty(x, c[i], new[i], mind2[i])
+            new += offsets[:a]
+            counts = np.bincount(new.ravel(), minlength=a * k).reshape(a, k)
+        sums = np.empty((a * k, x.shape[1]))
+        weights = d2.reshape(-1)[:a * n].reshape(a, n)  # d2 is spent by now
+        for j in range(x.shape[1]):
+            weights[...] = xt[j]
+            sums[:, j] = np.bincount(new.ravel(), weights=weights.ravel(),
+                                     minlength=a * k)
+        new -= offsets[:a]
+        moved = (new != prev[:a]).any(axis=1)
+        update = moved[:, None] & (counts > 0)
+        c[update] = sums.reshape(a, k, -1)[update] / counts[update][:, None]
+        centers[active] = c
+        labels, prev = prev, labels  # this step's labels are the next one's prev
+        for row, i in enumerate(np.flatnonzero(moved)):
+            if row != i:
+                prev[row] = prev[i]
+        active = active[moved]
+    mind2 = _nearest(_dist2(xt, sq, centers, d2), labels)
+    inertia = mind2.sum(axis=1)
+    best = int(np.argmin(inertia))
+    return labels[best].copy(), centers[best].copy(), float(inertia[best])
 
 
 def _row_normalize(x: np.ndarray) -> np.ndarray:

@@ -13,8 +13,12 @@ from its pair (A[u, v], A[v, u]) and mirrored as its conjugate.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
 restarted Lanczos method (``scipy.sparse.linalg.eigsh``) and a
 Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
-LAPACK decomposition. scipy is imported inside the functions that need
-it, so ``import sdnet`` loads none.
+LAPACK decomposition. ARPACK stops at relative accuracy
+``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
+returned pair is then checked: a residual ||A v - lambda v|| above
+``LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf)`` (1e-10 times the
+Gershgorin row-sum bound) raises NumericError. scipy is imported inside
+the functions that need it, so ``import sdnet`` loads none.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ HERMITICITY_RTOL = 1e-12
 
 # Philox key of the fixed Lanczos start vector
 LANCZOS_V0_KEY = 0x1A2C
+# ARPACK's relative stopping tolerance; the Ritz pairs are then checked
+# against LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf) column by column
+LANCZOS_TOL = 1e-12
+LANCZOS_RESIDUAL_RTOL = 1e-10
 
 
 class NumericError(RuntimeError):
@@ -226,12 +234,14 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     """k eigenpairs of a sparse operator by ARPACK, then Rayleigh-Ritz.
 
     ``smallest`` takes the largest-algebraic pairs of c I - L with c the
-    Gershgorin bound (max absolute row sum), so every wanted eigenvalue
-    is the top of a nonnegative spectrum. A float64 operator runs in
-    real arithmetic. ARPACK's complex driver does not return orthonormal
-    Ritz vectors, so the basis is orthonormalized (QR) and the k x k
+    Gershgorin bound ||L||_inf (max absolute row sum), so every wanted
+    eigenvalue is the top of a nonnegative spectrum. A float64 operator
+    runs in real arithmetic. ARPACK stops at relative accuracy
+    LANCZOS_TOL. Its complex driver does not return orthonormal Ritz
+    vectors, so the basis is orthonormalized (QR) and the k x k
     projection Q^H L Q diagonalized, giving orthonormal vectors and
-    ascending values.
+    ascending values. A pair whose residual ||L v - lambda v|| exceeds
+    LANCZOS_RESIDUAL_RTOL * max(1, ||L||_inf) raises NumericError.
     """
     from scipy.sparse import identity
     from scipy.sparse.linalg import ArpackError, eigsh
@@ -239,9 +249,10 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     n = op.num_nodes
     z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
     v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
+    norm_inf = float(abs(a).sum(axis=1).max(initial=0.0))
     shift = 0.0
     if which == "smallest":
-        shift = float(abs(a).sum(axis=1).max(initial=0.0))
+        shift = norm_inf
         target, mode = shift * identity(n, dtype=a.dtype, format="csr") - a, "LA"
     else:
         target, mode = a, ("LA" if which == "largest" else "LM")
@@ -249,15 +260,21 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
         # the operator is shift * I: every vector is an eigenvector, and
         # ARPACK would stop on a zero Krylov vector
         return EigenPairs(np.full(k, shift), np.eye(n, k))
+    where = f"{op.kind} (n={n}, k={k}, which={which!r})"
     try:
-        _, basis = eigsh(target, k, which=mode, v0=v0)
+        _, basis = eigsh(target, k, which=mode, v0=v0, tol=LANCZOS_TOL)
     except ArpackError as exc:  # ArpackNoConvergence among them
-        raise NumericError(f"Lanczos eigensolver failed on {op.kind} "
-                           f"(n={n}, k={k}, which={which!r}): {exc}") from exc
+        raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
     basis, _ = np.linalg.qr(basis)
     proj = basis.conj().T @ (a @ basis)
     vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-    return EigenPairs(vals, basis @ small)
+    vecs = basis @ small
+    residual = float(np.linalg.norm(a @ vecs - vecs * vals, axis=0).max())
+    bound = LANCZOS_RESIDUAL_RTOL * max(1.0, norm_inf)
+    if not residual <= bound:
+        raise NumericError(f"Lanczos eigenpairs of {where} have residual "
+                           f"{residual:.3g} above {bound:.3g}")
+    return EigenPairs(vals, vecs)
 
 
 def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:

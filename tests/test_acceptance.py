@@ -517,7 +517,6 @@ task = "SP"
 embed = "signed_spectral"
 embed_dim = 4
 seeds = [0, 1]
-epochs = 100
 """
 
 SMALL_SWEEP = """

@@ -104,7 +104,6 @@ task = "SP"
 embed = "signed_spectral"
 embed_dim = 4
 seeds = [0, 1]
-epochs = 100
 """)
     out = tmp_path / "out"
     assert run(["linkpred", "--config", cfg, "--out", out]) == 0
@@ -128,7 +127,6 @@ task = "DP"
 embed = "hermitian_spectral"
 embed_dim = 3
 seeds = [0]
-epochs = 50
 """
 
 
@@ -307,6 +305,24 @@ def test_linkpred_header_records_resolved_settings(tmp_path):
     for line in ("# embed_dim = 3", "# q = 0.25", "# tau = 0.25", "# prob_val = 0.15",
                  "# prob_test = 0.05"):
         assert line in heads["default"]
-    # the config's unread epochs key is not recorded as a setting
-    assert not any(ln.startswith(("# epochs", "# lr", "# l2"))
-                   for ln in heads["default"])
+
+
+@pytest.mark.parametrize("command, section, bad", [
+    ("split", '[split]\nkind = "node"\nepochs = 100\n', "epochs"),
+    ("cluster", '[cluster]\nmethod = "signed_laplacian_sym"\nk = 3\nepochs = 100\n', "epochs"),
+    ("linkpred", '[linkpred]\ntask = "SP"\nembed_dimm = 4\n', "embed_dimm"),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
+              'k = 3\nepochs = 100\n', "epochs"),
+    ("metrics", '[metrics]\nlabels_pred = "p.csv"\nepochs = 100\n', "epochs"),
+])
+def test_unknown_section_key_exits_2(tmp_path, capsys, command, section, bad):
+    cfg = write(tmp_path / "c.toml", GEN_CFG + section)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert f"[{command}] has unknown key(s) '{bad}'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_graph_keys_pass_through(tmp_path):
+    cfg = write(tmp_path / "g.toml", GEN_CFG + "unused_generator_key = 1\n")
+    assert run(["generate", "--config", cfg, "--out", tmp_path / "out"]) == 0

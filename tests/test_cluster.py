@@ -100,3 +100,11 @@ def test_spectral_cluster_deterministic():
     _, a = spectral_cluster(inst.graph, "hermitian_imbalance", 3, seed=4)
     _, b = spectral_cluster(inst.graph, "hermitian_imbalance", 3, seed=4)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_input(bad):
+    x = stream(3).normal(size=(12, 2))
+    x[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kmeans_full(x, 3)

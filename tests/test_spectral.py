@@ -569,3 +569,39 @@ def test_lanczos_on_multiples_of_identity():
             assert np.allclose(got.values, value, rtol=0, atol=1e-12)
             assert np.allclose(got.vectors.conj().T @ got.vectors, np.eye(3))
             assert np.allclose(op.entries @ got.vectors, value * got.vectors)
+
+
+def test_lanczos_residual_guard_raises_numeric_error(monkeypatch):
+    import scipy.sparse.linalg as spla
+    real_eigsh = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, basis = real_eigsh(*args, **kwargs)
+        return vals, basis + 1e-6 * stream(7).standard_normal(basis.shape)
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    _, g = _workload_graphs()
+    with pytest.raises(NumericError, match=r"signed_magnetic_laplacian.*n=400, k=3.*residual"):
+        eigh(signed_magnetic_laplacian(g), 3)
+
+
+def test_lanczos_clusters_like_dense_eigh(monkeypatch):
+    from sdnet import spectral
+    from sdnet.cluster import spectral_cluster
+    dsbm_g, sdsbm_g = _workload_graphs()
+    cases = [(dsbm_g, "hermitian_imbalance"), (dsbm_g, "magnetic_laplacian"),
+             (sdsbm_g, "signed_magnetic_laplacian"), (sdsbm_g, "signed_laplacian_sym")]
+    for k in (3, 4):
+        lanczos = [spectral_cluster(g, method, k, seed=1)[1] for g, method in cases]
+        solved = []
+
+        def dense_eigh(op, k, which, sparse_eigh=spectral.eigh):
+            solved.append(op.kind)
+            return sparse_eigh(op.toarray(), k, which)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "eigh", dense_eigh)
+            dense = [spectral_cluster(g, method, k, seed=1)[1] for g, method in cases]
+        assert len(solved) == len(cases)
+        for (_, method), got, want in zip(cases, lanczos, dense):
+            assert np.array_equal(got, want), (method, k)
