@@ -19,8 +19,8 @@ from .logistic import LogisticModel, logistic_train
 from .metrics import (MetricReport, SoftAssignment, accuracy, ari, auc,
                       balanced_triangle_ratio, macro_f1, pbnc_loss,
                       prob_imbalance, unhappy_ratio)
-from .pipeline import (ExperimentConfig, RunRecord, RunResult, cluster_sweep,
-                       generate_from_params, linkpred_run)
+from .pipeline import (RunRecord, RunResult, cluster_sweep, generate_from_params,
+                       linkpred_run)
 from .spectral import (EigenPairs, NumericError, SpectralMatrix, eigh,
                        hermitian_imbalance, magnetic_laplacian,
                        normalized_laplacian, signed_laplacian,
@@ -31,7 +31,7 @@ from .splitters import (LinkTaskSplit, NodeSplit, link_class_split, node_split,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSizes", "EigenPairs", "ExperimentConfig", "FeatureMatrix",
+    "BlockSizes", "EigenPairs", "FeatureMatrix",
     "GeneratedInstance", "LinkTaskSplit", "LogisticModel", "MetaGraph",
     "MetricReport", "NodeSplit", "NumericError", "RunRecord", "RunResult",
     "SignedDirectedGraph", "SignedPair", "SoftAssignment", "SpectralMatrix",

@@ -10,6 +10,7 @@ across reruns of the same configuration.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -17,36 +18,48 @@ import numpy as np
 
 from . import io as sio
 from . import metrics as met
+from .cluster import is_complex
 from .config import ConfigError, load
 from .graph import is_directed, is_signed
-from .pipeline import (ExperimentConfig, cluster_sweep, generate_from_params,
-                       linkpred_run, resolve_combiner, spectral_cluster)
+from .pipeline import (cluster_sweep, generate_from_params, linkpred_run,
+                       resolve_combiner, spectral_cluster)
 from .plotsvg import render_line_plot
 from .spectral import NumericError
-from .splitters import link_class_split, node_split
+from .splitters import canonical_task, link_class_split, node_split
 
 
-# the keys each command section reads; [graph] keys go to the generator
-SECTION_KEYS = {
-    "split": ("kind", "seed", "train_frac", "val_frac", "test_frac", "seed_frac",
-              "num_splits", "task", "prob_val", "prob_test", "maintain_connectedness"),
-    "cluster": ("method", "k", "seed", "q", "tau"),
-    "linkpred": ("task", "seeds", "embed", "combine", "embed_dim", "q", "tau",
-                 "prob_val", "prob_test", "maintain_connectedness"),
-    "sweep": ("param", "values", "method", "k", "seeds", "instances", "train_frac",
-              "val_frac", "test_frac", "q", "tau"),
-    "metrics": ("labels_pred", "labels_true", "names"),
-}
+# library parameter -> the differently spelt config key that sets it
+RENAMED = {"embed_method": "embed"}
+# [metrics] drives no single library call, so it lists its own keys
+METRICS_KEYS = ("labels_pred", "labels_true", "names")
 
 
-def _section(cfg: dict, name: str) -> dict:
+def _section(cfg: dict, name: str, keys=None) -> dict:
+    """[name]; with ``keys``, a key outside them raises ConfigError."""
     if name not in cfg:
         raise ConfigError(f"missing [{name}] section")
     sec = cfg[name]
-    unknown = sorted(set(sec) - set(SECTION_KEYS.get(name, sec)))
+    unknown = sorted(set(sec) - set(sec if keys is None else keys))
     if unknown:
         raise ConfigError(f"[{name}] has unknown key(s) {', '.join(map(repr, unknown))}")
     return sec
+
+
+def _kwargs(cfg: dict, name: str, fn, extra=()) -> dict:
+    """[name] as keyword arguments of ``fn``, past its first (data) argument.
+
+    ``fn``'s signature is the one place the section's keys and defaults
+    are written down; ``extra`` names keys the command reads itself. A key
+    ``fn`` does not take, or a required argument left out, raises
+    ConfigError.
+    """
+    params = list(inspect.signature(fn).parameters.values())[1:]
+    keys = {RENAMED.get(p.name, p.name): p for p in params}
+    sec = _section(cfg, name, (*keys, *extra))
+    for key, p in keys.items():
+        if p.default is p.empty:
+            _need(sec, key, name)
+    return {keys[k].name: v for k, v in sec.items() if k in keys}
 
 
 def _need(sec: dict, key: str, where: str):
@@ -83,18 +96,25 @@ def _metric_reports(names, graph, true, pred, soft) -> list:
     return reports
 
 
+def _graph_params(cfg: dict, seed_override: int | None) -> dict:
+    """The [graph] section, with ``--seed`` set on generator parameters."""
+    params = dict(_section(cfg, "graph"))
+    if "path" not in params and "model" not in params:
+        raise ConfigError("[graph] needs a 'path' or a 'model'")
+    if seed_override is not None and "path" not in params:
+        params["seed"] = int(seed_override)
+    return params
+
+
 def _load_graph(cfg: dict, seed_override: int | None):
     """Returns (graph, labels-or-None, provenance params)."""
-    sec = _section(cfg, "graph")
-    if "path" in sec:
-        graph = sio.read_edge_tsv(sec["path"])
+    params = _graph_params(cfg, seed_override)
+    if "path" in params:
+        graph = sio.read_edge_tsv(params["path"])
         labels = None
-        if "labels_path" in sec:
-            labels = sio.read_labels_csv(sec["labels_path"])
-        return graph, labels, {"source": sec["path"]}
-    params = dict(sec)
-    if seed_override is not None:
-        params["seed"] = int(seed_override)
+        if "labels_path" in params:
+            labels = sio.read_labels_csv(params["labels_path"])
+        return graph, labels, {"source": params["path"]}
     inst = generate_from_params(params)
     return inst.graph, inst.labels, inst.params
 
@@ -106,48 +126,36 @@ def cmd_generate(cfg, outdir: Path, seed_override):
         sio.write_labels_csv(outdir / "labels.csv", labels, params)
 
 
+SPLITTERS = {"node": node_split, "link": link_class_split}
+
+
 def cmd_split(cfg, outdir: Path, seed_override):
     sec = _section(cfg, "split")
-    graph, labels, gparams = _load_graph(cfg, seed_override)
     kind = _need(sec, "kind", "split")
+    if kind not in SPLITTERS:
+        raise ConfigError(f"unknown split kind {kind!r}")
+    kw = _kwargs(cfg, "split", SPLITTERS[kind], extra=("kind",))
+    graph, labels, gparams = _load_graph(cfg, seed_override)
     params = {**gparams, **{f"split_{k}": v for k, v in sec.items()}}
     if kind == "node":
         if labels is None:
             raise ConfigError("node splits need labels (generated or labels_path)")
-        split = node_split(labels,
-                           train_frac=sec.get("train_frac", 0.8),
-                           val_frac=sec.get("val_frac", 0.1),
-                           test_frac=sec.get("test_frac", 0.1),
-                           seed_frac=sec.get("seed_frac", 0.0),
-                           num_splits=sec.get("num_splits", 1),
-                           seed=sec.get("seed", 0))
-        sio.write_node_split_csv(outdir / "node_split.csv", split, params)
-    elif kind == "link":
-        split = link_class_split(graph, _need(sec, "task", "split"),
-                                 prob_val=sec.get("prob_val", 0.15),
-                                 prob_test=sec.get("prob_test", 0.05),
-                                 maintain_connectedness=sec.get(
-                                     "maintain_connectedness", False),
-                                 seed=sec.get("seed", 0))
-        sio.write_link_split_csv(outdir / "link_split.csv", split, params)
-        sio.write_edge_tsv(outdir / "observed.tsv", split.observed_graph, params)
-        lines = ["u,v"] + [f"{u},{v}" for u, v in split.discarded_pairs]
-        (outdir / "discarded.csv").write_text(
-            "\n".join(sio.format_params(params) + lines) + "\n", encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown split kind {kind!r}")
+        sio.write_node_split_csv(outdir / "node_split.csv", node_split(labels, **kw),
+                                 params)
+        return
+    split = link_class_split(graph, **kw)
+    sio.write_link_split_csv(outdir / "link_split.csv", split, params)
+    sio.write_edge_tsv(outdir / "observed.tsv", split.observed_graph, params)
+    sio.write_pairs_csv(outdir / "discarded.csv", split.discarded_pairs, params)
 
 
 def cmd_cluster(cfg, outdir: Path, seed_override):
-    sec = _section(cfg, "cluster")
-    method = _need(sec, "method", "cluster")
-    k = _need(sec, "k", "cluster")
-    ExperimentConfig(graph=_section(cfg, "graph"), method=method,
-                     task="clustering")
+    kw = _kwargs(cfg, "cluster", spectral_cluster)
+    is_complex(kw["method"])  # ValueError for an unknown method
     graph, labels, gparams = _load_graph(cfg, seed_override)
-    soft, pred = spectral_cluster(graph, method, k, seed=sec.get("seed", 0),
-                                  q=sec.get("q", 0.25), tau=sec.get("tau", 0.25))
-    params = {**gparams, "method": method, "k": k}
+    soft, pred = spectral_cluster(graph, **kw)
+    k = kw["k"]
+    params = {**gparams, "method": kw["method"], "k": k}
     sio.write_labels_csv(outdir / "pred_labels.csv", pred, params)
     names = [] if labels is None else ["ari"]
     if is_signed(graph) and graph.num_edges:
@@ -159,67 +167,39 @@ def cmd_cluster(cfg, outdir: Path, seed_override):
 
 
 def _write_runs(outdir: Path, result, params):
-    rows = result.rows()
-    lines = ["sweep_value,instance,seed,metric,value"]
-    for sv, inst, seed, metric, value in rows:
-        lines.append(f"{repr(float(sv))},{inst},{seed},{metric},{repr(float(value))}")
-    (outdir / "runs.csv").write_text(
-        "\n".join(sio.format_params(params) + lines) + "\n", encoding="utf-8")
     agg = result.aggregate()
-    lines = ["sweep_value,metric,mean,sd,count"]
-    for (sv, metric), (mean, sd, count) in agg.items():
-        lines.append(f"{repr(float(sv))},{metric},{repr(mean)},{repr(sd)},{count}")
-    (outdir / "summary.csv").write_text(
-        "\n".join(sio.format_params(params) + lines) + "\n", encoding="utf-8")
+    sio.write_runs_csv(outdir / "runs.csv", result.rows(), params)
+    sio.write_summary_csv(outdir / "summary.csv", agg, params)
     return agg
 
 
 def cmd_linkpred(cfg, outdir: Path, seed_override):
-    sec = _section(cfg, "linkpred")
-    task = _need(sec, "task", "linkpred")
-    seeds = sec.get("seeds", [0, 1, 2, 3, 4])
-    ExperimentConfig(graph=_section(cfg, "graph"), method=sec.get("embed"),
-                     task=task, splits=sec, seeds=tuple(seeds))
-    embed = sec.get("embed", "signed_spectral")
-    settings = {"combine": resolve_combiner(embed, sec.get("combine")),
-                "embed_dim": sec.get("embed_dim", 8),
-                "q": sec.get("q", 0.25), "tau": sec.get("tau", 0.25),
-                "prob_val": sec.get("prob_val", 0.15),
-                "prob_test": sec.get("prob_test", 0.05),
-                "maintain_connectedness": sec.get("maintain_connectedness", False)}
+    kw = _kwargs(cfg, "linkpred", linkpred_run)
+    canonical_task(kw["task"])  # ValueError for an unknown task
+    run = inspect.signature(linkpred_run).bind_partial(**kw)
+    run.apply_defaults()
+    args = run.arguments
+    args["combine"] = resolve_combiner(args["embed_method"], args["combine"])
     graph, _, gparams = _load_graph(cfg, seed_override)
-    result = linkpred_run(graph, task, embed_method=embed, seeds=seeds, **settings)
+    result = linkpred_run(graph, **args)
     # the resolved settings, so the header names what produced the runs
-    params = {**gparams, "task": task, "embed": embed, **settings}
+    params = {**gparams, "task": args["task"], "embed": args["embed_method"],
+              **{k: args[k] for k in ("combine", "embed_dim", "q", "tau", "prob_val",
+                                      "prob_test", "maintain_connectedness")}}
     _write_runs(outdir, result, params)
 
 
 def cmd_sweep(cfg, outdir: Path, seed_override):
-    gsec = _section(cfg, "graph")
-    if "path" in gsec:
+    gparams = _graph_params(cfg, seed_override)
+    if "path" in gparams:
         raise ConfigError("sweep needs generator parameters, not a file path")
-    gparams = dict(gsec)
-    if seed_override is not None:
-        gparams["seed"] = int(seed_override)
-    sec = _section(cfg, "sweep")
-    param = _need(sec, "param", "sweep")
-    values = _need(sec, "values", "sweep")
-    method = _need(sec, "method", "sweep")
-    k = _need(sec, "k", "sweep")
-    ExperimentConfig(graph=gsec, method=method, task="clustering",
-                     seeds=tuple(sec.get("seeds", [0, 1, 2, 3, 4])),
-                     sweep=sec)
-    result = cluster_sweep(
-        gparams, param, values, method, k,
-        instances=sec.get("instances", 2),
-        seeds=sec.get("seeds", [0, 1, 2, 3, 4]),
-        train_frac=sec.get("train_frac", 0.8),
-        val_frac=sec.get("val_frac", 0.1),
-        test_frac=sec.get("test_frac", 0.1),
-        q=sec.get("q", 0.25), tau=sec.get("tau", 0.25))
-    params = {**gparams, "sweep_param": param, "method": method, "k": k}
+    kw = _kwargs(cfg, "sweep", cluster_sweep)
+    is_complex(kw["method"])  # ValueError for an unknown method
+    result = cluster_sweep(gparams, **kw)
+    param, method = kw["param"], kw["method"]
+    params = {**gparams, "sweep_param": param, "method": method, "k": kw["k"]}
     agg = _write_runs(outdir, result, params)
-    xs = [float(v) for v in values]
+    xs = [float(v) for v in kw["values"]]
     means = [agg[(x, "ari")][0] for x in xs]
     sds = [agg[(x, "ari")][1] for x in xs]
     render_line_plot(outdir / "sweep.svg", xs, means, sds,
@@ -228,7 +208,7 @@ def cmd_sweep(cfg, outdir: Path, seed_override):
 
 
 def cmd_metrics(cfg, outdir: Path, seed_override):
-    sec = _section(cfg, "metrics")
+    sec = _section(cfg, "metrics", METRICS_KEYS)
     graph, labels, gparams = _load_graph(cfg, seed_override)
     pred = sio.read_labels_csv(_need(sec, "labels_pred", "metrics"))
     true = labels

@@ -1,14 +1,14 @@
-"""File formats: edge-list TSV, feature/label CSV, split and metric CSV.
+"""File formats: edge-list TSV, feature/label CSV, split, run and metric CSV.
 
 Every writer accepts an optional ``params`` mapping that is echoed into
 the file header as ``# key = value`` lines for provenance. Output bytes
 are deterministic: rows are emitted in a fixed order and floats use
 shortest round-trip formatting.
 
-The edge TSV and link-split CSV writers are table-driven. Every node id
-below ``num_nodes`` is formatted once (``str``), every distinct weight
-once (``repr(float(w))`` over ``np.unique``) and every label name once,
-each with the separator that follows it in a row. The rows are then
+The edge TSV, link-split CSV and node-pair CSV writers are table-driven.
+Every node id below ``num_nodes`` is formatted once (``str``), every
+distinct weight once (``repr(float(w))`` over ``np.unique``) and every
+label name once, each with the separator that follows it in a row. The rows are then
 gathered from these tables by fancy indexing and joined into one string,
 so no value is formatted per row. The edge TSV reader parses the file
 with one ``np.loadtxt`` call into int64, int64 and float64 columns, and
@@ -191,6 +191,31 @@ def write_link_split_csv(path, split, params: dict | None = None) -> None:
         tails = np.array([f"{name},{fold}\n" for name in split.label_names], dtype=object)
         rows.append(_rows(ids[pairs[:, 0]], ids[pairs[:, 1]], tails[labels]))
     _write_lines(path, params, ["u,v,label,fold"], "".join(rows))
+
+
+def write_pairs_csv(path, pairs, params: dict | None = None) -> None:
+    """Rows (u, v), one per node pair."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    num_nodes = int(pairs.max()) + 1 if pairs.size else 0
+    rows = _rows(_id_strings(num_nodes, ",")[pairs[:, 0]],
+                 _id_strings(num_nodes, "\n")[pairs[:, 1]])
+    _write_lines(path, params, ["u,v"], rows)
+
+
+def write_runs_csv(path, rows, params: dict | None = None) -> None:
+    """Per-run rows (sweep_value, instance, seed, metric, value)."""
+    lines = ["sweep_value,instance,seed,metric,value"]
+    lines.extend(f"{repr(float(sv))},{inst},{seed},{metric},{repr(float(value))}"
+                 for sv, inst, seed, metric, value in rows)
+    _write_lines(path, params, lines)
+
+
+def write_summary_csv(path, aggregate: dict, params: dict | None = None) -> None:
+    """Rows (sweep_value, metric, mean, sd, count) of a ``RunResult.aggregate()``."""
+    lines = ["sweep_value,metric,mean,sd,count"]
+    lines.extend(f"{repr(float(sv))},{metric},{repr(mean)},{repr(sd)},{count}"
+                 for (sv, metric), (mean, sd, count) in aggregate.items())
+    _write_lines(path, params, lines)
 
 
 def write_metric_reports_csv(path, reports, params: dict | None = None) -> None:

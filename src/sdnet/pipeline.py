@@ -16,7 +16,7 @@ an entire experiment is a pure function of its configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .splitters import canonical_task, link_class_split, node_split
 EDGE_COMBINERS = ("concat", "hadamard", "difference", "phase")
 # l2 penalties ``linkpred_run`` chooses from on the validation fold,
 # strongest first: each fit warm-starts from the one before it
-L2_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
+L2_GRID = (1.0, 1e-1, 1e-2, 1e-3)
 
 
 @dataclass(frozen=True)
@@ -71,28 +71,6 @@ class RunResult:
             sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             out[key] = (float(vals.mean()), sd, int(vals.size))
         return out
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated bundle of generator/method/split settings for the CLI."""
-
-    graph: dict
-    method: str | None = None
-    task: str | None = None
-    splits: dict = field(default_factory=dict)
-    seeds: tuple[int, ...] = (0,)
-    sweep: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if "path" not in self.graph and "model" not in self.graph:
-            raise ValueError("graph config needs a 'path' or a 'model'")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if self.task is not None and self.task != "clustering":
-            canonical_task(self.task)
-        if self.task == "clustering" and self.method is not None:
-            is_complex(self.method)  # ValueError for an unknown method
 
 
 def _meta_from_params(p: dict, for_signed: bool) -> gen.MetaGraph:
@@ -248,7 +226,7 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
     and test folds. The classifier is fit on the training fold for each
     l2 in L2_GRID and the fit with the highest validation accuracy is
     scored on the test fold; ties go to the larger l2. An empty
-    validation fold raises ValueError.
+    validation fold or an empty ``seeds`` raises ValueError.
 
     Reports accuracy and the test-fold majority-class rate for every
     task, plus AUC (score = probability of class 1) and macro F1 for
@@ -256,6 +234,9 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
     """
     task = canonical_task(task)
     combine = resolve_combiner(embed_method, combine)
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     records = []
     for s in seeds:
         split = link_class_split(g, task, prob_val=prob_val, prob_test=prob_test,
@@ -301,10 +282,13 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     (``spectral_embedding``, one eigensolve). For each seed: draw one
     node split, run k-means on that embedding (``cluster_embedding``)
     and score ARI on the test mask only. Records equal those of calling
-    ``spectral_cluster`` per seed.
+    ``spectral_cluster`` per seed. An empty ``seeds`` raises ValueError.
     """
     if param not in ("eta", "gamma", "p", "rho"):
         raise ValueError(f"unsupported sweep parameter {param!r}")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     base_seed = int(graph_params.get("seed", 0))
     records = []
     for vi, value in enumerate(values):

@@ -271,6 +271,33 @@ def test_unknown_method_rejected_before_generating(tmp_path, monkeypatch, capsys
     assert generated == []
 
 
+@pytest.mark.parametrize("command, section, message", [
+    ("cluster", '[cluster]\nmethod = "signed_laplacian_sym"\n',
+     "[cluster] is missing required key 'k'"),
+    ("linkpred", '[linkpred]\nembed = "signed_spectral"\n',
+     "[linkpred] is missing required key 'task'"),
+    ("sweep", '[sweep]\nparam = "eta"\nmethod = "signed_laplacian_sym"\nk = 3\n',
+     "[sweep] is missing required key 'values'"),
+    ("split", '[split]\nkind = "link"\n', "[split] is missing required key 'task'"),
+    ("linkpred", '[linkpred]\ntask = "XY"\n', "unknown link task 'XY'"),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
+              'k = 3\nseeds = []\n', "need at least one seed"),
+])
+def test_config_error_rejected_before_generating(tmp_path, monkeypatch, capsys,
+                                                 command, section, message):
+    import sdnet.cli as cli
+    import sdnet.pipeline as pipeline
+
+    def record(*a, **k):
+        raise AssertionError("the graph was generated")
+
+    monkeypatch.setattr(cli, "generate_from_params", record)
+    monkeypatch.setattr(pipeline, "generate_from_params", record)
+    cfg = write(tmp_path / "c.toml", GEN_CFG + section)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_numeric_failure(tmp_path, monkeypatch):
     import sdnet.cli as cli
     from sdnet.spectral import NumericError
@@ -314,12 +341,35 @@ def test_linkpred_header_records_resolved_settings(tmp_path):
     ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
               'k = 3\nepochs = 100\n', "epochs"),
     ("metrics", '[metrics]\nlabels_pred = "p.csv"\nepochs = 100\n', "epochs"),
+    # [split] takes the keys of the splitter its kind selects, not the other's
+    ("split", '[split]\nkind = "node"\nprob_val = 0.15\n', "prob_val"),
+    ("split", '[split]\nkind = "link"\ntask = "SP"\ntrain_frac = 0.8\n', "train_frac"),
+    # the config spells linkpred_run's embed_method as embed, and only so
+    ("linkpred", '[linkpred]\ntask = "SP"\nembed_method = "signed_spectral"\n',
+     "embed_method"),
 ])
 def test_unknown_section_key_exits_2(tmp_path, capsys, command, section, bad):
     cfg = write(tmp_path / "c.toml", GEN_CFG + section)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out", out]) == 2
     assert f"[{command}] has unknown key(s) '{bad}'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, section", [
+    ("generate", ""),
+    ("split", '[split]\nkind = "node"\n'),
+    ("cluster", '[cluster]\nmethod = "signed_laplacian_sym"\nk = 3\n'),
+    ("linkpred", '[linkpred]\ntask = "SP"\n'),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
+              'k = 3\n'),
+    ("metrics", '[metrics]\nlabels_pred = "p.csv"\n'),
+])
+def test_graph_needs_path_or_model(tmp_path, capsys, command, section):
+    cfg = write(tmp_path / "c.toml", "[graph]\nn = 60\nk = 3\nseed = 3\n" + section)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert "[graph] needs a 'path' or a 'model'" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sdnet import io as sio
-from sdnet.generators import f2_meta, sdsbm, ssbm
+from sdnet.generators import dsbm, f2_meta, meta_graph, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
+from sdnet.pipeline import RunRecord, RunResult
 from sdnet.spectral import hermitian_imbalance
 from sdnet.splitters import link_class_split, node_split
 
@@ -151,6 +152,48 @@ def test_link_split_csv_bytes_match_per_row_formatter(tmp_path, task):
     path = tmp_path / "link.csv"
     sio.write_link_split_csv(path, split)
     assert path.read_text(encoding="utf-8") == _reference_link_split_csv(split)
+
+
+def _reference_pairs_csv(pairs, params):
+    """The per-pair f-string loop that wrote the CLI's discarded.csv."""
+    lines = ["u,v"] + [f"{u},{v}" for u, v in pairs]
+    return "\n".join(sio.format_params(params) + lines) + "\n"
+
+
+@pytest.mark.parametrize("g, discards", [
+    (dsbm(meta_graph("cycle", 3), 90, 3, 0.3, seed=0).graph, True),
+    (SignedDirectedGraph.from_edges(12, [(i, (i + 1) % 12, 1.0) for i in range(12)]),
+     False),
+], ids=["reciprocal-pairs", "no-reciprocal-pairs"])
+def test_pairs_csv_bytes_match_per_pair_formatter(tmp_path, g, discards):
+    split = link_class_split(g, "DP", seed=1)
+    assert (len(split.discarded_pairs) > 0) == discards
+    params = {"model": "dsbm", "split_task": "DP"}
+    path = tmp_path / "discarded.csv"
+    sio.write_pairs_csv(path, split.discarded_pairs, params)
+    assert path.read_text(encoding="utf-8") == _reference_pairs_csv(
+        split.discarded_pairs, params)
+
+
+def test_run_csvs_bytes_match_per_row_formatter(tmp_path):
+    result = RunResult(tuple(
+        RunRecord(sv, inst, seed, metric, value)
+        for sv in (0.0, 0.1) for inst in (0, 1) for seed in (3, 4)
+        for metric, value in (("ari", 1.0 / (3 + seed + inst)), ("auc", sv + 2.0**-40))))
+    params = {"model": "dsbm", "sweep_param": "eta"}
+    sio.write_runs_csv(tmp_path / "runs.csv", result.rows(), params)
+    sio.write_summary_csv(tmp_path / "summary.csv", result.aggregate(), params)
+    # the per-row loops that wrote runs.csv and summary.csv in the CLI
+    lines = ["sweep_value,instance,seed,metric,value"]
+    for sv, inst, seed, metric, value in result.rows():
+        lines.append(f"{repr(float(sv))},{inst},{seed},{metric},{repr(float(value))}")
+    assert (tmp_path / "runs.csv").read_text(encoding="utf-8") == \
+        "\n".join(sio.format_params(params) + lines) + "\n"
+    lines = ["sweep_value,metric,mean,sd,count"]
+    for (sv, metric), (mean, sd, count) in result.aggregate().items():
+        lines.append(f"{repr(float(sv))},{metric},{repr(mean)},{repr(sd)},{count}")
+    assert (tmp_path / "summary.csv").read_text(encoding="utf-8") == \
+        "\n".join(sio.format_params(params) + lines) + "\n"
 
 
 def test_matrix_csv(tmp_path):

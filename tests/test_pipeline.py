@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from sdnet.generators import custom_meta, dsbm
-from sdnet.pipeline import (ExperimentConfig, RunRecord, RunResult,
-                            cluster_sweep, edge_feature_matrix,
-                            generate_from_params, linkpred_run)
+from sdnet.pipeline import (RunRecord, RunResult, cluster_sweep,
+                            edge_feature_matrix, generate_from_params,
+                            linkpred_run)
 
 
 def test_generate_from_params_dispatch():
@@ -21,17 +21,6 @@ def test_generate_from_params_dispatch():
     assert inst.graph.num_nodes == 20
     with pytest.raises(ValueError):
         generate_from_params({"model": "nope", "n": 5})
-
-
-def test_experiment_config_validation():
-    ExperimentConfig(graph={"model": "ssbm"}, task="clustering")
-    ExperimentConfig(graph={"path": "x.tsv"}, task="DP")
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph={})
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph={"model": "ssbm"}, task="XY")
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph={"model": "ssbm"}, seeds=())
 
 
 def test_edge_feature_combiners():
@@ -162,6 +151,13 @@ def test_linkpred_needs_a_validation_fold():
         linkpred_run(inst.graph, "SP", embed_dim=2, seeds=(0,), prob_val=0.0)
 
 
+def test_linkpred_needs_a_seed():
+    inst = generate_from_params({"model": "sdsbm", "n": 60, "p": 0.3,
+                                 "meta": "f1", "gamma": 0.0}, seed=0)
+    with pytest.raises(ValueError, match="need at least one seed"):
+        linkpred_run(inst.graph, "SP", embed_dim=2, seeds=[])
+
+
 def test_linkpred_multiclass_records_accuracy_only():
     inst = generate_from_params({"model": "sdsbm", "n": 150, "p": 0.25,
                                  "meta": "f1", "gamma": 0.0}, seed=1)
@@ -214,6 +210,13 @@ def test_cluster_sweep_bad_param():
     with pytest.raises(ValueError):
         cluster_sweep({"model": "dsbm", "n": 30, "k": 3, "p": 0.2},
                       "zeta", [0.1], "hermitian_imbalance", 3)
+
+
+def test_cluster_sweep_needs_a_seed():
+    # the unknown model is never reached: the seeds are checked first
+    with pytest.raises(ValueError, match="need at least one seed"):
+        cluster_sweep({"model": "nope"}, "eta", [0.1], "hermitian_imbalance", 3,
+                      seeds=[])
 
 
 @pytest.mark.parametrize("gp,method", [
