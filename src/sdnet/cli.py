@@ -135,6 +135,8 @@ def cmd_split(cfg, outdir: Path, seed_override):
     if kind not in SPLITTERS:
         raise ConfigError(f"unknown split kind {kind!r}")
     kw = _kwargs(cfg, "split", SPLITTERS[kind], extra=("kind",))
+    if kind == "link":
+        canonical_task(kw["task"])  # ValueError for an unknown task
     graph, labels, gparams = _load_graph(cfg, seed_override)
     params = {**gparams, **{f"split_{k}": v for k, v in sec.items()}}
     if kind == "node":

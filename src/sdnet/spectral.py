@@ -17,16 +17,23 @@ LAPACK decomposition. ARPACK stops at relative accuracy
 ``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
 returned pair is then checked: a residual ||A v - lambda v|| above
 ``LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf)`` (1e-10 times the
-Gershgorin row-sum bound) raises NumericError. scipy is imported inside
-the functions that need it, so ``import sdnet`` loads none.
+Gershgorin row-sum bound) raises NumericError. Below
+``LANCZOS_THREADED_MIN_N`` (10,000) rows the whole sparse solve runs
+with every loaded OpenBLAS limited to one thread (``_blas``): ARPACK's
+small panel products lose more to thread handoff than they gain. The
+limit is process-wide for the solve's duration and the counts are
+restored after. scipy is imported inside the functions that need it,
+so ``import sdnet`` loads none.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 from .rng import stream
 
@@ -47,6 +54,10 @@ LANCZOS_V0_KEY = 0x1A2C
 # against LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf) column by column
 LANCZOS_TOL = 1e-12
 LANCZOS_RESIDUAL_RTOL = 1e-10
+# sparse solves below this many rows run on one BLAS thread; measured on
+# 2 cores, one thread solves n = 1000 3x faster, ties at n = 10,000 and
+# is 10-15% slower from n = 30,000
+LANCZOS_THREADED_MIN_N = 10_000
 
 
 class NumericError(RuntimeError):
@@ -242,39 +253,43 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     projection Q^H L Q diagonalized, giving orthonormal vectors and
     ascending values. A pair whose residual ||L v - lambda v|| exceeds
     LANCZOS_RESIDUAL_RTOL * max(1, ||L||_inf) raises NumericError.
+    Below LANCZOS_THREADED_MIN_N rows all of it runs on one BLAS thread.
     """
     from scipy.sparse import identity
     from scipy.sparse.linalg import ArpackError, eigsh
     a = op.entries
     n = op.num_nodes
-    z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
-    v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
-    norm_inf = float(abs(a).sum(axis=1).max(initial=0.0))
-    shift = 0.0
-    if which == "smallest":
-        shift = norm_inf
-        target, mode = shift * identity(n, dtype=a.dtype, format="csr") - a, "LA"
-    else:
-        target, mode = a, ("LA" if which == "largest" else "LM")
-    if not np.any(target.data):
-        # the operator is shift * I: every vector is an eigenvector, and
-        # ARPACK would stop on a zero Krylov vector
-        return EigenPairs(np.full(k, shift), np.eye(n, k))
-    where = f"{op.kind} (n={n}, k={k}, which={which!r})"
-    try:
-        _, basis = eigsh(target, k, which=mode, v0=v0, tol=LANCZOS_TOL)
-    except ArpackError as exc:  # ArpackNoConvergence among them
-        raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
-    basis, _ = np.linalg.qr(basis)
-    proj = basis.conj().T @ (a @ basis)
-    vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-    vecs = basis @ small
-    residual = float(np.linalg.norm(a @ vecs - vecs * vals, axis=0).max())
-    bound = LANCZOS_RESIDUAL_RTOL * max(1.0, norm_inf)
-    if not residual <= bound:
-        raise NumericError(f"Lanczos eigenpairs of {where} have residual "
-                           f"{residual:.3g} above {bound:.3g}")
-    return EigenPairs(vals, vecs)
+    # scipy's BLAS is loaded by now, so the library lookup finds it
+    limit = single_blas_thread if n < LANCZOS_THREADED_MIN_N else nullcontext
+    with limit():
+        z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
+        v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
+        norm_inf = float(abs(a).sum(axis=1).max(initial=0.0))
+        shift = 0.0
+        if which == "smallest":
+            shift = norm_inf
+            target, mode = shift * identity(n, dtype=a.dtype, format="csr") - a, "LA"
+        else:
+            target, mode = a, ("LA" if which == "largest" else "LM")
+        if not np.any(target.data):
+            # the operator is shift * I: every vector is an eigenvector, and
+            # ARPACK would stop on a zero Krylov vector
+            return EigenPairs(np.full(k, shift), np.eye(n, k))
+        where = f"{op.kind} (n={n}, k={k}, which={which!r})"
+        try:
+            _, basis = eigsh(target, k, which=mode, v0=v0, tol=LANCZOS_TOL)
+        except ArpackError as exc:  # ArpackNoConvergence among them
+            raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
+        basis, _ = np.linalg.qr(basis)
+        proj = basis.conj().T @ (a @ basis)
+        vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+        vecs = basis @ small
+        residual = float(np.linalg.norm(a @ vecs - vecs * vals, axis=0).max())
+        bound = LANCZOS_RESIDUAL_RTOL * max(1.0, norm_inf)
+        if not residual <= bound:
+            raise NumericError(f"Lanczos eigenpairs of {where} have residual "
+                               f"{residual:.3g} above {bound:.3g}")
+        return EigenPairs(vals, vecs)
 
 
 def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:

@@ -279,6 +279,7 @@ def test_unknown_method_rejected_before_generating(tmp_path, monkeypatch, capsys
     ("sweep", '[sweep]\nparam = "eta"\nmethod = "signed_laplacian_sym"\nk = 3\n',
      "[sweep] is missing required key 'values'"),
     ("split", '[split]\nkind = "link"\n', "[split] is missing required key 'task'"),
+    ("split", '[split]\nkind = "link"\ntask = "XY"\n', "unknown link task 'XY'"),
     ("linkpred", '[linkpred]\ntask = "XY"\n', "unknown link task 'XY'"),
     ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
               'k = 3\nseeds = []\n', "need at least one seed"),
@@ -296,6 +297,7 @@ def test_config_error_rejected_before_generating(tmp_path, monkeypatch, capsys,
     cfg = write(tmp_path / "c.toml", GEN_CFG + section)
     assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*"))
 
 
 def test_exit_code_numeric_failure(tmp_path, monkeypatch):

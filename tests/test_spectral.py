@@ -605,3 +605,156 @@ def test_lanczos_clusters_like_dense_eigh(monkeypatch):
         assert len(solved) == len(cases)
         for (_, method), got, want in zip(cases, lanczos, dense):
             assert np.array_equal(got, want), (method, k)
+
+
+# ------------------------------------------------- one BLAS thread per solve
+
+def _blas_thread_counts():
+    from sdnet import _blas
+    return [get() for _, get, _ in _blas.openblas_libraries()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS found set to 2 threads for the test, then put back."""
+    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
+    from sdnet import _blas
+    libraries = _blas.openblas_libraries()
+    saved = _blas_thread_counts()
+    for _, _, set_ in libraries:
+        set_(2)
+    yield _blas_thread_counts()
+    for (_, _, set_), count in zip(libraries, saved):
+        set_(count)
+
+
+def test_blas_lookup_finds_every_loaded_openblas():
+    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
+    from sdnet import _blas
+    try:
+        with open("/proc/self/maps") as maps:
+            mapped = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:
+        mapped = set()
+    assert {path for path, _, _ in _blas.openblas_libraries()} <= mapped
+    if mapped:
+        assert _blas.openblas_libraries()
+
+
+def test_blas_thread_counts_restored_after_eigh(monkeypatch, two_blas_threads):
+    import scipy.sparse.linalg as spla
+    op = signed_magnetic_laplacian(random_graph(30, 1))
+    before = two_blas_threads
+    real_eigsh, inside = spla.eigsh, []
+
+    def spy(*args, **kwargs):
+        inside.append(_blas_thread_counts())
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    eigh(op, 3)
+    assert inside == [[1] * len(before)]
+    assert _blas_thread_counts() == before
+
+    def stalled(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    with pytest.raises(NumericError, match="Lanczos eigensolver failed"):
+        eigh(op, 3)
+    assert _blas_thread_counts() == before
+
+
+def test_blas_limit_nested_restores_once(two_blas_threads):
+    from sdnet._blas import single_blas_thread
+    before = two_blas_threads
+    with single_blas_thread():
+        with pytest.raises(RuntimeError):
+            with single_blas_thread():
+                raise RuntimeError("inner solve failed")
+        assert _blas_thread_counts() == [1] * len(before)
+    assert _blas_thread_counts() == before
+
+
+def test_blas_limit_concurrent_holders(two_blas_threads):
+    import sys
+    import threading
+    from sdnet._blas import single_blas_thread
+    before = two_blas_threads
+    wrong = []
+
+    def hold():
+        for _ in range(200):
+            with single_blas_thread():
+                counts = _blas_thread_counts()
+                if counts != [1] * len(before):
+                    wrong.append(counts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert _blas_thread_counts() == before
+
+
+def test_eigh_same_bytes_without_blas_libraries(monkeypatch):
+    from sdnet import _blas
+    _, g = _workload_graphs()
+    op = signed_magnetic_laplacian(g)
+    want = eigh(op, 3)
+    monkeypatch.setattr(_blas, "openblas_libraries", lambda: [])
+    got = eigh(op, 3)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+def test_blas_limit_entered_only_below_threshold(monkeypatch):
+    from contextlib import nullcontext
+    import scipy.sparse as sps
+    import scipy.sparse.linalg as spla
+    from sdnet import spectral
+    entered = []
+
+    def spy():
+        entered.append(True)
+        return nullcontext()
+
+    # diag(0, 1, ..., n-1): the k smallest pairs are the first unit vectors
+    monkeypatch.setattr(spla, "eigsh", lambda target, k, **kw: (None, np.eye(target.shape[0], k)))
+    monkeypatch.setattr(spectral, "single_blas_thread", spy)
+    limit = spectral.LANCZOS_THREADED_MIN_N
+    for n, limited in ((limit - 1, True), (limit, False), (limit + 1, False)):
+        entered.clear()
+        op = SpectralMatrix(sps.diags(np.arange(n, dtype=np.float64)), "normalized_laplacian")
+        got = eigh(op, 3)
+        assert np.array_equal(got.values, [0.0, 1.0, 2.0])
+        assert entered == [True] * limited, n
+
+
+@pytest.mark.parametrize("params, method, which", [
+    ({"model": "dsbm", "meta": "cycle", "n": 1000, "k": 3, "p": 0.02, "rho": 1.5, "eta": 0.1},
+     hermitian_imbalance, "largest_abs"),
+    ({"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1, "rho": 1.5, "eta": 0.1,
+      "gamma": 0.1}, signed_magnetic_laplacian, "smallest"),
+])
+def test_single_thread_solve_matches_unlimited_bytes(monkeypatch, params, method, which):
+    # the two operators of the cluster sweeps; largest_abs with odd k picks one
+    # of a +-lambda pair, which a rounding difference could flip. On other
+    # graphs a threaded ARPACK can return a Ritz vector with another phase.
+    from contextlib import nullcontext
+    from sdnet import spectral
+    from sdnet.pipeline import generate_from_params
+    op = method(generate_from_params(params, seed=11).graph)
+    limited = eigh(op, 3, which)
+    monkeypatch.setattr(spectral, "single_blas_thread", nullcontext)
+    unlimited = eigh(op, 3, which)
+    assert limited.values.tobytes() == unlimited.values.tobytes()
+    assert limited.vectors.tobytes() == unlimited.vectors.tobytes()

@@ -1,22 +1,25 @@
 """Time and peak memory of one large signed-magnetic clustering, stage by stage.
 
-Generates an sdsbm f1 graph (n = 100000, p = 20 / n), builds its
-signed magnetic Laplacian, solves it for k = 3 eigenpairs and clusters
-the row-normalized [Re | Im] embedding, printing after each stage its
-wall time and the process's peak RSS so far (``ru_maxrss``). Not part of
+Generates an sdsbm f1 graph (n = 100000 unless given, p = 20 / n),
+builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
+clusters the row-normalized [Re | Im] embedding, printing after each
+stage its wall time and the process's peak RSS so far (``ru_maxrss``).
+The header names each OpenBLAS loaded and its thread count; solves below
+``spectral.LANCZOS_THREADED_MIN_N`` rows run on one of them. Not part of
 the test suite; run it by hand from the root of a source checkout:
 
-    PYTHONPATH=src python tools/scale_probe.py
+    PYTHONPATH=src python tools/scale_probe.py [n]
 """
 
 from __future__ import annotations
 
+import argparse
 import resource
 from time import perf_counter
 
 import numpy as np
 
-from sdnet import spectral
+from sdnet import _blas, spectral
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
 
@@ -29,7 +32,11 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("n", type=int, nargs="?", default=N, help=f"nodes (default {N})")
+    n = ap.parse_args(argv).n
+
     def stage(name, fn, *fn_args):
         t = perf_counter()
         out = fn(*fn_args)
@@ -37,8 +44,13 @@ def main() -> None:
               flush=True)
         return out
 
-    print(f"sdsbm f1, n={N}, p={DEGREE:g}/n, k={K}; peak RSS at start {_peak_mb():.1f} MB")
-    g = stage("generate", lambda: sdsbm(f1_meta(0.0), N, DEGREE / N, seed=1).graph)
+    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
+    for path, get, _ in _blas.openblas_libraries():
+        print(f"OpenBLAS {path}: {get()} threads")
+    limited = "one BLAS thread" if n < spectral.LANCZOS_THREADED_MIN_N else "all BLAS threads"
+    print(f"sdsbm f1, n={n}, p={DEGREE:g}/n, k={K} (eigh on {limited}); "
+          f"peak RSS at start {_peak_mb():.1f} MB")
+    g = stage("generate", lambda: sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph)
     print(f"  m = {g.num_edges}")
     op = stage("signed_magnetic_laplacian", spectral.signed_magnetic_laplacian, g)
     pairs = stage("eigh(k=3)", spectral.eigh, op, K)
