@@ -55,8 +55,9 @@ LANCZOS_V0_KEY = 0x1A2C
 LANCZOS_TOL = 1e-12
 LANCZOS_RESIDUAL_RTOL = 1e-10
 # sparse solves below this many rows run on one BLAS thread; measured on
-# 2 cores, one thread solves n = 1000 3x faster, ties at n = 10,000 and
-# is 10-15% slower from n = 30,000
+# 2 cores (tools/scale_probe.py N), one thread solves n = 1000 3x faster,
+# ties at n = 10,000, and is ~13% slower at n = 30,000 and ~17% slower
+# at n = 100,000
 LANCZOS_THREADED_MIN_N = 10_000
 
 
