@@ -4,8 +4,10 @@
 The embedding computes the method's vectors as its ``EMBEDDINGS`` entry
 says (an operator and the eigenpairs to keep: smallest for Laplacian
 kinds, largest by absolute eigenvalue for the Hermitian imbalance
-operator; or a ``graph`` feature function), stacks real and imaginary
-parts of complex ones and row-normalizes; it holds the one eigensolve.
+operator; or a ``graph`` feature function, which for
+``hermitian_spectral`` returns the complex vectors themselves), stacks
+real and imaginary parts of complex ones and row-normalizes; it holds
+the one eigensolve.
 ``cluster_embedding`` runs k-means on it; soft assignments come from a
 softmax over negated distances to the final centroids (temperature 1),
 and hard labels feed the metrics.
@@ -24,9 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import spectral as sp
-from .graph import (SignedDirectedGraph, _fix_phase, _fix_sign,
-                    hermitian_spectral_features, signed_degree_features,
-                    signed_spectral_features)
+from .graph import (SignedDirectedGraph, _fix_phase, _fix_sign, _hermitian_vectors,
+                    signed_degree_features, signed_spectral_features)
 from .metrics import SoftAssignment
 from .rng import stream
 
@@ -39,13 +40,6 @@ class Embedding(NamedTuple):
     build: Callable | None = None
     which: str = "smallest"
     features: Callable | None = None
-
-
-def _as_complex(stacked: np.ndarray) -> np.ndarray:
-    """z from its [Re | Im] halves, bit for bit (-0.0 included)."""
-    z = stacked[:, :stacked.shape[1] // 2].astype(np.complex128)
-    z.imag = stacked[:, z.shape[1]:]
-    return z
 
 
 # Builders and feature functions are looked up when an entry is called,
@@ -65,8 +59,8 @@ EMBEDDINGS = {
     "signed_spectral": Embedding(False, features=lambda g, k, tau: (
         signed_spectral_features(g, k, tau=tau).values)),
     # dense on purpose: the sparse operator would load scipy in link prediction
-    "hermitian_spectral": Embedding(True, features=lambda g, k, tau: _as_complex(
-        hermitian_spectral_features(g, k).values)),
+    "hermitian_spectral": Embedding(
+        True, features=lambda g, k, tau: _hermitian_vectors(g, k)),
     "signed_degree": Embedding(False, features=lambda g, k, tau: (
         signed_degree_features(g).values)),
 }

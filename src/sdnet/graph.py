@@ -299,7 +299,7 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     a = g.adjacency()
     a_s = (a + a.T) / 2.0
     dbar = float(np.abs(a_s).sum(axis=1).mean())
-    reg = a_s + tau * (dbar / n) * np.ones((n, n))
+    reg = a_s + tau * (dbar / n)  # the J term as a scalar: c * 1.0 == c
     if not reg.any():
         warnings.warn("regularized adjacency is identically zero; "
                       "spectral features are degenerate", RuntimeWarning)
@@ -308,29 +308,56 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     return FeatureMatrix(_fix_sign(top), "signed_spectral")
 
 
-def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix:
-    """Stacked real/imaginary parts of top eigenvectors of i(A - A^T).
+def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
+    """Phase-fixed complex columns of ``hermitian_spectral_features``.
 
-    Eigenvectors are ranked by absolute eigenvalue; ones whose eigenvalue
-    is negligible relative to ||H||_F carry no imbalance information and
-    are zeroed. Each kept column is rotated so its first nonzero entry is
-    real positive; output is the n x 2k matrix [Re | Im].
+    With S = A - A^T real antisymmetric, (iS)^2 = S^T S, and iS pairs
+    each eigenvalue +sigma with -sigma, whose vector is the conjugate.
+    So the top p = ceil(k/2) pairs are solved in real arithmetic: the top
+    2p eigenvectors Q of S^T S span them, and the 2p x 2p Hermitian
+    i Q^T S Q (Rayleigh-Ritz) gives the p positive sigma and their
+    vectors v = Q r. Columns are [v_1, conj v_1, v_2, conj v_2, ...][:k]:
+    an odd k keeps the +sigma member of its last pair.
     """
+    from .spectral import NumericError  # spectral imports this module
     n = g.num_nodes
     if n == 0:
         raise ValueError("cannot build spectral features on an empty graph")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     a = g.adjacency()
-    h = 1j * (a - a.T)
-    vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(-np.abs(vals), kind="stable")[:k]
-    sel = vecs[:, order]
-    scale = np.linalg.norm(h)
-    keep = np.abs(vals[order]) > 1e-12 * scale
-    sel = sel * keep[np.newaxis, :]
-    sel = _fix_phase(sel)
-    return FeatureMatrix(np.hstack([sel.real, sel.imag]), "hermitian_spectral")
+    s = a - a.T
+    p = (k + 1) // 2
+    _, vecs = np.linalg.eigh(s.T @ s)
+    q = vecs[:, ::-1][:, :min(2 * p, n)]
+    sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
+    sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
+    keep = sigma > 1e-12 * np.linalg.norm(s)
+    kept = v[:, keep]
+    s_kept = s @ kept.real + 1j * (s @ kept.imag)  # no complex copy of s
+    residual = np.linalg.norm(1j * s_kept - kept * sigma[keep], axis=0)
+    bound = 1e-10 * max(1.0, float(np.abs(s).sum(axis=1).max()))
+    if not np.all(residual <= bound):
+        raise NumericError(f"Hermitian feature eigenpairs (n={n}, k={k}) have "
+                           f"residual {residual.max():.3g} above {bound:.3g}")
+    v = _fix_phase(v * keep[np.newaxis, :])
+    return np.stack([v, v.conj()], axis=2).reshape(n, 2 * p)[:, :k]
+
+
+def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix:
+    """Stacked real/imaginary parts of top eigenvectors of i(A - A^T).
+
+    Eigenvectors are ranked by absolute eigenvalue. The spectrum is
+    symmetric, so they come in pairs: the vector v of +sigma, rotated so
+    its first nonzero entry is real positive, then conj v, the vector of
+    -sigma; an odd k keeps v of its last pair. Pairs whose sigma is
+    negligible relative to ||A - A^T||_F carry no imbalance information
+    and are zeroed. Output is the n x 2k matrix [Re | Im]. The pairs come
+    from one real symmetric eigenproblem (see ``_hermitian_vectors``); a
+    residual above 1e-10 * max(1, ||A - A^T||_inf) raises NumericError.
+    """
+    z = _hermitian_vectors(g, k)
+    return FeatureMatrix(np.hstack([z.real, z.imag]), "hermitian_spectral")
 
 
 def signed_degree_counts(g: SignedDirectedGraph) -> np.ndarray:

@@ -209,29 +209,37 @@ def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
     return float(2.0 * total / (k * (k - 1)))
 
 
-def _signed_support(g: SignedDirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized positive/negative 0-1 supports, diagonal removed."""
-    a = g.adjacency()
-    a_s = (a + a.T) / 2.0
-    np.fill_diagonal(a_s, 0.0)
-    return (a_s > 0).astype(np.float64), (a_s < 0).astype(np.float64)
-
-
 def balanced_triangle_ratio(g: SignedDirectedGraph) -> float:
     """Fraction of triangles with an even number of negative edges.
 
     Triangles live on the symmetrized support; reciprocal edges whose
-    weights cancel exactly drop out of the support. Counting uses matrix
-    traces, exact for 0-1 supports at this scale.
+    weights cancel exactly drop out of the support. Each support edge
+    points from its endpoint of lower (degree, id) rank to the higher, so
+    a node has O(sqrt m) out-neighbours; every pair of out-edges of a
+    node is a wedge, closed when its far ends are an edge too (a binary
+    search over the sorted edge codes). O(m^1.5) time, exact counts.
     """
-    pos, neg = _signed_support(g)
-    pp = pos @ pos
-    nn = neg @ neg
-    t0 = np.trace(pos @ pp) / 6.0
-    t1 = np.trace(neg @ pp) / 2.0
-    t2 = np.trace(pos @ nn) / 2.0
-    t3 = np.trace(neg @ nn) / 6.0
-    total = t0 + t1 + t2 + t3
-    if round(total) == 0:
+    n = g.num_nodes
+    lo, hi, a_lh, a_hl = symmetric_pairs(g)
+    a_s = (a_lh + a_hl) / 2.0
+    cut = (lo != hi) & (a_s != 0.0)
+    lo, hi, neg = lo[cut], hi[cut], (a_s[cut] < 0).astype(np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n),
+                    kind="stable")] = np.arange(n)
+    u, w = np.minimum(rank[lo], rank[hi]), np.maximum(rank[lo], rank[hi])
+    codes = u * n + w
+    order = np.argsort(codes)
+    codes, u, w, neg = codes[order], u[order], w[order], neg[order]
+    # edge e pairs with the later out-edges of its row: end[u] - e - 1 of them
+    later = np.cumsum(np.bincount(u, minlength=n))[u] - np.arange(codes.size) - 1
+    first = np.repeat(np.arange(codes.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    close = w[first] * n + w[second]
+    at = np.minimum(np.searchsorted(codes, close), codes.size - 1)
+    hit = codes[at] == close
+    counts = np.bincount((neg[first] + neg[second] + neg[at])[hit], minlength=4)
+    total = counts.sum()
+    if total == 0:
         raise ValueError("graph has no triangles")
-    return float((t0 + t2) / total)
+    return float((counts[0] + counts[2]) / total)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+import sdnet.cluster as cluster
 from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_labels,
-                         is_directed,
+                         _fix_phase, _fix_sign, _hermitian_vectors, is_directed,
                          is_signed, largest_weakly_connected_component,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
                          hermitian_spectral_features, standardize_columns)
-from sdnet.generators import ssbm, dsbm, meta_graph, signed_erdos_renyi
+from sdnet.generators import f1_meta, sdsbm, ssbm, dsbm, meta_graph, signed_erdos_renyi
 from sdnet.cluster import kmeans
+from sdnet.pipeline import linkpred_run
+from sdnet.spectral import NumericError
 
 
 def G(n, edges, **kw):
@@ -196,6 +199,24 @@ def test_signed_spectral_eigen_residual_property():
     assert np.abs(res).max() <= 1e-8 * np.linalg.norm(a)
 
 
+def test_signed_spectral_scalar_shift_keeps_the_bytes():
+    def old_formula(g, k, tau):  # the n x n all-ones term, as it was written
+        n = g.num_nodes
+        a = g.adjacency()
+        a_s = (a + a.T) / 2.0
+        dbar = float(np.abs(a_s).sum(axis=1).mean())
+        reg = a_s + tau * (dbar / n) * np.ones((n, n))
+        _, vecs = np.linalg.eigh(reg)
+        return _fix_sign(vecs[:, ::-1][:, :k])
+
+    for g in (ssbm(60, 3, 0.3, 0.1, eta=0.1, seed=2).graph,
+              sdsbm(f1_meta(0.1), 120, 0.1, eta=0.1, seed=3).graph):
+        for tau in (0.0, 0.25, 0.7):
+            want = old_formula(g, 5, tau)
+            assert signed_spectral_features(g, 5, tau=tau).values.tobytes() == \
+                want.tobytes()
+
+
 def test_signed_spectral_errors():
     with pytest.raises(ValueError):
         signed_spectral_features(G(3, []), 4)
@@ -205,8 +226,11 @@ def test_signed_spectral_errors():
 
 def test_hermitian_features_zero_for_undirected():
     g = G(4, [(0, 1, 1.0), (1, 0, 1.0), (2, 3, -2.0), (3, 2, -2.0)])
-    feats = hermitian_spectral_features(g, 2).values
-    assert feats.shape == (4, 4)
+    for k in (1, 2, 3, 4):
+        feats = hermitian_spectral_features(g, k).values
+        assert feats.shape == (4, 2 * k)
+        assert np.all(feats == 0.0)
+    feats = hermitian_spectral_features(ssbm(60, 2, 0.3, 0.1, seed=1).graph, 3).values
     assert np.all(feats == 0.0)
 
 
@@ -229,6 +253,123 @@ def test_hermitian_features_separate_cyclic_clusters():
     feats = hermitian_spectral_features(inst.graph, 2).values
     pred = kmeans(feats, 3, seed=0)
     assert ari(inst.labels, pred) == 1.0
+
+
+# ------------------------------------- hermitian features vs the dense oracle
+
+def dense_hermitian_pairs(g, k):
+    """The complex n x n eigh the real solve replaced: eigenvalues and
+    phase-fixed vectors of i(A - A^T), top k by |value|, negligible ones
+    zeroed."""
+    a = g.adjacency()
+    h = 1j * (a - a.T)
+    vals, vecs = np.linalg.eigh(h)
+    order = np.argsort(-np.abs(vals), kind="stable")[:k]
+    sel = vecs[:, order]
+    scale = np.linalg.norm(h)
+    keep = np.abs(vals[order]) > 1e-12 * scale
+    return vals[order], _fix_phase(sel * keep[np.newaxis, :])
+
+
+def _hermitian_graphs():
+    return {
+        "c8b": dsbm(meta_graph("cycle", 3), 500, 3, 0.1, seed=0).graph,
+        "signed_directed": sdsbm(f1_meta(0.1), 120, 0.1, eta=0.1, seed=3).graph,
+        "unsigned_directed": dsbm(meta_graph("cycle", 3), 120, 3, 0.1, seed=4).graph,
+        "single_edge": G(2, [(0, 1, 1.0)]),
+    }
+
+
+def _rayleigh(g, z):
+    a = g.adjacency()
+    h = 1j * (a - a.T)
+    return np.einsum("ij,ij->j", z.conj(), h @ z).real
+
+
+def test_hermitian_features_match_dense_oracle():
+    for name, g in _hermitian_graphs().items():
+        a = g.adjacency()
+        scale = np.linalg.norm(a - a.T)
+        for k in (1, 2, 3, 4, 8):
+            if k > g.num_nodes:
+                continue
+            want_vals, want = dense_hermitian_pairs(g, k)
+            z = _hermitian_vectors(g, k)
+            feats = hermitian_spectral_features(g, k).values
+            assert feats.tobytes() == np.hstack([z.real, z.imag]).tobytes()
+            assert np.allclose(np.linalg.norm(z, axis=0), 1.0, atol=1e-12)
+            vals = _rayleigh(g, z)
+            assert np.all(np.abs(np.sort(np.abs(vals)) - np.sort(np.abs(want_vals)))
+                          <= 1e-12 * scale), (name, k)
+            # +sigma then its conjugate -sigma, pair by pair
+            assert np.all(z[:, 1::2] == z[:, 0:2 * (k // 2):2].conj()), (name, k)
+            assert np.all(vals[0::2] > 0) and np.all(vals[1::2] < 0), (name, k)
+            assert np.all(np.diff(vals[0::2]) <= 1e-12 * scale), (name, k)
+            if k % 2 == 0:
+                gap = np.abs(z @ z.conj().T - want @ want.conj().T).max()
+                assert gap <= 1e-10, (name, k, gap)
+
+
+def test_hermitian_features_odd_k_keeps_the_positive_member():
+    g = _hermitian_graphs()["c8b"]
+    for k in (1, 3, 5):
+        z = _hermitian_vectors(g, k)
+        last = _rayleigh(g, z[:, -1:])[0]
+        top = np.sort(np.abs(dense_hermitian_pairs(g, k)[0]))[-1 - (k - 1) // 2 * 2]
+        assert last > 0 and abs(last - top) <= 1e-10 * top, (k, last, top)
+        # the first k - 1 columns span what the dense k - 1 columns span
+        if k > 1:
+            _, want = dense_hermitian_pairs(g, k - 1)
+            gap = np.abs(z[:, :-1] @ z[:, :-1].conj().T - want @ want.conj().T).max()
+            assert gap <= 1e-10, (k, gap)
+
+
+def test_hermitian_features_solve_no_complex_problem_above_2p(monkeypatch):
+    seen = []
+    real_eigh = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        seen.append((np.iscomplexobj(m), m.shape))
+        return real_eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    g = _hermitian_graphs()["unsigned_directed"]
+    for k in (1, 3, 8):
+        seen.clear()
+        _hermitian_vectors(g, k)
+        p = (k + 1) // 2
+        assert seen == [(False, (120, 120)), (True, (2 * p, 2 * p))], (k, seen)
+
+
+def test_hermitian_features_reject_a_perturbed_basis(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def perturbed(m, *args, **kwargs):
+        vals, vecs = real_eigh(m, *args, **kwargs)
+        if np.iscomplexobj(m):
+            return vals, vecs
+        noise = np.random.default_rng(0).standard_normal(vecs.shape)
+        return vals, np.linalg.qr(vecs + 1e-6 * noise)[0]
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    g = _hermitian_graphs()["unsigned_directed"]
+    with pytest.raises(NumericError, match=r"n=120, k=4"):
+        hermitian_spectral_features(g, 4)
+
+
+def test_hermitian_features_keep_dp_accuracy(monkeypatch):
+    g = _hermitian_graphs()["c8b"]
+
+    def accuracies():
+        return [linkpred_run(g, "DP", embed_method="hermitian_spectral",
+                             embed_dim=k, seeds=range(5)).aggregate()[(0.0, "accuracy")][0]
+                for k in (3, 8)]
+
+    got = accuracies()
+    monkeypatch.setattr(cluster, "_hermitian_vectors",
+                        lambda g, k: dense_hermitian_pairs(g, k)[1])
+    want = accuracies()
+    assert np.allclose(got, want, rtol=0.0, atol=1e-9), (got, want)
 
 
 # ------------------------------------------------------------- degree feats

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnet.generators import dsbm, meta_graph, ssbm
+from sdnet.generators import dsbm, f1_meta, meta_graph, pol_ssbm, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.metrics import (MetricReport, SoftAssignment, accuracy, ari, auc,
                            balanced_triangle_ratio, macro_f1, pbnc_loss,
@@ -276,14 +276,36 @@ def triangle_brute_force(g):
     return balanced, total
 
 
+def dense_balanced_triangle_ratio(g):
+    """The dense n x n trace form the sparse wedge count replaced."""
+    a = g.adjacency()
+    a_s = (a + a.T) / 2.0
+    np.fill_diagonal(a_s, 0.0)
+    pos, neg = (a_s > 0).astype(np.float64), (a_s < 0).astype(np.float64)
+    pp = pos @ pos
+    nn = neg @ neg
+    t0 = np.trace(pos @ pp) / 6.0
+    t1 = np.trace(neg @ pp) / 2.0
+    t2 = np.trace(pos @ nn) / 2.0
+    t3 = np.trace(neg @ nn) / 6.0
+    total = t0 + t1 + t2 + t3
+    if round(total) == 0:
+        raise ValueError("graph has no triangles")
+    return float((t0 + t2) / total)
+
+
 def test_triangle_examples():
     tri = undirected(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    assert balanced_triangle_ratio(tri) == 1.0
     tri_neg = undirected(3, [(0, 1, -1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    assert balanced_triangle_ratio(tri_neg) == 0.0
     two = undirected(5, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                          (2, 3, -1.0), (3, 4, 1.0), (2, 4, 1.0)])
-    assert balanced_triangle_ratio(two) == pytest.approx(0.5)
+    # directed edges, a self-loop and a cancelling reciprocal pair: the
+    # support is {01, 12, 02, 23, 13} minus the cancelled 23
+    mixed = G(4, [(0, 1, 1.0), (2, 1, -0.5), (0, 2, 2.0), (0, 0, -1.0),
+                  (2, 3, 1.5), (3, 2, -1.5), (1, 3, -1.0)])
+    for g, want in ((tri, 1.0), (tri_neg, 0.0), (two, 0.5), (mixed, 0.0)):
+        assert balanced_triangle_ratio(g) == want
+        assert dense_balanced_triangle_ratio(g) == want
 
 
 def test_triangle_matches_brute_force():
@@ -294,11 +316,26 @@ def test_triangle_matches_brute_force():
             continue
         assert balanced_triangle_ratio(inst.graph) == pytest.approx(
             balanced / total, abs=1e-12)
+        assert balanced_triangle_ratio(inst.graph) == \
+            dense_balanced_triangle_ratio(inst.graph)
+
+
+def test_triangle_matches_dense_traces():
+    graphs = [ssbm(200, 3, 0.1, 0.05, eta=0.1, seed=s).graph for s in range(2)]
+    graphs += [sdsbm(f1_meta(0.1), 300, 0.05, eta=0.1, seed=s).graph for s in range(2)]
+    graphs += [pol_ssbm(300, 2, 0.05, eta=0.1, seed=s).graph for s in range(2)]
+    graphs.append(dsbm(meta_graph("cycle", 3), 150, 3, 0.1, seed=0).graph)
+    for g in graphs:
+        assert balanced_triangle_ratio(g) == dense_balanced_triangle_ratio(g)
 
 
 def test_triangle_no_triangles_error():
-    with pytest.raises(ValueError):
-        balanced_triangle_ratio(undirected(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+    for g in (undirected(3, [(0, 1, 1.0), (1, 2, 1.0)]), G(0, []),
+              # the cancelled pair 0-2 leaves a path, not a triangle
+              G(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 0, -1.0)])):
+        for fn in (balanced_triangle_ratio, dense_balanced_triangle_ratio):
+            with pytest.raises(ValueError, match="graph has no triangles"):
+                fn(g)
 
 
 def test_metric_report():
