@@ -46,9 +46,12 @@ class SignedDirectedGraph:
                 raise ValueError("edge endpoints out of range")
             if not np.all(np.isfinite(weight)) or np.any(weight == 0.0):
                 raise ValueError("edge weights must be finite and nonzero")
-            codes = np.sort(src * n + dst)
-            if np.any(codes[1:] == codes[:-1]):
-                raise ValueError("duplicate ordered edge (multi-edges not supported)")
+            # strictly ascending codes are distinct without a sort
+            codes = src * n + dst
+            if not np.all(codes[1:] > codes[:-1]):
+                codes = np.sort(codes)
+                if np.any(codes[1:] == codes[:-1]):
+                    raise ValueError("duplicate ordered edge (multi-edges not supported)")
         feats = self.features
         if feats is not None:
             feats = np.asarray(feats, dtype=np.float64)
@@ -234,16 +237,33 @@ def symmetric_pairs(g: SignedDirectedGraph):
     keep their cell, unlike the support of a summed A + A^T.
     """
     n = max(g.num_nodes, 1)
-    lo = np.minimum(g.src, g.dst)
-    hi = np.maximum(g.src, g.dst)
-    cells, inv = np.unique(lo * n + hi, return_inverse=True)
+    ranked, order = _sorted_pair_codes(g)
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    cells = ranked[new]
+    cell = np.empty(ranked.size, dtype=np.int64)  # each edge's cell
+    cell[order] = np.cumsum(new) - 1
     a_lh = np.zeros(cells.size)
     a_hl = np.zeros(cells.size)
     up = g.src <= g.dst
-    a_lh[inv[up]] = g.weight[up]
+    a_lh[cell[up]] = g.weight[up]
     down = g.src >= g.dst
-    a_hl[inv[down]] = g.weight[down]
+    a_hl[cell[down]] = g.weight[down]
     return cells // n, cells % n, a_lh, a_hl
+
+
+def _sorted_pair_codes(g: SignedDirectedGraph):
+    """Unordered-pair codes lo * n + hi of the edges, ascending, and their order.
+
+    Returns (ranked, order) with ranked = codes[order]. A code appears
+    twice for a reciprocal pair and once otherwise; which of the two
+    edges comes first is left to the (unstable) sort.
+    """
+    n = max(g.num_nodes, 1)
+    codes = np.minimum(g.src, g.dst) * n + np.maximum(g.src, g.dst)
+    order = np.argsort(codes)
+    return codes[order], order
 
 
 def pair_row_sums(num_nodes: int, lo: np.ndarray, hi: np.ndarray,

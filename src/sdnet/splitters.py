@@ -18,6 +18,13 @@ Conventions shared by the link tasks:
 * Non-edge negatives are sampled uniformly without replacement; their
   count is the mean size of the nonempty edge classes (floored).
 * Self-loops never become queries; they always stay observable.
+
+The enumeration keeps, for each query, the index of the stored edge it
+came from (-1 for a sampled non-edge). The observed graph drops the
+edges of validation and test queries by that index, and the forest
+lock reads it too. Set operations on pairs run on int64 codes u * n + v
+by sorts, adjacent comparisons and binary searches; numpy's hash-based
+``np.unique`` and its stable mergesort cost several times more.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph, _jump_to_roots, symmetric_pairs
+from .graph import SignedDirectedGraph, _jump_to_roots, _sorted_pair_codes
 from .rng import stream
 
 LINK_TASKS = ("SP", "DP", "EP", "3C", "4C", "5C")
@@ -178,13 +185,21 @@ class LinkTaskSplit:
             object.__setattr__(self, f"{fold}_labels", labels)
         every = np.concatenate(folds)
         if every.size:
-            # equal codes sort next to each other, in fold order (stable);
-            # repeats inside one fold are allowed, a code in two folds is not
-            low = every.min()
-            codes = (every[:, 0] - low) * (every.max() - low + 1) + (every[:, 1] - low)
-            which = np.repeat(np.arange(3), [p.shape[0] for p in folds])
-            order = np.argsort(codes, kind="stable")
-            codes, which = codes[order], which[order]
+            # pack (pair code, fold) into one int64 so that one sort puts equal
+            # codes next to each other in fold order; repeats inside one fold
+            # are allowed, a code in two folds is not
+            low = int(every.min())
+            span = int(every.max()) - low + 1
+            if 3 * span * span >= 2 ** 63:
+                raise ValueError(f"query node ids span {span} values, too many "
+                                 "to pack a pair and its fold into int64")
+            packed = every[:, 0] - low
+            packed *= span
+            packed += every[:, 1] - low
+            packed *= 3
+            packed += np.repeat(np.arange(3), [p.shape[0] for p in folds])
+            packed.sort()
+            codes, which = np.divmod(packed, 3)
             if np.any((codes[1:] == codes[:-1]) & (which[1:] != which[:-1])):
                 raise ValueError("query pairs must be disjoint across folds")
         object.__setattr__(self, "discarded_pairs",
@@ -197,34 +212,61 @@ def spanning_forest(g: SignedDirectedGraph) -> np.ndarray:
     Every edge that is not a self-loop gets a distinct rank: descending
     |weight|, ties broken by (src, dst). Distinct ranks make the
     minimum-rank spanning forest unique, so it is exactly the forest
-    Kruskal's greedy pass over that order keeps. It is found by Borůvka
-    rounds: drop the edges inside a component, take each component's
-    minimum-rank edge, hook the component to that edge's other end and
-    jump pointers to the new roots. Each round at least halves the
-    number of components. Returns the n - #components chosen indices as
-    an ascending int64 array; self-loops are never chosen.
+    Kruskal's greedy pass over that order keeps. That pass keeps the
+    same edges when it runs over the 2n best-ranked edges first and then
+    over the rest with their ends relabelled by component, so the forest
+    is grown in these two windows by Borůvka rounds (``_boruvka``); most
+    edges of the second join nodes already joined by the first. Returns
+    the n - #components chosen indices as an ascending int64 array;
+    self-loops are never chosen.
     """
     # the order of np.lexsort((dst, src, -|w|)) in two cheaper sorts: by the
     # distinct pair codes, then stably by -|w|
     order = np.argsort(g.src * g.num_nodes + g.dst)
     order = order[np.argsort(-np.abs(g.weight[order]), kind="stable")]
     order = order[g.src[order] != g.dst[order]]
-    # component of each end; edges stay in rank order, so position is rank
-    cu, cv = g.src[order], g.dst[order]
+    label = np.arange(g.num_nodes)  # component of every node
     chosen = [np.zeros(0, dtype=np.int64)]
+    cut = 2 * g.num_nodes
+    for window in (order[:cut], order[cut:]):
+        root = _boruvka(g.num_nodes, window, label[g.src[window]],
+                        label[g.dst[window]], chosen)
+        label = root[label]
+    # a mutually chosen edge was appended twice
+    chosen = np.sort(np.concatenate(chosen))
+    return np.concatenate([chosen[:1], chosen[1:][chosen[1:] != chosen[:-1]]])
+
+
+def _boruvka(n, order, cu, cv, chosen):
+    """Borůvka rounds over the edges ``order``, given in rank order.
+
+    ``cu`` and ``cv`` are the components of their ends. Each round passes
+    over the edges inside a component, takes each component's
+    minimum-rank edge, hooks the component to that edge's other end and
+    jumps pointers to the new roots; it at least halves the number of
+    components. Appends each round's edges to ``chosen`` and returns the
+    final root of every component label.
+    """
+    relabel = np.arange(n)
     while True:
         live = cu != cv
-        if not live.any():
-            return np.unique(np.concatenate(chosen))
-        order, cu, cv = order[live], cu[live], cv[live]
-        best = np.full(g.num_nodes, order.size)
-        pos = np.arange(order.size)
-        np.minimum.at(best, cu, pos)
-        np.minimum.at(best, cv, pos)
+        alive = int(np.count_nonzero(live))
+        if not alive:
+            return relabel
+        rank = np.arange(live.size)  # edges stay in rank order
+        if 4 * alive < 3 * live.size:
+            # drop the edges inside a component once they are a quarter
+            order, cu, cv, rank = order[live], cu[live], cv[live], rank[:alive]
+        elif alive < live.size:
+            # until then they stay, ranked behind every live edge
+            rank[~live] = live.size
+        best = np.full(n, order.size)
+        np.minimum.at(best, cu, rank)
+        np.minimum.at(best, cv, rank)
         comps = np.nonzero(best < order.size)[0]
         e = best[comps]
         other = np.where(cu[e] == comps, cv[e], cu[e])
-        parent = np.arange(g.num_nodes, dtype=np.int64)
+        parent = np.arange(n, dtype=np.int64)
         parent[comps] = other
         # two components that chose the same edge point at each other:
         # the smaller one becomes the root
@@ -233,6 +275,7 @@ def spanning_forest(g: SignedDirectedGraph) -> np.ndarray:
         chosen.append(order[e])
         root = _jump_to_roots(parent)
         cu, cv = root[cu], root[cv]
+        relabel = root[relabel]
 
 
 def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
@@ -264,71 +307,94 @@ def _sample_nonedges(rng, n, count, forbidden, ordered):
         available = n * (n - 1) // 2 - forbidden.size
     if count > available:
         raise ValueError(f"insufficient non-edges: need {count}, have {available}")
-    picked = np.zeros(0, dtype=np.int64)
-    while picked.size < count:
-        draw = rng.integers(n, size=2 * (count - picked.size))
+    taken = forbidden  # ascending: the forbidden and the accepted codes
+    picked = [np.zeros(0, dtype=np.int64)]
+    need = count
+    while need:
+        draw = rng.integers(n, size=2 * need)
         u, v = draw[0::2], draw[1::2]
         loop = u == v
         u, v = u[~loop], v[~loop]
         if not ordered:
             u, v = np.minimum(u, v), np.maximum(u, v)
         codes = u * n + v
-        codes = codes[~_in_sorted(codes, forbidden) & ~_in_sorted(codes, np.sort(picked))]
-        _, first = np.unique(codes, return_index=True)
-        picked = np.concatenate([picked, codes[np.sort(first)]])
-    return np.column_stack(np.divmod(picked, n))
+        if not codes.size:
+            continue
+        order = np.argsort(codes)
+        ranked = codes[order]
+        starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+        distinct = ranked[starts]
+        # the first draw of each code, whatever order the sort left ties in
+        first = np.minimum.reduceat(order, starts)
+        fresh = ~_in_sorted(distinct, taken)
+        accepted = codes[np.sort(first[fresh])]
+        picked.append(accepted)
+        need -= accepted.size
+        if need:
+            taken = np.sort(np.concatenate([taken, distinct[fresh]]))
+    return np.column_stack(np.divmod(np.concatenate(picked), n))
+
+
+def _oriented(u, v, flip):
+    """Rows (u, v), each turned into (v, u) where ``flip`` is set.
+
+    An xor swap: u ^ (u ^ v) == v. A select on a random mask costs
+    several times more.
+    """
+    swap = (u ^ v) * flip
+    return np.column_stack([u ^ swap, v ^ swap])
 
 
 def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
     """Candidate (query, label) samples plus discarded ambiguous pairs.
 
-    Returns int64 arrays (pairs, labels, underlying, discarded): k x 2
-    queries, their k labels, the k x 2 stored edges they came from
-    ((-1, -1) for non-edges) and the d x 2 reciprocal pairs (a < b)
-    that were discarded.
+    Returns int64 arrays (pairs, labels, edge, discarded): k x 2 queries,
+    their k labels, the index into ``g``'s edge arrays of the stored edge
+    each query came from (-1 for a sampled non-edge) and the d x 2
+    reciprocal pairs (a < b) that were discarded.
     """
     n = g.num_nodes
     discarded = np.zeros((0, 2), dtype=np.int64)
     if task in ("SP", "EP"):
-        edge = g.src != g.dst
+        edge = np.flatnonzero(g.src != g.dst)
         under = np.column_stack([g.src[edge], g.dst[edge]])
         if task == "SP":
-            return under, np.where(g.weight[edge] > 0, 0, 1), under, discarded
+            return under, np.where(g.weight[edge] > 0, 0, 1), edge, discarded
         forbidden = np.sort(under[:, 0] * n + under[:, 1])
-        non = _sample_nonedges(rng, n, under.shape[0], forbidden, ordered=True)
+        non = _sample_nonedges(rng, n, edge.size, forbidden, ordered=True)
         queries = np.concatenate([under, non])
-        labels = np.repeat(np.array([0, 1]), [under.shape[0], non.shape[0]])
-        underlying = np.concatenate([under, np.full_like(non, -1)])
-        return queries, labels, underlying, discarded
+        labels = np.repeat(np.array([0, 1]), [edge.size, non.shape[0]])
+        return queries, labels, np.concatenate([edge, np.full(non.shape[0], -1)]), discarded
 
     # DP / 3C / 4C / 5C share the direction-bearing enumeration over the
     # unordered pairs, in ascending (a, b) order
-    lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    off = lo != hi
-    lo, hi, a_lh, a_hl = lo[off], hi[off], a_lh[off], a_hl[off]
-    both = (a_lh != 0) & (a_hl != 0)
-    discarded = np.column_stack([lo[both], hi[both]])
-    a, b, a_lh, a_hl = lo[~both], hi[~both], a_lh[~both], a_hl[~both]
-    fwd = a_lh != 0
-    under = np.column_stack([np.where(fwd, a, b), np.where(fwd, b, a)])
-    w = np.where(fwd, a_lh, a_hl)
-    flip = rng.random(a.size) < 0.5
-    queries = np.where(flip[:, None], under[:, ::-1], under)
+    ranked, order = _sorted_pair_codes(g)
+    off = (g.src != g.dst)[order]
+    # a code held by two edges is a reciprocal pair; a kept code holds one
+    same = ranked[1:] == ranked[:-1]
+    twin = np.zeros(ranked.size, dtype=bool)
+    twin[1:] = same
+    twin[:-1] |= same
+    discarded = np.column_stack(np.divmod(ranked[1:][same], n))
+    edge = order[off & ~twin]
+    flip = rng.random(edge.size) < 0.5
+    queries = _oriented(g.src[edge], g.dst[edge], flip)
     labels = flip.astype(np.int64)
     if task in ("4C", "5C"):
-        labels += np.where(w < 0, 2, 0)
+        labels += 2 * (g.weight[edge] < 0)
     if task in ("3C", "5C"):
         nonedge_label = 2 if task == "3C" else 4
         present = np.bincount(labels, minlength=nonedge_label)[:nonedge_label]
         nonempty = int(np.count_nonzero(present))
         count = labels.size // nonempty if nonempty else 0
-        non = _sample_nonedges(rng, n, count, lo * n + hi, ordered=False)
-        swap = rng.random(count) < 0.5
-        non = np.where(swap[:, None], non[:, ::-1], non)
+        cells = off.copy()
+        cells[1:] &= ~same
+        non = _sample_nonedges(rng, n, count, ranked[cells], ordered=False)
+        non = _oriented(non[:, 0], non[:, 1], rng.random(count) < 0.5)
         queries = np.concatenate([queries, non])
         labels = np.concatenate([labels, np.full(count, nonedge_label)])
-        under = np.concatenate([under, np.full_like(non, -1)])
-    return queries, labels, under, discarded
+        edge = np.concatenate([edge, np.full(count, -1)])
+    return queries, labels, edge, discarded
 
 
 def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
@@ -348,7 +414,7 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
     if prob_val < 0 or prob_test < 0 or prob_val + prob_test >= 1:
         raise ValueError("need prob_val + prob_test < 1 and both nonnegative")
     rng = stream(seed)
-    query_arr, label_arr, under_arr, discarded = _enumerate_candidates(g, task, rng)
+    query_arr, label_arr, edge_arr, discarded = _enumerate_candidates(g, task, rng)
     names = LABEL_NAMES[task]
     class_counts = np.bincount(label_arr, minlength=len(names))
     for cls, cnt in enumerate(class_counts):
@@ -356,18 +422,25 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
             raise ValueError(
                 f"task {task}: class {names[cls]!r} has no samples after discarding")
 
-    n = g.num_nodes
-    u, v = under_arr[:, 0], under_arr[:, 1]
-    fold = np.zeros(label_arr.size, dtype=np.int64)
+    m = g.num_edges
+    fold = np.zeros(label_arr.size, dtype=np.int8)
     locked = np.zeros(label_arr.size, dtype=bool)
     if maintain_connectedness:
+        # one flag per stored edge and a last, never set, that the -1 of a
+        # sampled non-edge reads
+        tied = np.zeros(m + 1, dtype=bool)
         forest = spanning_forest(g)
-        fs, fd = g.src[forest], g.dst[forest]
-        forest_codes = np.minimum(fs, fd) * n + np.maximum(fs, fd)
-        locked = (u >= 0) & _in_sorted(np.minimum(u, v) * n + np.maximum(u, v),
-                                       np.sort(forest_codes))
-    for cls in range(len(names)):
-        idx = np.nonzero(label_arr == cls)[0]
+        tied[forest] = True
+        if task in ("SP", "EP"):
+            # the lock holds the unordered pair, so the reverse of a forest
+            # edge is locked too; the other tasks discard reciprocal pairs
+            n = g.num_nodes
+            tied[:m] |= _in_sorted(g.src * n + g.dst,
+                                   np.sort(g.dst[forest] * n + g.src[forest]))
+        locked = tied[edge_arr]
+    # every class's query indices, ascending, from one radix sort of the labels
+    by_class = np.argsort(label_arr.astype(np.int8), kind="stable")
+    for idx in np.split(by_class, np.cumsum(class_counts)[:-1]):
         free = idx[~locked[idx]]
         perm = free[rng.permutation(free.size)]
         n_val = min(int(np.floor(prob_val * idx.size)), perm.size)
@@ -375,17 +448,16 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
         fold[perm[:n_val]] = 1
         fold[perm[n_val:n_val + n_test]] = 2
 
-    hidden = (fold > 0) & (u >= 0)
-    keep = ~_in_sorted(g.src * n + g.dst, np.sort(u[hidden] * n + v[hidden]))
+    hidden = np.zeros(m + 1, dtype=bool)  # the -1 of a non-edge sets the last
+    hidden[edge_arr[fold > 0]] = True
+    keep = ~hidden[:m]
     observed = g.replace_edges(g.src[keep], g.dst[keep], g.weight[keep])
 
-    def fold_of(which):
-        sel = fold == which
-        return query_arr[sel], label_arr[sel]
-
-    train_p, train_l = fold_of(0)
-    val_p, val_l = fold_of(1)
-    test_p, test_l = fold_of(2)
+    # the queries of each fold in their original order, from one radix sort
+    by_fold = np.argsort(fold, kind="stable")
+    bounds = np.cumsum(np.bincount(fold, minlength=3))[:2]
+    train_p, val_p, test_p = np.split(np.take(query_arr, by_fold, axis=0), bounds)
+    train_l, val_l, test_l = np.split(label_arr[by_fold], bounds)
     return LinkTaskSplit(
         task=task,
         train_pairs=train_p, train_labels=train_l,

@@ -35,6 +35,30 @@ def test_constructor_validation():
     assert G(2, [(1, 1, 1.0)]).num_edges == 1
 
 
+def test_constructor_rejects_every_duplicate_layout():
+    # adjacent in sorted input, far apart in unsorted input, and repeated
+    # in descending input: the ascending fast path must not pass any
+    for edges in ([(0, 1, 1.0), (0, 1, -1.0), (1, 2, 1.0)],
+                  [(0, 1, 1.0), (3, 2, 1.0), (1, 2, 1.0), (2, 0, 1.0), (0, 1, 2.0)],
+                  [(3, 2, 1.0), (1, 2, 1.0), (1, 2, 1.0), (0, 1, 1.0)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            G(4, edges)
+    # a reversed pair is a different edge
+    assert G(2, [(1, 0, 1.0), (0, 1, 1.0)]).num_edges == 2
+
+
+def test_constructor_keeps_unsorted_edge_order():
+    rng = np.random.default_rng(5)
+    n = 30
+    codes = rng.permutation(n * n)[:200]
+    src, dst = np.divmod(codes, n)
+    weight = rng.choice([-1.5, 1.0, 2.0], size=codes.size)
+    g = SignedDirectedGraph(n, src, dst, weight)
+    assert not np.all(np.diff(codes) > 0)
+    for got, want in ((g.src, src), (g.dst, dst), (g.weight, weight)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_is_signed():
     assert not is_signed(G(3, [(0, 1, 1.0), (1, 2, 2.0)]))
     assert is_signed(G(3, [(0, 1, 1.0), (1, 2, -1.0)]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from sdnet.graph import SignedDirectedGraph, is_signed
 from sdnet.rng import stream
 from sdnet.splitters import (LABEL_NAMES, LinkTaskSplit, canonical_task,
                              link_class_split, node_split, spanning_forest,
-                             _enumerate_candidates, _mask_counts)
+                             _enumerate_candidates, _mask_counts, _sample_nonedges)
+from test_splitter_oracle import _sample_nonedges as pair_by_pair_nonedges
 
 
 def G(n, edges):
@@ -136,15 +139,43 @@ def test_dp_two_cycle_discarded():
 
 def test_5c_hand_enumeration():
     g = G(5, [(0, 1, 1.0), (2, 1, -1.0), (3, 4, 1.0)])
-    queries, labels, under, discarded = _enumerate_candidates(g, "5C", stream(0))
+    queries, labels, edge, discarded = _enumerate_candidates(g, "5C", stream(0))
     assert len(queries) == 4 and discarded.tolist() == []
     names = LABEL_NAMES["5C"]
     got = [names[l] for l in labels]
     assert sum(1 for s in got if s.endswith("positive")) == 2
     assert sum(1 for s in got if s.endswith("negative")) == 1
     assert got.count("nonedge") == 1  # mean nonempty edge-class count = 1
-    # underlying edges preserved regardless of query orientation
-    assert sorted(map(tuple, under[:3].tolist())) == [(0, 1), (2, 1), (3, 4)]
+    # each query names its stored edge, whatever the query's orientation
+    under = zip(g.src[edge[:3]].tolist(), g.dst[edge[:3]].tolist())
+    assert sorted(under) == [(0, 1), (2, 1), (3, 4)]
+    assert edge[3] == -1  # the sampled non-edge
+
+
+def _dense_forbidden(n, ordered, seed):
+    """About 60% of the n * (n - 1) (or half that) candidate codes."""
+    u, v = np.divmod(np.arange(n * n), n)
+    valid = u != v if ordered else u < v
+    codes = np.flatnonzero(valid)
+    return np.sort(codes[stream(seed).random(codes.size) < 0.6])
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("n", [5, 10, 40])
+def test_sample_nonedges_matches_pair_by_pair_loop(n, ordered):
+    forbidden = _dense_forbidden(n, ordered, seed=n)
+    available = (n * (n - 1) if ordered else n * (n - 1) // 2) - forbidden.size
+    for count in sorted({0, 1, available // 2, available}):
+        for seed in range(3):
+            got_rng, want_rng = stream(seed), stream(seed)
+            got = _sample_nonedges(got_rng, n, count, forbidden, ordered)
+            want = pair_by_pair_nonedges(want_rng, n, count, set(forbidden.tolist()), ordered)
+            assert got.dtype == np.int64 and got.shape == (count, 2)
+            assert got.tolist() == [list(p) for p in want]
+            # both stop at the same point of the stream
+            assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
+        with pytest.raises(ValueError, match="insufficient"):
+            _sample_nonedges(stream(0), n, available + 1, forbidden, ordered)
 
 
 def test_task_aliases():
@@ -196,8 +227,12 @@ def test_discard_rule_against_brute_force():
     for seed in range(20):
         g = random_signed_digraph(20, 0.3, seed=seed, reciprocal=0.3)
         for task in ("DP", "3C", "4C", "5C"):
-            queries, labels, under, discarded = _enumerate_candidates(
+            queries, labels, edge, discarded = _enumerate_candidates(
                 g, task, stream(seed))
+            # an edge-backed query is its stored edge in either orientation
+            for q, e in zip(queries.tolist(), edge.tolist()):
+                if e >= 0:
+                    assert sorted(q) == sorted((g.src[e], g.dst[e]))
             discarded_set = {tuple(d) for d in discarded}
             seen_pairs = set()
             for q in queries:
@@ -330,3 +365,40 @@ def test_link_task_split_rejects_overlapping_folds():
     # the reversed pair is a different query
     LinkTaskSplit("SP", **dict(fold, val_pairs=[[1, 0]]), observed_graph=g,
                   discarded_pairs=[], label_names=LABEL_NAMES["SP"])
+
+
+def _folds(train, val, test):
+    g = G(2, [(0, 1, 1.0)])
+    return LinkTaskSplit("SP", train_pairs=train, train_labels=[0] * len(train),
+                         val_pairs=val, val_labels=[0] * len(val),
+                         test_pairs=test, test_labels=[0] * len(test),
+                         observed_graph=g, discarded_pairs=[],
+                         label_names=LABEL_NAMES["SP"])
+
+
+def test_fold_check_at_the_ends_of_the_packed_codes():
+    # (2, 2) packs to the smallest code, (9, 9) to the largest
+    for shared in ([2, 2], [9, 9]):
+        with pytest.raises(ValueError, match="disjoint"):
+            _folds([[2, 9], shared], [shared], [[9, 2]])
+        with pytest.raises(ValueError, match="disjoint"):
+            _folds([shared], [[3, 4]], [shared])
+    # repeats inside one fold pass with node ids up to 10^6
+    big = 10 ** 6
+    split = _folds([[big, 3], [0, big], [big, 3]], [[3, big]], [[big, big], [big, big]])
+    assert split.train_pairs.shape == (3, 2)
+    with pytest.raises(ValueError, match="disjoint"):
+        _folds([[big, 3]], [[0, big]], [[big, 3]])
+
+
+def test_fold_check_refuses_pairs_it_cannot_pack():
+    # the widest id span whose packed codes fit in int64, 3 * span^2 < 2^63
+    span = math.isqrt((2 ** 63 - 1) // 3)
+    top = span - 1
+    _folds([[0, top], [top, 0]], [[top, top]], [[0, 0]])
+    with pytest.raises(ValueError, match="disjoint"):
+        _folds([[top, top]], [[0, 0]], [[top, top]])
+    with pytest.raises(ValueError, match="too many to pack"):
+        _folds([[0, top + 1]], [], [])
+    with pytest.raises(ValueError, match="too many to pack"):
+        _folds([[0, 1]], [[2 ** 40, 5]], [])

@@ -1,9 +1,12 @@
-"""Time and peak memory of one large signed-magnetic clustering, stage by stage.
+"""Time and peak memory of one large link split and clustering, stage by stage.
 
 Generates an sdsbm f1 graph (n = 100000 unless given, p = 20 / n),
+splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
 stage its wall time and the process's peak RSS so far (``ru_maxrss``).
+``ru_maxrss`` only grows, so a stage that peaks below an earlier one
+shows no rise.
 The header names each OpenBLAS loaded and its thread count; solves below
 ``spectral.LANCZOS_THREADED_MIN_N`` rows run on one of them. Not part of
 the test suite; run it by hand from the root of a source checkout:
@@ -22,6 +25,7 @@ import numpy as np
 from sdnet import _blas, spectral
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
+from sdnet.splitters import link_class_split
 
 N = 100_000
 DEGREE = 20.0
@@ -52,6 +56,9 @@ def main(argv=None) -> None:
           f"peak RSS at start {_peak_mb():.1f} MB")
     g = stage("generate", lambda: sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph)
     print(f"  m = {g.num_edges}")
+    stage("link_class_split(4C, forest)",
+          lambda: link_class_split(g, "4C", maintain_connectedness=True))
+    stage("link_class_split(EP)", link_class_split, g, "EP")
     op = stage("signed_magnetic_laplacian", spectral.signed_magnetic_laplacian, g)
     pairs = stage("eigh(k=3)", spectral.eigh, op, K)
     emb = real_columns(pairs.vectors)
