@@ -13,7 +13,7 @@ gathered from these tables by fancy indexing and joined into one string,
 so no value is formatted per row. The edge TSV reader parses the file
 with one ``np.loadtxt`` call into int64, int64 and float64 columns, and
 finds the ``# num_nodes = N`` header with one regular-expression scan of
-its text (the last one wins).
+its text that starts only at ``#`` characters (the last header wins).
 """
 
 from __future__ import annotations
@@ -75,9 +75,17 @@ def _rows(*cells) -> str:
 
 
 def write_edge_tsv(path, g: SignedDirectedGraph, params: dict | None = None) -> None:
-    """One ``src<TAB>dst<TAB>weight`` line per edge, 0-based ids."""
+    """One ``src<TAB>dst<TAB>weight`` line per edge, 0-based ids.
+
+    The header records ``num_nodes``; a ``params["num_nodes"]`` that would
+    write anything but the graph's node count (say 3, or 6.0, which
+    ``read_edge_tsv`` cannot parse, for 6 nodes) raises ``ValueError``.
+    """
     hdr = dict(params or {})
     hdr.setdefault("num_nodes", g.num_nodes)
+    if _fmt(hdr["num_nodes"]) != str(g.num_nodes):
+        raise ValueError(f"params give num_nodes = {hdr['num_nodes']!r} for a graph "
+                         f"of {g.num_nodes} nodes")
     ids = _id_strings(g.num_nodes, "\t")
     # weights are finite and nonzero, so equal floats have equal reprs
     values, inv = np.unique(g.weight, return_inverse=True)
@@ -85,10 +93,18 @@ def write_edge_tsv(path, g: SignedDirectedGraph, params: dict | None = None) -> 
     _write_lines(path, hdr, [], _rows(ids[g.src], ids[g.dst], weights[inv]))
 
 
-# a header line is "# num_nodes = N" with optional blanks; matched from the
-# newline before it (the text is scanned with one prepended), which lets
-# the scan jump between newlines instead of trying every position
-_NUM_NODES = re.compile(r"\n[^\S\n]*#[^\S\n]*num_nodes[^\S\n]*=([^\n]*)")
+# a header line is "# num_nodes = N" with optional blanks; the scan starts
+# from the literal "#", so it jumps between "#" characters, and a match
+# counts only where blanks alone precede it on its line
+_NUM_NODES = re.compile(r"#[^\S\n]*num_nodes[^\S\n]*=([^\n]*)")
+
+
+def _opens_line(text: str, pos: int) -> bool:
+    """True when only blanks precede position ``pos`` on its line."""
+    before = text[text.rfind("\n", 0, pos) + 1:pos]
+    return not before or before.isspace()
+
+
 _DATA_LINE = re.compile(r"^[^\S\n]*[^#\s]", re.MULTILINE)
 _BLANK_LINE = re.compile(r"^[^\S\n]+(?:#.*)?$", re.MULTILINE)
 _EDGE_DTYPE = [("src", np.int64), ("dst", np.int64), ("weight", np.float64)]
@@ -123,7 +139,7 @@ def read_edge_tsv(path, num_nodes: int | None = None) -> SignedDirectedGraph:
     ``ValueError("malformed edge line: ...")`` is raised.
     """
     text = Path(path).read_text(encoding="utf-8")
-    headers = _NUM_NODES.findall("\n" + text)
+    headers = [m[1] for m in _NUM_NODES.finditer(text) if _opens_line(text, m.start())]
     rows = _edge_rows(path, text)
     # explicit column copies: handing the graph the strided field views
     # (which it copies itself) measured ~3 MB more peak RSS on large_sparse

@@ -19,12 +19,21 @@ Conventions shared by the link tasks:
   count is the mean size of the nonempty edge classes (floored).
 * Self-loops never become queries; they always stay observable.
 
-The enumeration keeps, for each query, the index of the stored edge it
-came from (-1 for a sampled non-edge). The observed graph drops the
-edges of validation and test queries by that index, and the forest
-lock reads it too. Set operations on pairs run on int64 codes u * n + v
-by sorts, adjacent comparisons and binary searches; numpy's hash-based
-``np.unique`` and its stable mergesort cost several times more.
+The enumeration keeps, for each edge-backed query, the index of the
+stored edge it came from; sampled non-edges follow those queries. The
+observed graph drops the edges of validation and test queries by that
+index, and the forest lock reads it too. Set operations on pairs run on
+int64 codes u * n + v by sorts, adjacent comparisons and binary
+searches; numpy's hash-based ``np.unique`` and its stable mergesort cost
+several times more.
+
+Memory: a split keeps 43 bytes per edge (SP, DP, 4C) to 67 (EP) in its
+outputs: int64 query pairs, int64 labels and the observed graph. Its
+traced peak is about 55 bytes per edge for SP, DP and 4C (with or
+without the forest), 63 for 5C, 71 for 3C and 88 for EP. The queries
+fill one preallocated table and the sampler writes its pairs into it;
+labels stay int8 until the fold outputs; every large array is dropped
+after its last use; and the fold check packs its codes into one array.
 """
 
 from __future__ import annotations
@@ -183,27 +192,48 @@ class LinkTaskSplit:
             folds.append(pairs)
             object.__setattr__(self, f"{fold}_pairs", pairs)
             object.__setattr__(self, f"{fold}_labels", labels)
-        every = np.concatenate(folds)
-        if every.size:
-            # pack (pair code, fold) into one int64 so that one sort puts equal
-            # codes next to each other in fold order; repeats inside one fold
-            # are allowed, a code in two folds is not
-            low = int(every.min())
-            span = int(every.max()) - low + 1
-            if 3 * span * span >= 2 ** 63:
-                raise ValueError(f"query node ids span {span} values, too many "
-                                 "to pack a pair and its fold into int64")
-            packed = every[:, 0] - low
-            packed *= span
-            packed += every[:, 1] - low
-            packed *= 3
-            packed += np.repeat(np.arange(3), [p.shape[0] for p in folds])
-            packed.sort()
-            codes, which = np.divmod(packed, 3)
-            if np.any((codes[1:] == codes[:-1]) & (which[1:] != which[:-1])):
-                raise ValueError("query pairs must be disjoint across folds")
+        _check_disjoint(folds)
         object.__setattr__(self, "discarded_pairs",
                            np.asarray(self.discarded_pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def _check_disjoint(folds) -> None:
+    """Raise unless no query pair sits in two of the (k x 2) int64 ``folds``.
+
+    Each pair (u, v) of fold f is packed into one int64,
+    ((u - low) * span + v - low) * 3 + f, straight into one array, so one
+    sort puts equal pairs next to each other in fold order. Repeats
+    inside one fold are allowed. The packing costs 8 bytes per query and
+    the comparison three booleans.
+    """
+    filled = [pairs for pairs in folds if pairs.size]
+    if not filled:
+        return
+    low = min(int(pairs.min()) for pairs in filled)
+    span = max(int(pairs.max()) for pairs in filled) - low + 1
+    if 3 * span * span >= 2 ** 63:
+        raise ValueError(f"query node ids span {span} values, too many "
+                         "to pack a pair and its fold into int64")
+    packed = np.empty(sum(pairs.shape[0] for pairs in folds), dtype=np.int64)
+    start = 0
+    for f, pairs in enumerate(folds):
+        # in this order no step leaves [-2^63, 2^63)
+        code = packed[start:start + pairs.shape[0]]
+        np.subtract(pairs[:, 0], low, out=code)
+        code *= span
+        code -= low
+        code += pairs[:, 1]
+        code *= 3
+        code += f
+        start += pairs.shape[0]
+    packed.sort()
+    # neighbours that differ, but not in their pair code packed // 3, are
+    # one pair in two folds
+    differ = packed[1:] != packed[:-1]
+    packed //= 3
+    differ &= packed[1:] == packed[:-1]
+    if differ.any():
+        raise ValueError("query pairs must be disjoint across folds")
 
 
 def spanning_forest(g: SignedDirectedGraph) -> np.ndarray:
@@ -281,90 +311,121 @@ def _boruvka(n, order, cu, cv, chosen):
 def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
     """Membership of each code in an ascending int64 array.
 
-    A binary search; np.isin deduplicates both sides first, which costs
-    several times more on large code arrays.
+    A binary search whose positions are overwritten, in place, by the
+    codes found there ('clip' reads the last code for a position past the
+    end); np.isin deduplicates both sides first, which costs several
+    times more on large code arrays.
     """
-    idx = np.searchsorted(sorted_codes, codes)
-    hit = idx < sorted_codes.size
-    hit[hit] = sorted_codes[idx[hit]] == codes[hit]
-    return hit
+    if not sorted_codes.size:
+        return np.zeros(codes.size, dtype=bool)
+    found = np.searchsorted(sorted_codes, codes)
+    sorted_codes.take(found, out=found, mode="clip")
+    return found == codes
 
 
-def _sample_nonedges(rng, n, count, forbidden, ordered):
+def _sample_nonedges(rng, n, count, taken, ordered, out=None):
     """Uniform without-replacement non-edge pairs (ordered or u < v).
 
-    ``forbidden`` is an ascending array of distinct codes u * n + v that
-    may not be drawn. Candidates are consecutive pairs (u, v) of
+    ``taken`` is an ascending array of distinct codes u * n + v that may
+    not be drawn. Candidates are consecutive pairs (u, v) of
     ``rng.integers(n)`` draws, accepted in draw order unless u == v, the
-    code is forbidden or it was accepted before. Each batch draws the
+    code is taken or it was accepted before. Each batch draws the
     2 * need integers that the still missing ``need`` pairs could use at
     best, so the stream stops exactly where a pair-by-pair loop would.
-    Returns a (count x 2) int64 array.
+    Writes the pairs into ``out``, a (count x 2) int64 array allocated
+    when not given, and returns it. At its peak a batch holds about 35
+    bytes per needed pair (43 for unordered pairs).
     """
     if ordered:
-        available = n * (n - 1) - forbidden.size
+        available = n * (n - 1) - taken.size
     else:
-        available = n * (n - 1) // 2 - forbidden.size
+        available = n * (n - 1) // 2 - taken.size
     if count > available:
         raise ValueError(f"insufficient non-edges: need {count}, have {available}")
-    taken = forbidden  # ascending: the forbidden and the accepted codes
-    picked = [np.zeros(0, dtype=np.int64)]
-    need = count
-    while need:
-        draw = rng.integers(n, size=2 * need)
+    if out is None:
+        out = np.empty((count, 2), dtype=np.int64)
+    done = 0
+    while done < count:
+        draw = rng.integers(n, size=2 * (count - done))
         u, v = draw[0::2], draw[1::2]
-        loop = u == v
-        u, v = u[~loop], v[~loop]
+        pair = u != v
         if not ordered:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        codes = u * n + v
+            lo = np.minimum(u, v)
+            np.maximum(u, v, out=v)
+            u = lo
+        u *= n
+        u += v
+        codes = u[pair]
+        del draw, u, v, pair
         if not codes.size:
             continue
         order = np.argsort(codes)
         ranked = codes[order]
-        starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
-        distinct = ranked[starts]
-        # the first draw of each code, whatever order the sort left ties in
-        first = np.minimum.reduceat(order, starts)
-        fresh = ~_in_sorted(distinct, taken)
-        accepted = codes[np.sort(first[fresh])]
-        picked.append(accepted)
-        need -= accepted.size
-        if need:
-            taken = np.sort(np.concatenate([taken, distinct[fresh]]))
-    return np.column_stack(np.divmod(np.concatenate(picked), n))
+        first = np.empty(ranked.size, dtype=bool)  # first of its run of equal codes
+        first[0] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        if not first.all():
+            # a repeated code counts at its first draw: order the few
+            # members of repeated runs by draw within their run
+            runs = ~first
+            runs[:-1] |= ~first[1:]
+            at = np.flatnonzero(runs)
+            order[at] = order[at[np.lexsort((order[at], ranked[at]))]]
+        first &= ~_in_sorted(ranked, taken)
+        accept = np.zeros(codes.size, dtype=bool)
+        accept[order[first]] = True
+        fresh = ranked[first] if done + np.count_nonzero(first) < count else None
+        del order, ranked, first
+        codes = codes[accept]
+        got = out[done:done + codes.size]
+        np.divmod(codes, n, out=(got[:, 0], got[:, 1]))
+        done += codes.size
+        del codes, accept
+        if fresh is not None:
+            taken = np.concatenate([taken, fresh])
+            taken.sort()
+    return out
 
 
-def _oriented(u, v, flip):
-    """Rows (u, v), each turned into (v, u) where ``flip`` is set.
+def _orient(pairs, flip) -> None:
+    """Turn each row (u, v) of ``pairs`` into (v, u), in place, where ``flip`` is set.
 
     An xor swap: u ^ (u ^ v) == v. A select on a random mask costs
     several times more.
     """
-    swap = (u ^ v) * flip
-    return np.column_stack([u ^ swap, v ^ swap])
+    swap = pairs[:, 0] ^ pairs[:, 1]
+    swap *= flip
+    pairs[:, 0] ^= swap
+    pairs[:, 1] ^= swap
 
 
 def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
     """Candidate (query, label) samples plus discarded ambiguous pairs.
 
-    Returns int64 arrays (pairs, labels, edge, discarded): k x 2 queries,
-    their k labels, the index into ``g``'s edge arrays of the stored edge
-    each query came from (-1 for a sampled non-edge) and the d x 2
-    reciprocal pairs (a < b) that were discarded.
+    Returns (pairs, labels, edge, discarded): the k x 2 int64 queries,
+    their k int8 labels, the int64 index into ``g``'s edge arrays of the
+    stored edge behind each of the first ``edge.size`` queries (the rest
+    are sampled non-edges) and the d x 2 int64 reciprocal pairs (a < b)
+    that were discarded. The queries fill one preallocated table, stored
+    edges first and sampled non-edges after them.
     """
     n = g.num_nodes
     discarded = np.zeros((0, 2), dtype=np.int64)
     if task in ("SP", "EP"):
         edge = np.flatnonzero(g.src != g.dst)
-        under = np.column_stack([g.src[edge], g.dst[edge]])
+        k = edge.size
+        pairs = np.empty((2 * k if task == "EP" else k, 2), dtype=np.int64)
+        pairs[:k, 0] = g.src[edge]
+        pairs[:k, 1] = g.dst[edge]
         if task == "SP":
-            return under, np.where(g.weight[edge] > 0, 0, 1), edge, discarded
-        forbidden = np.sort(under[:, 0] * n + under[:, 1])
-        non = _sample_nonedges(rng, n, edge.size, forbidden, ordered=True)
-        queries = np.concatenate([under, non])
-        labels = np.repeat(np.array([0, 1]), [edge.size, non.shape[0]])
-        return queries, labels, np.concatenate([edge, np.full(non.shape[0], -1)]), discarded
+            return pairs, (g.weight[edge] < 0).astype(np.int8), edge, discarded
+        taken = pairs[:k, 0] * n
+        taken += pairs[:k, 1]
+        taken.sort()
+        _sample_nonedges(rng, n, k, taken, ordered=True, out=pairs[k:])
+        labels = np.zeros(2 * k, dtype=np.int8)
+        labels[k:] = 1
+        return pairs, labels, edge, discarded
 
     # DP / 3C / 4C / 5C share the direction-bearing enumeration over the
     # unordered pairs, in ascending (a, b) order
@@ -377,24 +438,72 @@ def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
     twin[:-1] |= same
     discarded = np.column_stack(np.divmod(ranked[1:][same], n))
     edge = order[off & ~twin]
-    flip = rng.random(edge.size) < 0.5
-    queries = _oriented(g.src[edge], g.dst[edge], flip)
-    labels = flip.astype(np.int64)
-    if task in ("4C", "5C"):
-        labels += 2 * (g.weight[edge] < 0)
+    del order, twin
+    taken = None
     if task in ("3C", "5C"):
+        off[1:] &= ~same
+        taken = ranked[off]
+    del ranked, off, same
+    k = edge.size
+    flip = rng.random(k) < 0.5
+    labels = flip.astype(np.int8)
+    if task in ("4C", "5C"):
+        labels[g.weight[edge] < 0] += 2
+    count = 0
+    if taken is not None:
         nonedge_label = 2 if task == "3C" else 4
-        present = np.bincount(labels, minlength=nonedge_label)[:nonedge_label]
-        nonempty = int(np.count_nonzero(present))
-        count = labels.size // nonempty if nonempty else 0
-        cells = off.copy()
-        cells[1:] &= ~same
-        non = _sample_nonedges(rng, n, count, ranked[cells], ordered=False)
-        non = _oriented(non[:, 0], non[:, 1], rng.random(count) < 0.5)
-        queries = np.concatenate([queries, non])
-        labels = np.concatenate([labels, np.full(count, nonedge_label)])
-        edge = np.concatenate([edge, np.full(count, -1)])
-    return queries, labels, edge, discarded
+        nonempty = np.count_nonzero(np.bincount(labels, minlength=nonedge_label))
+        count = k // nonempty if nonempty else 0
+        labels = np.concatenate([labels, np.full(count, nonedge_label, dtype=np.int8)])
+    pairs = np.empty((k + count, 2), dtype=np.int64)
+    pairs[:k, 0] = g.src[edge]
+    pairs[:k, 1] = g.dst[edge]
+    _orient(pairs[:k], flip)
+    if taken is not None:
+        _sample_nonedges(rng, n, count, taken, ordered=False, out=pairs[k:])
+        _orient(pairs[k:], rng.random(count) < 0.5)
+    return pairs, labels, edge, discarded
+
+
+def _forest_lock(g: SignedDirectedGraph, task: str) -> np.ndarray:
+    """One flag per stored edge: its query must stay in the training fold.
+
+    Set for the edges of ``spanning_forest``. For SP and EP the lock
+    holds the unordered pair, so the reverse of a forest edge is locked
+    too; the other tasks discard reciprocal pairs.
+    """
+    forest = spanning_forest(g)
+    tied = np.zeros(g.num_edges, dtype=bool)
+    tied[forest] = True
+    if task in ("SP", "EP"):
+        n = g.num_nodes
+        reverse = g.dst[forest] * n
+        reverse += g.src[forest]
+        reverse.sort()
+        tied |= _in_sorted(g.src * n + g.dst, reverse)
+    return tied
+
+
+def _assign_folds(rng, labels, counts, locked, prob_val, prob_test) -> np.ndarray:
+    """Fold of every query as int8: 0 train, 1 validation, 2 test.
+
+    Per class, in label order, the class's unlocked queries (ascending
+    index) are shuffled by one ``rng.permutation``; the first
+    floor(prob_val * class_size) go to validation and the next
+    floor(prob_test * class_size) to test. ``locked`` is None or one flag
+    per query.
+    """
+    fold = np.zeros(labels.size, dtype=np.int8)
+    for cls, size in enumerate(counts.tolist()):
+        idx = np.flatnonzero(labels == cls)
+        if locked is not None:
+            idx = idx[~locked[idx]]
+        perm = rng.permutation(idx.size)
+        n_val = min(int(np.floor(prob_val * size)), idx.size)
+        n_test = min(int(np.floor(prob_test * size)), idx.size - n_val)
+        fold[idx[perm[:n_val]]] = 1
+        fold[idx[perm[n_val:n_val + n_test]]] = 2
+    return fold
 
 
 def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
@@ -414,56 +523,37 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
     if prob_val < 0 or prob_test < 0 or prob_val + prob_test >= 1:
         raise ValueError("need prob_val + prob_test < 1 and both nonnegative")
     rng = stream(seed)
-    query_arr, label_arr, edge_arr, discarded = _enumerate_candidates(g, task, rng)
+    # the forest draws no random numbers; built first, its temporaries are
+    # gone before the queries exist
+    tied = _forest_lock(g, task) if maintain_connectedness else None
+    queries, labels, edge, discarded = _enumerate_candidates(g, task, rng)
     names = LABEL_NAMES[task]
-    class_counts = np.bincount(label_arr, minlength=len(names))
+    class_counts = np.bincount(labels, minlength=len(names))
     for cls, cnt in enumerate(class_counts):
         if cnt == 0:
             raise ValueError(
                 f"task {task}: class {names[cls]!r} has no samples after discarding")
 
-    m = g.num_edges
-    fold = np.zeros(label_arr.size, dtype=np.int8)
-    locked = np.zeros(label_arr.size, dtype=bool)
-    if maintain_connectedness:
-        # one flag per stored edge and a last, never set, that the -1 of a
-        # sampled non-edge reads
-        tied = np.zeros(m + 1, dtype=bool)
-        forest = spanning_forest(g)
-        tied[forest] = True
-        if task in ("SP", "EP"):
-            # the lock holds the unordered pair, so the reverse of a forest
-            # edge is locked too; the other tasks discard reciprocal pairs
-            n = g.num_nodes
-            tied[:m] |= _in_sorted(g.src * n + g.dst,
-                                   np.sort(g.dst[forest] * n + g.src[forest]))
-        locked = tied[edge_arr]
-    # every class's query indices, ascending, from one radix sort of the labels
-    by_class = np.argsort(label_arr.astype(np.int8), kind="stable")
-    for idx in np.split(by_class, np.cumsum(class_counts)[:-1]):
-        free = idx[~locked[idx]]
-        perm = free[rng.permutation(free.size)]
-        n_val = min(int(np.floor(prob_val * idx.size)), perm.size)
-        n_test = min(int(np.floor(prob_test * idx.size)), perm.size - n_val)
-        fold[perm[:n_val]] = 1
-        fold[perm[n_val:n_val + n_test]] = 2
-
-    hidden = np.zeros(m + 1, dtype=bool)  # the -1 of a non-edge sets the last
-    hidden[edge_arr[fold > 0]] = True
-    keep = ~hidden[:m]
+    # each array is dropped after its last use, so the split's peak stays
+    # near the bytes it returns
+    locked = None
+    if tied is not None:
+        locked = np.zeros(labels.size, dtype=bool)
+        locked[:edge.size] = tied[edge]
+        del tied
+    fold = _assign_folds(rng, labels, class_counts, locked, prob_val, prob_test)
+    del locked
+    keep = np.ones(g.num_edges, dtype=bool)
+    keep[edge[fold[:edge.size] > 0]] = False
+    del edge
+    # the queries of each fold in their original order (np.compress takes
+    # whole rows; a boolean index on the table costs three times more)
+    outputs = {}
+    for f, name in enumerate(("train", "val", "test")):
+        sel = fold == f
+        outputs[f"{name}_pairs"] = np.compress(sel, queries, axis=0)
+        outputs[f"{name}_labels"] = labels[sel].astype(np.int64)
+    del queries, labels, fold, sel
     observed = g.replace_edges(g.src[keep], g.dst[keep], g.weight[keep])
-
-    # the queries of each fold in their original order, from one radix sort
-    by_fold = np.argsort(fold, kind="stable")
-    bounds = np.cumsum(np.bincount(fold, minlength=3))[:2]
-    train_p, val_p, test_p = np.split(np.take(query_arr, by_fold, axis=0), bounds)
-    train_l, val_l, test_l = np.split(label_arr[by_fold], bounds)
-    return LinkTaskSplit(
-        task=task,
-        train_pairs=train_p, train_labels=train_l,
-        val_pairs=val_p, val_labels=val_l,
-        test_pairs=test_p, test_labels=test_l,
-        observed_graph=observed,
-        discarded_pairs=discarded,
-        label_names=names,
-    )
+    return LinkTaskSplit(task=task, **outputs, observed_graph=observed,
+                         discarded_pairs=discarded, label_names=names)

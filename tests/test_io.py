@@ -99,6 +99,22 @@ def test_edge_tsv_blank_lines_and_late_header(tmp_path):
     # keys that merely contain num_nodes are not the header
     path.write_text("# num_nodes_total = 30\n# x = \"num_nodes = 40\"\n0\t1\t1.0\n")
     assert sio.read_edge_tsv(path).num_nodes == 2
+    # nor is a comment after data or after a second "#" on its line
+    path.write_text("# num_nodes = 4\n0\t1\t1.0 # num_nodes = 50\n## num_nodes = 7\n")
+    g = sio.read_edge_tsv(path)
+    assert g.num_nodes == 4 and g.edge_list() == [(0, 1, 1.0)]
+
+
+def test_edge_tsv_params_cannot_resize_the_graph(tmp_path):
+    g = SignedDirectedGraph.from_edges(6, [(0, 1, 1.0), (4, 5, -1.0)])
+    path = tmp_path / "g.tsv"
+    for bad in (3, 6.0, "6"):
+        with pytest.raises(ValueError, match="num_nodes"):
+            sio.write_edge_tsv(path, g, {"num_nodes": bad})
+    assert not path.exists()
+    sio.write_edge_tsv(path, g, {"model": "x", "num_nodes": np.int64(6)})
+    assert path.read_text().splitlines()[:2] == ["# model = \"x\"", "# num_nodes = 6"]
+    assert sio.read_edge_tsv(path).num_nodes == 6
 
 
 def test_labels_and_features_roundtrip(tmp_path):

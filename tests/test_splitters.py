@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdnet.generators import ssbm
+from sdnet.generators import f2_meta, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph, is_signed
 from sdnet.rng import stream
 from sdnet.splitters import (LABEL_NAMES, LinkTaskSplit, canonical_task,
@@ -149,7 +150,7 @@ def test_5c_hand_enumeration():
     # each query names its stored edge, whatever the query's orientation
     under = zip(g.src[edge[:3]].tolist(), g.dst[edge[:3]].tolist())
     assert sorted(under) == [(0, 1), (2, 1), (3, 4)]
-    assert edge[3] == -1  # the sampled non-edge
+    assert edge.size == 3  # the sampled non-edge, last, has no stored edge
 
 
 def _dense_forbidden(n, ordered, seed):
@@ -348,6 +349,27 @@ def test_sp_requires_both_signs():
         link_class_split(all_pos, "SP", seed=0)
 
 
+@pytest.mark.parametrize("task, forest", [("SP", True), ("DP", False), ("EP", False),
+                                          ("3C", False), ("4C", True), ("5C", False)])
+def test_link_split_peak_memory_per_edge(task, forest):
+    # an EP split keeps about 67 bytes per edge (queries, int64 labels and
+    # the observed graph); its peak once reached 270
+    g = sdsbm(f2_meta(0.1), 2000, 0.01, rho=1.5, eta=0.1, seed=3).graph
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        link_class_split(g, task, maintain_connectedness=forest, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert g.num_edges > 19_000
+    assert peak <= 120 * g.num_edges, f"{peak / g.num_edges:.0f} bytes per edge"
+
+
 def test_link_task_split_rejects_overlapping_folds():
     g = G(4, [(0, 1, 1.0), (1, 2, -1.0)])
     fold = dict(train_pairs=[[0, 1], [1, 2], [0, 1]], train_labels=[0, 1, 0],
@@ -389,6 +411,14 @@ def test_fold_check_at_the_ends_of_the_packed_codes():
     assert split.train_pairs.shape == (3, 2)
     with pytest.raises(ValueError, match="disjoint"):
         _folds([[big, 3]], [[0, big]], [[big, 3]])
+    # (u, v) and (u, v + 1) in different folds pack 1 or 2 apart: (3, 4) in
+    # test sits 1 below (3, 5) in train, (7, 7) in val 2 below (7, 8) in train
+    split = _folds([[3, 5], [7, 8]], [[7, 7]], [[3, 4]])
+    assert split.test_pairs.tolist() == [[3, 4]]
+    # one pair in folds 0 and 2 packs 2 apart; a repeat in one fold packs 0 apart
+    with pytest.raises(ValueError, match="disjoint"):
+        _folds([[3, 4]], [], [[3, 4]])
+    _folds([[3, 4], [3, 4]], [], [[3, 5]])
 
 
 def test_fold_check_refuses_pairs_it_cannot_pack():

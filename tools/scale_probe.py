@@ -4,9 +4,12 @@ Generates an sdsbm f1 graph (n = 100000 unless given, p = 20 / n),
 splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
-stage its wall time and the process's peak RSS so far (``ru_maxrss``).
-``ru_maxrss`` only grows, so a stage that peaks below an earlier one
-shows no rise.
+stage its wall time, its own traced peak (tracemalloc, in bytes per
+edge above what was held when the stage began) and the process's peak
+RSS so far (``ru_maxrss``). ``ru_maxrss`` only grows, so a stage that
+peaks below an earlier one shows no rise there; the traced peak does.
+Tracing is on while the stages are timed, which slows allocation-heavy
+stages a little.
 The header names each OpenBLAS loaded and its thread count; solves below
 ``spectral.LANCZOS_THREADED_MIN_N`` rows run on one of them. Not part of
 the test suite; run it by hand from the root of a source checkout:
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import resource
+import tracemalloc
 from time import perf_counter
 
 import numpy as np
@@ -41,11 +45,19 @@ def main(argv=None) -> None:
     ap.add_argument("n", type=int, nargs="?", default=N, help=f"nodes (default {N})")
     n = ap.parse_args(argv).n
 
+    m = 0
+
     def stage(name, fn, *fn_args):
+        nonlocal m
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
         t = perf_counter()
         out = fn(*fn_args)
-        print(f"{name:<26} {perf_counter() - t:8.2f} s   peak RSS {_peak_mb():7.1f} MB",
-              flush=True)
+        seconds = perf_counter() - t
+        m = m or max(out.num_edges, 1)  # the first stage returns the graph
+        traced = (tracemalloc.get_traced_memory()[1] - held) / m
+        print(f"{name:<29} {seconds:8.2f} s   traced peak {traced:6.1f} B/edge   "
+              f"peak RSS {_peak_mb():7.1f} MB", flush=True)
         return out
 
     import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
@@ -54,6 +66,7 @@ def main(argv=None) -> None:
     limited = "one BLAS thread" if n < spectral.LANCZOS_THREADED_MIN_N else "all BLAS threads"
     print(f"sdsbm f1, n={n}, p={DEGREE:g}/n, k={K} (eigh on {limited}); "
           f"peak RSS at start {_peak_mb():.1f} MB")
+    tracemalloc.start()
     g = stage("generate", lambda: sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph)
     print(f"  m = {g.num_edges}")
     stage("link_class_split(4C, forest)",
