@@ -381,14 +381,17 @@ def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix
 
 
 def signed_degree_counts(g: SignedDirectedGraph) -> np.ndarray:
-    """Raw n x 4 matrix of (out+, in+, out-, in-) absolute-weight degrees."""
+    """Raw n x 4 matrix of (out+, in+, out-, in-) absolute-weight degrees.
+
+    Each column sums its edges' clipped weights in edge order; an edge of
+    the other sign adds an exact +0.0.
+    """
     n = g.num_nodes
-    counts = np.zeros((n, 4), dtype=np.float64)
-    pos = g.weight > 0
-    np.add.at(counts[:, 0], g.src[pos], g.weight[pos])
-    np.add.at(counts[:, 1], g.dst[pos], g.weight[pos])
-    np.add.at(counts[:, 2], g.src[~pos], -g.weight[~pos])
-    np.add.at(counts[:, 3], g.dst[~pos], -g.weight[~pos])
+    pos, neg = np.maximum(g.weight, 0.0), np.maximum(-g.weight, 0.0)
+    counts = np.empty((n, 4), dtype=np.float64)  # bincount of no edges is int64
+    for col, (ends, weight) in enumerate(((g.src, pos), (g.dst, pos),
+                                          (g.src, neg), (g.dst, neg))):
+        counts[:, col] = np.bincount(ends, weight, minlength=n)
     return counts
 
 

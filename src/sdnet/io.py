@@ -3,14 +3,18 @@
 Every writer accepts an optional ``params`` mapping that is echoed into
 the file header as ``# key = value`` lines for provenance. Output bytes
 are deterministic: rows are emitted in a fixed order and floats use
-shortest round-trip formatting.
+shortest round-trip formatting. Files are written in binary mode as
+UTF-8, so ``\n`` is never translated to the platform's line ending.
 
-The edge TSV, link-split CSV and node-pair CSV writers are table-driven.
-Every node id below ``num_nodes`` is formatted once (``str``), every
-distinct weight once (``repr(float(w))`` over ``np.unique``) and every
-label name once, each with the separator that follows it in a row. The rows are then
-gathered from these tables by fancy indexing and joined into one string,
-so no value is formatted per row. The edge TSV reader parses the file
+The edge TSV, link-split CSV, node-split CSV and node-pair CSV writers
+are byte tables. Every node id below ``num_nodes`` is formatted once by
+digit arithmetic, every distinct weight once (``repr(float(w))`` over a
+sort and an adjacent-dedup pass) and every label or role name once,
+each with the separator that follows it in a row, into NUL-padded
+fixed-width ``S`` cells. Each block of rows is gathered from these
+tables into one record array by fancy indexing, and one boolean
+compress drops the padding, so no value is formatted per row and no
+Python string is made per row. The edge TSV reader parses the file
 with one ``np.loadtxt`` call into int64, int64 and float64 columns, and
 finds the ``# num_nodes = N`` header with one regular-expression scan of
 its text that starts only at ``#`` characters (the last header wins).
@@ -55,23 +59,73 @@ def params_hash(params: dict | None) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _write_lines(path, header_params, lines, rows: str = ""):
-    """Header, then ``lines`` one per line, then ``rows`` (newline-ended)."""
-    out = []
-    if header_params:
-        out.extend(format_params(header_params))
+def _write_lines(path, header_params, lines, *tables):
+    """Header, then ``lines`` one per line, then the rows of each of ``tables``.
+
+    The file is written in binary mode, so no newline is ever translated.
+    Each table is a sequence of ``(cells, index)`` pairs (see ``_write_rows``).
+    """
+    out = format_params(header_params) if header_params else []
     out.extend(lines)
-    Path(path).write_text("\n".join(out) + "\n" + rows, encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(out) + "\n").encode("utf-8"))
+        for table in tables:
+            _write_rows(fh, table)
 
 
-def _id_strings(num_nodes: int, sep: str) -> np.ndarray:
-    """Object array holding ``str(i) + sep`` for every node id i < num_nodes."""
-    return np.array([f"{i}{sep}" for i in range(num_nodes)], dtype=object)
+def _text_cells(strings) -> np.ndarray:
+    """The UTF-8 bytes of each string as one ``S`` array (NUL-padded cells)."""
+    return np.array([s.encode("utf-8") for s in strings], dtype=bytes)
 
 
-def _rows(*cells) -> str:
-    """Concatenate equal-length object arrays of strings, row after row."""
-    return "".join(np.column_stack(cells).ravel().tolist())
+def _id_cells(num_nodes: int, sep: str) -> np.ndarray:
+    """``str(i) + sep`` for every node id i < num_nodes as NUL-padded ASCII cells.
+
+    Ids of equal digit count form one range, filled as a block: the
+    leading digits of i are the already formatted i // 10, then come
+    the last digit and the separator.
+    """
+    width = len(str(max(num_nodes - 1, 0)))
+    table = np.zeros((num_nodes, width + 1), dtype=np.uint8)
+    ids = np.arange(num_nodes)
+    for digits in range(1, width + 1):
+        lo, hi = (10 ** (digits - 1) if digits > 1 else 0), min(10 ** digits, num_nodes)
+        table[lo:hi, :digits - 1] = table[ids[lo:hi] // 10, :digits - 1]
+        table[lo:hi, digits - 1] = ids[lo:hi] % 10 + ord("0")
+        table[lo:hi, digits] = ord(sep)
+    return table.view(f"S{width + 1}").ravel()
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``values`` and the position of each value among them."""
+    ordered = np.sort(values)
+    fresh = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    distinct = ordered[fresh]
+    return distinct, np.searchsorted(distinct, values)
+
+
+# rows per record array: a few MB however many rows a file has
+_BLOCK_ROWS = 1 << 16
+
+
+def _write_rows(fh, table) -> None:
+    """Write one row per index of the ``(cells, index)`` pairs of ``table``.
+
+    Row r joins ``cells[index[r]]`` of every pair in order. The cells of
+    each pair are an ``S`` array, so a block of rows is gathered into one
+    fixed-width record array and one boolean compress drops the NUL
+    padding of all of them. Indices must lie in ``[0, len(cells))``: a
+    negative one would wrap.
+    """
+    dtype = [(f"c{k}", cells.dtype) for k, (cells, _) in enumerate(table)]
+    num_rows = len(table[0][1])
+    for start in range(0, num_rows, _BLOCK_ROWS):
+        records = np.empty(min(_BLOCK_ROWS, num_rows - start), dtype=dtype)
+        for k, (cells, index) in enumerate(table):
+            records[f"c{k}"] = cells[index[start:start + _BLOCK_ROWS]]
+        body = records.view(np.uint8)
+        fh.write(body[body != 0])
 
 
 def write_edge_tsv(path, g: SignedDirectedGraph, params: dict | None = None) -> None:
@@ -86,11 +140,11 @@ def write_edge_tsv(path, g: SignedDirectedGraph, params: dict | None = None) -> 
     if _fmt(hdr["num_nodes"]) != str(g.num_nodes):
         raise ValueError(f"params give num_nodes = {hdr['num_nodes']!r} for a graph "
                          f"of {g.num_nodes} nodes")
-    ids = _id_strings(g.num_nodes, "\t")
+    ids = _id_cells(g.num_nodes, "\t")
     # weights are finite and nonzero, so equal floats have equal reprs
-    values, inv = np.unique(g.weight, return_inverse=True)
-    weights = np.array([repr(w) + "\n" for w in values.tolist()], dtype=object)
-    _write_lines(path, hdr, [], _rows(ids[g.src], ids[g.dst], weights[inv]))
+    values, inv = _distinct(g.weight)
+    weights = _text_cells(repr(w) + "\n" for w in values.tolist())
+    _write_lines(path, hdr, [], ((ids, g.src), (ids, g.dst), (weights, inv)))
 
 
 # a header line is "# num_nodes = N" with optional blanks; the scan starts
@@ -186,36 +240,47 @@ def _read_csv_rows(path, expected_header: str | None = None) -> list[list[str]]:
 
 
 def write_node_split_csv(path, split, params: dict | None = None) -> None:
-    """Rows (node, replicate, role) for every set membership."""
-    lines = ["node,replicate,role"]
-    rolemasks = (("train", split.train), ("val", split.val),
-                 ("test", split.test), ("seed", split.seed))
-    for rep in range(split.num_splits):
-        for role, mask in rolemasks:
-            for node in np.nonzero(mask[:, rep])[0]:
-                lines.append(f"{node},{rep},{role}")
-    _write_lines(path, params, lines)
+    """Rows (node, replicate, role) for every set membership.
+
+    Rows run by replicate, then role (train, val, test, seed), then node.
+    """
+    roles = ("train", "val", "test", "seed")
+    member = np.stack([getattr(split, role) for role in roles]).transpose(2, 0, 1)
+    rep, role, node = np.nonzero(member)  # C order: replicate, role, node
+    _write_lines(path, params, ["node,replicate,role"],
+                 ((_id_cells(member.shape[2], ","), node),
+                  (_id_cells(split.num_splits, ","), rep),
+                  (_text_cells(f"{name}\n" for name in roles), role)))
 
 
 def write_link_split_csv(path, split, params: dict | None = None) -> None:
-    """Rows (u, v, label, fold) over the train/val/test query sets."""
-    ids = _id_strings(split.observed_graph.num_nodes, ",")
-    rows = []
-    for fold, pairs, labels in (("train", split.train_pairs, split.train_labels),
-                                ("val", split.val_pairs, split.val_labels),
-                                ("test", split.test_pairs, split.test_labels)):
-        tails = np.array([f"{name},{fold}\n" for name in split.label_names], dtype=object)
-        rows.append(_rows(ids[pairs[:, 0]], ids[pairs[:, 1]], tails[labels]))
-    _write_lines(path, params, ["u,v,label,fold"], "".join(rows))
+    """Rows (u, v, label, fold) over the train/val/test query sets.
+
+    Every pair must lie in ``[0, num_nodes)`` of the observed graph, or
+    ``ValueError`` is raised.
+    """
+    num_nodes = split.observed_graph.num_nodes
+    folds = (("train", split.train_pairs, split.train_labels),
+             ("val", split.val_pairs, split.val_labels),
+             ("test", split.test_pairs, split.test_labels))
+    for fold, pairs, _ in folds:
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
+            raise ValueError(f"{fold} pair outside [0, {num_nodes})")
+    ids = _id_cells(num_nodes, ",")
+    _write_lines(path, params, ["u,v,label,fold"], *(
+        ((ids, pairs[:, 0]), (ids, pairs[:, 1]),
+         (_text_cells(f"{name},{fold}\n" for name in split.label_names), labels))
+        for fold, pairs, labels in folds))
 
 
 def write_pairs_csv(path, pairs, params: dict | None = None) -> None:
-    """Rows (u, v), one per node pair."""
+    """Rows (u, v), one per node pair; a negative id raises ``ValueError``."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and pairs.min() < 0:
+        raise ValueError("negative node id in pairs")
     num_nodes = int(pairs.max()) + 1 if pairs.size else 0
-    rows = _rows(_id_strings(num_nodes, ",")[pairs[:, 0]],
-                 _id_strings(num_nodes, "\n")[pairs[:, 1]])
-    _write_lines(path, params, ["u,v"], rows)
+    _write_lines(path, params, ["u,v"], ((_id_cells(num_nodes, ","), pairs[:, 0]),
+                                         (_id_cells(num_nodes, "\n"), pairs[:, 1])))
 
 
 def write_runs_csv(path, rows, params: dict | None = None) -> None:

@@ -404,6 +404,37 @@ def test_signed_degree_counts_example():
     assert list(counts[0]) == [1.0, 0.0, 0.0, 1.0]
 
 
+def _add_at_degree_counts(g):
+    """The masked np.add.at form that signed_degree_counts replaced."""
+    counts = np.zeros((g.num_nodes, 4), dtype=np.float64)
+    pos = g.weight > 0
+    np.add.at(counts[:, 0], g.src[pos], g.weight[pos])
+    np.add.at(counts[:, 1], g.dst[pos], g.weight[pos])
+    np.add.at(counts[:, 2], g.src[~pos], -g.weight[~pos])
+    np.add.at(counts[:, 3], g.dst[~pos], -g.weight[~pos])
+    return counts
+
+
+def _random_weighted(n, m, seed):
+    rng = np.random.default_rng(seed)
+    codes = np.unique(rng.integers(0, n * n, size=m))
+    weight = rng.standard_normal(codes.size) * 10.0 ** rng.integers(-8, 8, codes.size)
+    return SignedDirectedGraph(n, codes // n, codes % n, np.where(weight == 0, 1.0, weight))
+
+
+@pytest.mark.parametrize("g", [
+    G(6, [(0, 0, 2.5), (0, 1, -0.25), (1, 1, -3.0), (2, 0, 1e-300), (4, 2, -7.0)]),
+    G(0, []),
+    G(4, []),
+    _random_weighted(300, 4000, seed=5),
+    sdsbm(f1_meta(0.2), 120, 0.1, eta=0.1, seed=2).graph,
+], ids=["self-loops-isolated", "n0", "no-edges", "weighted", "sdsbm"])
+def test_signed_degree_counts_match_add_at(g):
+    got, want = signed_degree_counts(g), _add_at_degree_counts(g)
+    assert got.shape == want.shape == (g.num_nodes, 4) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_signed_degree_all_positive_zero_columns():
     g = G(3, [(0, 1, 1.0), (1, 2, 1.0)])
     feats = signed_degree_features(g).values

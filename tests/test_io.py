@@ -8,7 +8,7 @@ from sdnet.generators import dsbm, f2_meta, meta_graph, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.pipeline import RunRecord, RunResult
 from sdnet.spectral import hermitian_imbalance
-from sdnet.splitters import link_class_split, node_split
+from sdnet.splitters import LinkTaskSplit, link_class_split, node_split
 
 
 def test_edge_tsv_roundtrip(tmp_path):
@@ -40,18 +40,53 @@ def _reference_edge_tsv(g, params=None):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("g", [
-    SignedDirectedGraph.from_edges(12, [
+# every id where the digit count changes, up to seven digits
+BOUNDARY_IDS = sorted({0} | {10 ** d - 1 for d in range(1, 7)} | {10 ** d for d in range(1, 7)})
+
+
+def _boundary_graph():
+    ids = np.array(BOUNDARY_IDS)
+    src, dst = np.repeat(ids, ids.size), np.tile(ids, ids.size)
+    weight = np.where((src + dst) % 3 == 0, -1.0, 0.5) * (1.0 + np.arange(src.size))
+    return SignedDirectedGraph(ids[-1] + 1, src, dst, weight)
+
+
+def _many_weights_graph():
+    rng = np.random.default_rng(11)
+    n = 2000
+    codes = np.unique(rng.integers(0, n * n, size=6000))
+    weight = rng.standard_normal(codes.size) * 10.0 ** rng.integers(-300, 300, codes.size)
+    weight[weight == 0] = 1.0
+    weight[:6] = [5e-324, -1.7976931348623157e308, 0.30000000000000004,
+                  -5e-324, 1.7976931348623157e308, -0.30000000000000004]
+    weight[6:600] = weight[600:1194]  # repeated values share one cell
+    return SignedDirectedGraph(n, codes // n, codes % n, weight)
+
+
+PARAMS = {"model": "ssbm", "p": 0.25}
+
+
+def test_id_cells_match_str_at_every_width():
+    for n in (0, 1, 9, 10, 11, 99, 100, 101, 1000, 10001):
+        assert sio._id_cells(n, "\t").tolist() == [f"{i}\t".encode() for i in range(n)]
+
+
+@pytest.mark.parametrize("g, params", [
+    (SignedDirectedGraph.from_edges(12, [
         (0, 1, 0.1), (1, 0, -1e-300), (2, 3, 5e-324), (3, 11, 2.5e17), (4, 4, -3.0),
-        (5, 6, 0.1), (6, 5, -3.0), (11, 0, 2.5e17), (7, 8, 1.0 / 3.0)]),
-    SignedDirectedGraph.from_edges(0, []),
-    SignedDirectedGraph.from_edges(3, []),
-], ids=["awkward-weights", "n0", "no-edges"])
-def test_edge_tsv_bytes_match_per_edge_formatter(tmp_path, g):
+        (5, 6, 0.1), (6, 5, -3.0), (11, 0, 2.5e17), (7, 8, 1.0 / 3.0)]), PARAMS),
+    (SignedDirectedGraph.from_edges(0, []), PARAMS),
+    (SignedDirectedGraph.from_edges(3, []), PARAMS),
+    (_boundary_graph(), PARAMS),
+    (_many_weights_graph(), PARAMS),
+    (SignedDirectedGraph.from_edges(3, [(0, 2, -1.0), (2, 1, 1.0)]),
+     {"model": "ssbm", "note": "signé, Δ ≥ 0 — 符号", "tags": ["α", "b"]}),
+], ids=["awkward-weights", "n0", "no-edges", "digit-boundary-ids", "thousands-of-weights",
+        "non-ascii-header"])
+def test_edge_tsv_bytes_match_per_edge_formatter(tmp_path, g, params):
     path = tmp_path / "g.tsv"
-    params = {"model": "ssbm", "p": 0.25}
     sio.write_edge_tsv(path, g, params)
-    assert path.read_text(encoding="utf-8") == _reference_edge_tsv(g, params)
+    assert path.read_bytes() == _reference_edge_tsv(g, params).encode("utf-8")
     back = sio.read_edge_tsv(path)
     assert back.num_nodes == g.num_nodes
     for field in ("src", "dst", "weight"):
@@ -137,6 +172,32 @@ def test_node_split_csv(tmp_path):
     assert roles == {"train", "val", "test", "seed"}
 
 
+def _reference_node_split_csv(split, params=None):
+    """The per-membership loop that write_node_split_csv replaced."""
+    lines = sio.format_params(params) if params else []
+    lines.append("node,replicate,role")
+    rolemasks = (("train", split.train), ("val", split.val),
+                 ("test", split.test), ("seed", split.seed))
+    for rep in range(split.num_splits):
+        for role, mask in rolemasks:
+            for node in np.nonzero(mask[:, rep])[0]:
+                lines.append(f"{node},{rep},{role}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("labels, num_splits", [
+    (np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1]), 2),
+    (np.arange(1234) % 3, 12),
+    (np.repeat([0, 1], 3), 1),
+], ids=["ten-nodes", "four-digit-ids", "six-nodes"])
+def test_node_split_csv_bytes_match_per_row_formatter(tmp_path, labels, num_splits):
+    split = node_split(labels, 0.6, 0.2, 0.2, seed_frac=0.2, num_splits=num_splits, seed=0)
+    path = tmp_path / "split.csv"
+    params = {"model": "ssbm", "kind": "node"}
+    sio.write_node_split_csv(path, split, params)
+    assert path.read_bytes() == _reference_node_split_csv(split, params).encode("utf-8")
+
+
 def test_link_split_csv(tmp_path):
     inst = ssbm(30, 2, 0.5, 0.5, eta=0.2, seed=1)
     split = link_class_split(inst.graph, "SP", seed=0)
@@ -189,6 +250,71 @@ def test_pairs_csv_bytes_match_per_pair_formatter(tmp_path, g, discards):
     sio.write_pairs_csv(path, split.discarded_pairs, params)
     assert path.read_text(encoding="utf-8") == _reference_pairs_csv(
         split.discarded_pairs, params)
+
+
+def _boundary_link_split(**change):
+    ids = np.array(BOUNDARY_IDS)
+    pairs = np.column_stack([ids, ids[::-1]])
+    fields = dict(task="SP", train_pairs=pairs[:6], train_labels=np.arange(6) % 2,
+                  val_pairs=pairs[6:9], val_labels=[1, 0, 1],
+                  test_pairs=pairs[9:], test_labels=np.arange(pairs.shape[0] - 9) % 2,
+                  observed_graph=_boundary_graph(), discarded_pairs=pairs[:2],
+                  label_names=("positive", "negative"))
+    fields.update(change)
+    return LinkTaskSplit(**fields)
+
+
+def test_link_split_and_pairs_csv_bytes_at_digit_boundaries(tmp_path):
+    split = _boundary_link_split()
+    sio.write_link_split_csv(tmp_path / "link.csv", split)
+    assert (tmp_path / "link.csv").read_text(encoding="utf-8") == \
+        _reference_link_split_csv(split)
+    ids = np.array(BOUNDARY_IDS)
+    pairs = np.column_stack([ids, np.roll(ids, 3)])
+    params = {"model": "dsbm", "split_task": "DP"}
+    sio.write_pairs_csv(tmp_path / "pairs.csv", pairs, params)
+    assert (tmp_path / "pairs.csv").read_text(encoding="utf-8") == \
+        _reference_pairs_csv(pairs, params)
+
+
+def test_writers_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
+    # rows are built a block at a time; blocks of 7 rows split every table
+    monkeypatch.setattr(sio, "_BLOCK_ROWS", 7)
+    g = _many_weights_graph()
+    sio.write_edge_tsv(tmp_path / "g.tsv", g)
+    assert (tmp_path / "g.tsv").read_text(encoding="utf-8") == _reference_edge_tsv(g)
+    split = link_class_split(sdsbm(f2_meta(0.1), 200, 0.05, eta=0.1, seed=3).graph, "5C",
+                             seed=2)
+    sio.write_link_split_csv(tmp_path / "link.csv", split)
+    assert (tmp_path / "link.csv").read_text(encoding="utf-8") == \
+        _reference_link_split_csv(split)
+    sio.write_pairs_csv(tmp_path / "pairs.csv", split.train_pairs, {})
+    assert (tmp_path / "pairs.csv").read_text(encoding="utf-8") == \
+        _reference_pairs_csv(split.train_pairs, {})
+    nodes = node_split(np.arange(300) % 3, 0.6, 0.2, 0.2, seed_frac=0.2, num_splits=3, seed=1)
+    sio.write_node_split_csv(tmp_path / "nodes.csv", nodes)
+    assert (tmp_path / "nodes.csv").read_text(encoding="utf-8") == \
+        _reference_node_split_csv(nodes)
+
+
+def test_pairs_csv_rejects_negative_ids(tmp_path):
+    path = tmp_path / "pairs.csv"
+    with pytest.raises(ValueError, match="negative"):
+        sio.write_pairs_csv(path, [[0, 3], [-1, 2]])
+    with pytest.raises(ValueError, match="negative"):
+        sio.write_pairs_csv(path, [[0, -3]])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fold, bad", [("train", -1), ("val", 1_000_001), ("test", -7)])
+def test_link_split_csv_rejects_pairs_outside_the_graph(tmp_path, fold, bad):
+    pairs = getattr(_boundary_link_split(), f"{fold}_pairs").copy()
+    pairs[-1, 1] = bad
+    split = _boundary_link_split(**{f"{fold}_pairs": pairs})
+    path = tmp_path / "link.csv"
+    with pytest.raises(ValueError, match=f"{fold} pair outside"):
+        sio.write_link_split_csv(path, split)
+    assert not path.exists()
 
 
 def test_run_csvs_bytes_match_per_row_formatter(tmp_path):

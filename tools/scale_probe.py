@@ -1,6 +1,7 @@
 """Time and peak memory of one large link split and clustering, stage by stage.
 
 Generates an sdsbm f1 graph (n = 100000 unless given, p = 20 / n),
+writes it to an edge TSV in a temporary directory and reads it back,
 splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
@@ -21,12 +22,15 @@ from __future__ import annotations
 
 import argparse
 import resource
+import tempfile
 import tracemalloc
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from sdnet import _blas, spectral
+from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
 from sdnet.splitters import link_class_split
@@ -69,6 +73,10 @@ def main(argv=None) -> None:
     tracemalloc.start()
     g = stage("generate", lambda: sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph)
     print(f"  m = {g.num_edges}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        stage("write_edge_tsv", sio.write_edge_tsv, path, g)
+        stage("read_edge_tsv", sio.read_edge_tsv, path)
     stage("link_class_split(4C, forest)",
           lambda: link_class_split(g, "4C", maintain_connectedness=True))
     stage("link_class_split(EP)", link_class_split, g, "EP")
