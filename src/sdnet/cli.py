@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: generate, split, cluster, linkpred, sweep, metrics. Each
-takes ``--config <path>`` (key = value sections), ``--out <dir>`` and an
+takes ``--config <path>`` (a TOML file), ``--out <dir>`` and an
 optional ``--seed`` overriding the graph seed. Exit codes: 0 success,
 2 configuration error, 3 numeric failure. All outputs are byte-identical
 across reruns of the same configuration.
@@ -97,11 +97,17 @@ def _metric_reports(names, graph, true, pred, soft) -> list:
 
 
 def _graph_params(cfg: dict, seed_override: int | None) -> dict:
-    """The [graph] section, with ``--seed`` set on generator parameters."""
+    """The [graph] section, with ``--seed`` set on generator parameters.
+
+    A ``path`` section takes ``labels_path`` and nothing else; a ``model``
+    section's keys are checked by ``generate_from_params``.
+    """
     params = dict(_section(cfg, "graph"))
-    if "path" not in params and "model" not in params:
+    if "path" in params:
+        return dict(_section(cfg, "graph", ("path", "labels_path")))
+    if "model" not in params:
         raise ConfigError("[graph] needs a 'path' or a 'model'")
-    if seed_override is not None and "path" not in params:
+    if seed_override is not None:
         params["seed"] = int(seed_override)
     return params
 
@@ -240,7 +246,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=True, help="key = value config file")
+        p.add_argument("--config", required=True, help="TOML config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the graph seed")

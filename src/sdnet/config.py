@@ -1,12 +1,14 @@
-"""Plain-text experiment configs: ``key = value`` lines in [sections].
+"""Experiment configs: TOML files read by the standard library's ``tomllib``.
 
-The accepted grammar is a TOML-compatible subset: section headers,
-booleans, integers, floats, double-quoted strings and flat lists.
-Comments start with ``#``.
+A config is returned as {section: {key: value}}. Every table is a
+section; the other keys before the first ``[section]`` header land in
+section ``""``, which is left out when empty. Every parse or read error
+is a ConfigError.
 """
 
 from __future__ import annotations
 
+import tomllib
 from pathlib import Path
 
 
@@ -14,70 +16,20 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-def _parse_scalar(text: str, where: str):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"{where}: empty value")
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value {text!r}") from None
-
-
-def _parse_value(text: str, where: str):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"{where}: unterminated list")
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        return [_parse_scalar(part, where) for part in body.split(",")]
-    return _parse_scalar(text, where)
-
-
 def loads(text: str) -> dict:
     """Parse config text into {section: {key: value}} (top level: '')."""
-    sections: dict[str, dict] = {"": {}}
-    current = sections[""]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"line {lineno}"
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"{where}: malformed section header {line!r}")
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigError(f"{where}: empty section name")
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{where}: empty key")
-        current[key] = _parse_value(value, where)
-    if not sections[""]:
-        del sections[""]
-    return sections
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(str(exc)) from None
+    top = {key: value for key, value in doc.items() if not isinstance(value, dict)}
+    sections = {key: value for key, value in doc.items() if isinstance(value, dict)}
+    return {"": top, **sections} if top else sections
 
 
 def load(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return loads(text)

@@ -251,6 +251,13 @@ def signed_erdos_renyi(n: int, p: float, seed: int = 0) -> SignedDirectedGraph:
     return SignedDirectedGraph(n, src, dst, ww)
 
 
+def erdos_renyi(n: int, p: float, seed: int = 0) -> GeneratedInstance:
+    """``signed_erdos_renyi`` as an instance whose nodes all carry label 0."""
+    graph = signed_erdos_renyi(n, p, seed=seed)
+    params = {"model": "erdos_renyi", "n": n, "p": p, "seed": seed}
+    return GeneratedInstance(graph, np.zeros(n, dtype=np.int64), params)
+
+
 def pol_ssbm(n: int, r: int, p: float, rho: float = 1.0, eta: float = 0.0,
              N: int | None = None, seed: int = 0) -> GeneratedInstance:
     """Polarized SSBM: r two-block SSBMs planted in a signed ER background.
@@ -370,7 +377,7 @@ def custom_meta(F, kind: str = "custom") -> MetaGraph:
     return MetaGraph(F, F.copy(), kind)
 
 
-def f1_meta(gamma: float) -> MetaGraph:
+def f1_meta(gamma: float = 0.0) -> MetaGraph:
     """3-cluster signed directed meta-graph with tunable imbalance gamma."""
     _check_prob("gamma", gamma)
     g = gamma
@@ -382,7 +389,7 @@ def f1_meta(gamma: float) -> MetaGraph:
     return custom_meta(F)
 
 
-def f2_meta(gamma: float) -> MetaGraph:
+def f2_meta(gamma: float = 0.0) -> MetaGraph:
     """4-cluster signed directed meta-graph with tunable imbalance gamma."""
     _check_prob("gamma", gamma)
     g = gamma

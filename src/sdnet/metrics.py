@@ -43,6 +43,8 @@ class SoftAssignment:
     def from_labels(cls, labels, num_clusters: int | None = None) -> "SoftAssignment":
         labels = np.asarray(labels, dtype=np.int64)
         k = int(labels.max()) + 1 if num_clusters is None else num_clusters
+        if np.any((labels < 0) | (labels >= k)):
+            raise ValueError(f"labels must lie in [0, {k})")
         p = np.zeros((labels.size, k))
         p[np.arange(labels.size), labels] = 1.0
         return cls(p)

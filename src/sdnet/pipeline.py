@@ -16,6 +16,7 @@ an entire experiment is a pure function of its configuration.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,61 +74,85 @@ class RunResult:
         return out
 
 
-def _meta_from_params(p: dict, for_signed: bool) -> gen.MetaGraph:
-    """Meta-graph from explicit matrices or high-level (kind, eta, gamma)."""
+# each model's generator is the function of that name in ``generators``,
+# looked up when called, so that a wrapper bound to the attribute sees it
+GENERATORS = ("ssbm", "pol_ssbm", "dsbm", "sdsbm", "erdos_renyi")
+# parameter -> the record key that sets it, where the two are spelt
+# differently; each map holds for its own function only, so ``meta_seed``
+# never sets a generator's ``seed``
+RECORD_KEYS = {
+    gen.ssbm: {"K": "k"},
+    gen.dsbm: {"K": "k"},
+    gen.pol_ssbm: {"N": "community_nodes"},
+    gen.meta_graph: {"kind": "meta", "K": "k", "seed": "meta_seed"},
+    gen.MetaGraph: {"F": "meta_f", "F_filled": "meta_f_filled", "kind": "meta_kind"},
+}
+
+
+def _meta_builder(model: str, p: dict):
+    """The meta-graph builder a record names, or None for a model without one.
+
+    Explicit ``meta_f``/``meta_f_filled``/``meta_kind`` matrices, as every
+    dsbm and sdsbm instance echoes them, build a MetaGraph. Otherwise dsbm
+    takes ``meta_graph`` of kind ``meta`` (default cycle), and sdsbm pops
+    ``meta`` (default f1) to choose ``f1_meta`` or ``f2_meta``.
+    """
+    if model not in ("dsbm", "sdsbm"):
+        return None
     if "meta_f" in p:
-        return gen.MetaGraph(np.asarray(p["meta_f"], dtype=np.float64),
-                             np.asarray(p.get("meta_f_filled", p["meta_f"]),
-                                        dtype=np.float64),
-                             p.get("meta_kind", "custom"))
-    kind = p.get("meta", "f1" if for_signed else "cycle")
-    if for_signed:
-        if kind == "f1":
-            return gen.f1_meta(p.get("gamma", 0.0))
-        if kind == "f2":
-            return gen.f2_meta(p.get("gamma", 0.0))
+        return gen.MetaGraph
+    if model == "dsbm":
+        p.setdefault("meta", "cycle")
+        return gen.meta_graph
+    kind = p.pop("meta", "f1")
+    if kind not in ("f1", "f2"):
         raise ValueError(f"unknown sdsbm meta {kind!r} (use 'f1', 'f2' or meta_f)")
-    return gen.meta_graph(kind, p["k"], eta=p.get("eta", 0.0),
-                          ambient=p.get("ambient", False),
-                          seed=p.get("meta_seed", 0))
+    return getattr(gen, f"{kind}_meta")
+
+
+def _record_keys(fn, p: dict, model: str, skip: int = 0) -> dict:
+    """{record key: parameter} for each parameter of ``fn`` that ``p`` sets.
+
+    The first ``skip`` parameters are left to the caller. A required
+    parameter ``p`` does not set raises ValueError naming its key.
+    """
+    renamed = RECORD_KEYS.get(inspect.unwrap(fn), {})
+    keys = {}
+    for name, par in list(inspect.signature(fn).parameters.items())[skip:]:
+        key = renamed.get(name, name)
+        if key in p:
+            keys[key] = name
+        elif par.default is par.empty:
+            raise ValueError(f"{model} is missing required key {key!r}")
+    return keys
 
 
 def generate_from_params(params: dict, seed: int | None = None) -> gen.GeneratedInstance:
     """Dispatch a generator call from a flat parameter record.
 
-    Accepts both high-level meta-graph settings (``meta = "cycle"`` plus
-    noise/ambient knobs) and the explicit ``meta_f``/``meta_f_filled``
-    matrices that generated instances echo, so any instance can be
-    regenerated bit-identically from its own parameter record.
+    The record's ``model`` names the generator (GENERATORS), and every
+    other key is a keyword argument of the generator or of its meta-graph
+    builder (``_meta_builder``), spelt as in RECORD_KEYS where the two
+    differ; their signatures hold every default. A key neither of them
+    takes, or a required key left out, raises ValueError before anything
+    is generated. Every instance echoes its ``meta_f``/``meta_f_filled``
+    matrices, so it regenerates bit-identically from its own record.
     """
     p = dict(params)
     model = p.pop("model")
+    if model not in GENERATORS:
+        raise ValueError(f"unknown generator model {model!r}")
     if seed is not None:
         p["seed"] = seed
-    p.setdefault("seed", 0)
-    if model == "ssbm":
-        return gen.ssbm(n=p["n"], K=p["k"], p_in=p["p_in"], p_out=p["p_out"],
-                        rho=p.get("rho", 1.0), eta_in=p.get("eta_in", 0.0),
-                        eta_out=p.get("eta_out", 0.0), eta=p.get("eta"),
-                        seed=p["seed"])
-    if model == "pol_ssbm":
-        return gen.pol_ssbm(n=p["n"], r=p["r"], p=p["p"], rho=p.get("rho", 1.0),
-                            eta=p.get("eta", 0.0), N=p.get("community_nodes"),
-                            seed=p["seed"])
-    if model == "dsbm":
-        meta = _meta_from_params(p, for_signed=False)
-        return gen.dsbm(meta, n=p["n"], K=p.get("k", meta.num_clusters),
-                        p=p["p"], rho=p.get("rho", 1.0), seed=p["seed"])
-    if model == "sdsbm":
-        meta = _meta_from_params(p, for_signed=True)
-        return gen.sdsbm(meta, n=p["n"], p=p["p"], rho=p.get("rho", 1.0),
-                         eta=p.get("eta", 0.0), seed=p["seed"])
-    if model == "erdos_renyi":
-        graph = gen.signed_erdos_renyi(n=p["n"], p=p["p"], seed=p["seed"])
-        labels = np.zeros(p["n"], dtype=np.int64)
-        params_out = {"model": model, "n": p["n"], "p": p["p"], "seed": p["seed"]}
-        return gen.GeneratedInstance(graph, labels, params_out)
-    raise ValueError(f"unknown generator model {model!r}")
+    fn = getattr(gen, model)
+    meta = _meta_builder(model, p)
+    keys = _record_keys(fn, p, model, skip=meta is not None)
+    meta_keys = _record_keys(meta, p, model) if meta is not None else {}
+    unknown = sorted(set(p) - set(keys) - set(meta_keys))
+    if unknown:
+        raise ValueError(f"{model} takes no key(s) {', '.join(map(repr, unknown))}")
+    args = () if meta is None else (meta(**{n: p[k] for k, n in meta_keys.items()}),)
+    return fn(*args, **{name: p[key] for key, name in keys.items()})
 
 
 def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,

@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,55 @@ def test_graph_needs_path_or_model(tmp_path, capsys, command, section):
     assert not any(out.iterdir())
 
 
-def test_graph_keys_pass_through(tmp_path):
-    cfg = write(tmp_path / "g.toml", GEN_CFG + "unused_generator_key = 1\n")
-    assert run(["generate", "--config", cfg, "--out", tmp_path / "out"]) == 0
+def test_unknown_graph_key_exits_2(tmp_path, monkeypatch, capsys):
+    import sdnet.generators as generators
+
+    @functools.wraps(generators.ssbm)
+    def record(*a, **k):
+        raise AssertionError("the graph was generated")
+
+    monkeypatch.setattr(generators, "ssbm", record)
+    with pytest.raises(AssertionError, match="the graph was generated"):
+        run(["generate", "--config", write(tmp_path / "g.toml", GEN_CFG),
+             "--out", tmp_path / "g"])
+    for command, extra, bad in (
+        ("generate", "rh0 = 1.5\n", "rh0"),
+        ("cluster", 'unused_generator_key = 1\n[cluster]\nmethod = "signed_laplacian_sym"\n'
+                    'k = 3\n', "unused_generator_key"),
+        # the swept parameter is a [graph] key too: ssbm has no gamma
+        ("sweep", '[sweep]\nparam = "gamma"\nvalues = [0.0]\n'
+                  'method = "signed_laplacian_sym"\nk = 3\n', "gamma"),
+    ):
+        cfg = write(tmp_path / f"{command}.toml", GEN_CFG + extra)
+        out = tmp_path / command
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert f"ssbm takes no key(s) '{bad}'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
+def test_path_graph_takes_only_path_and_labels_path(tmp_path, capsys):
+    gdir = tmp_path / "gen"
+    assert run(["generate", "--config", write(tmp_path / "g.toml", GEN_CFG),
+                "--out", gdir]) == 0
+    cfg = write(tmp_path / "c.toml", f"""
+[graph]
+path = "{gdir}/edges.tsv"
+label_path = "{gdir}/labels.csv"
+
+[cluster]
+method = "signed_laplacian_sym"
+k = 3
+""")
+    out = tmp_path / "out"
+    assert run(["cluster", "--config", cfg, "--out", out]) == 2
+    assert "[graph] has unknown key(s) 'label_path'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_metrics_negative_predicted_label_exits_2(tmp_path, capsys):
+    cfg = _metrics_cfg(tmp_path, ["prob_imbalance"])
+    write(tmp_path / "gen" / "labels.csv", "label\n-1\n" + "0\n" * 59)
+    out = tmp_path / "out"
+    assert run(["metrics", "--config", cfg, "--out", out]) == 2
+    assert "labels must lie in [0, 1)" in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -221,6 +221,15 @@ def test_soft_assignment_validation():
         SoftAssignment(np.array([[1.2, -0.2]]))
 
 
+def test_soft_assignment_from_labels_rejects_labels_outside_range():
+    # a negative label would index the last column, one >= k past the end
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+        SoftAssignment.from_labels([-1, 0, 1])
+    with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+        SoftAssignment.from_labels([0, 1, 2], num_clusters=2)
+    assert SoftAssignment.from_labels([0, 1, 1], num_clusters=3).P.shape == (3, 3)
+
+
 # -------------------------------------------------------------- flow imbalance
 
 def test_prob_imbalance_fully_imbalanced_pair():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,41 @@ def test_cluster_sweep_bad_param():
     with pytest.raises(ValueError):
         cluster_sweep({"model": "dsbm", "n": 30, "k": 3, "p": 0.2},
                       "zeta", [0.1], "hermitian_imbalance", 3)
+
+
+def test_cluster_sweep_rejects_a_param_the_model_does_not_take():
+    # dsbm's noise is meta_graph's eta; it has no gamma to sweep
+    with pytest.raises(ValueError, match="dsbm takes no key\\(s\\) 'gamma'"):
+        cluster_sweep({"model": "dsbm", "meta": "cycle", "n": 30, "k": 3, "p": 0.2},
+                      "gamma", [0.0, 0.2], "hermitian_imbalance", 3)
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"model": "sdsbm", "meta": "f1", "n": 30, "p": 0.2, "rh0": 1.5}, "takes no key(s) 'rh0'"),
+    ({"model": "sdsbm", "meta": "f1", "n": 30, "p": 0.2, "k": 7, "ambient": True},
+     "takes no key(s) 'ambient', 'k'"),
+    # explicit matrices replace the meta-graph builder and its keys
+    ({"model": "sdsbm", "n": 30, "p": 0.2, "gamma": 0.1, "meta_kind": "custom",
+      "meta_f": [[0.5, 0.5], [0.5, 0.5]], "meta_f_filled": [[0.5, 0.5], [0.5, 0.5]]},
+     "takes no key(s) 'gamma'"),
+    ({"model": "ssbm", "n": 30, "k": 2, "p_in": 0.3}, "missing required key 'p_out'"),
+    ({"model": "dsbm", "meta": "cycle", "n": 30, "p": 0.2}, "missing required key 'k'"),
+    ({"model": "sdsbm", "meta": "f3", "n": 30, "p": 0.2}, "unknown sdsbm meta 'f3'"),
+])
+def test_generate_from_params_rejects_bad_records(params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_from_params(params)
+
+
+def test_meta_seed_sets_only_the_meta_graph_seed():
+    from sdnet.generators import meta_graph
+    base = {"model": "dsbm", "meta": "complete", "n": 60, "k": 4, "p": 0.3, "eta": 0.1,
+            "seed": 7}
+    plain = generate_from_params(base)
+    inst = generate_from_params({**base, "meta_seed": 5})
+    assert plain.params["seed"] == inst.params["seed"] == 7
+    assert plain.params["meta_f"] == meta_graph("complete", 4, eta=0.1).F.tolist()
+    assert inst.params["meta_f"] == meta_graph("complete", 4, eta=0.1, seed=5).F.tolist()
 
 
 def test_cluster_sweep_needs_a_seed():
