@@ -15,8 +15,11 @@ and hard labels feed the metrics.
 ``kmeans_full`` runs all its restarts as one array program. Only the
 k-means++ seeding draws from the seeded stream, so every restart is
 seeded first, in order; Lloyd's steps then move all restarts' centres
-together, one (restarts, k, n) distance array per step, and a restart
-drops out of the batch once its labels stop changing.
+together, and a restart drops out of the batch once its labels stop
+changing. Each step fills one (restarts, k, n) buffer with distances,
+takes the nearest centres, then overwrites the buffer with the labels'
+one-hot: one matrix product of it with x gives every cluster's sum in
+every restart, and its row sums the member counts.
 """
 
 from __future__ import annotations
@@ -158,7 +161,8 @@ def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     All restarts are seeded first, in order, then run Lloyd's steps
     together on an (r, k, d) centre array; a restart leaves the batch once
     its labels stop changing, and the lowest inertia wins (the first
-    restart on ties).
+    restart on ties). The centroid sums come from a BLAS product, so
+    centres may differ from a sequential sum in their last bits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -172,12 +176,14 @@ def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     rng = stream(seed)
     restarts = max(restarts, 1)
     centers = np.stack([_kmeanspp(x, sq, k, rng) for _ in range(restarts)])
-    # the live temporaries: x^T, d2 (r, k, n) and two (r, n) label arrays
+    # the live temporaries: x^T, d2 (r, k, n) and two (r, n) label arrays;
+    # labels take the smallest type that also holds k, the "none yet" mark
     xt = np.ascontiguousarray(x.T)
     d2 = np.empty((restarts, k, n))
-    labels = np.empty((restarts, n), dtype=np.int64)
-    prev = np.full((restarts, n), -1, dtype=np.int64)  # rows follow ``active``
-    offsets = np.arange(restarts)[:, None] * k
+    label = np.min_scalar_type(k)
+    labels = np.empty((restarts, n), dtype=label)
+    prev = np.full((restarts, n), k, dtype=label)  # rows follow ``active``
+    ids = np.arange(k, dtype=label)[:, None]
     active = np.arange(restarts)
     for _ in range(max_iter):
         a = active.size
@@ -185,25 +191,17 @@ def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
             break
         c, new = centers[active], labels[:a]
         mind2 = _nearest(_dist2(xt, sq, c, d2[:a]), new)
-        new += offsets[:a]  # bins: label + restart * k
-        counts = np.bincount(new.ravel(), minlength=a * k).reshape(a, k)
-        empty = np.flatnonzero((counts == 0).any(axis=1))
-        if empty.size:
-            new -= offsets[:a]
-            for i in empty:
-                _reseed_empty(x, c[i], new[i], mind2[i])
-            new += offsets[:a]
-            counts = np.bincount(new.ravel(), minlength=a * k).reshape(a, k)
-        sums = np.empty((a * k, x.shape[1]))
-        weights = d2.reshape(-1)[:a * n].reshape(a, n)  # d2 is spent by now
-        for j in range(x.shape[1]):
-            weights[...] = xt[j]
-            sums[:, j] = np.bincount(new.ravel(), weights=weights.ravel(),
-                                     minlength=a * k)
-        new -= offsets[:a]
+        for i in np.flatnonzero(_has_empty(new, ids)):
+            _reseed_empty(x, c[i], new[i], mind2[i])
+        # d2 is spent: it takes the labels' one-hot, whose product with x
+        # sums each cluster's members and whose row sums count them
+        onehot = d2[:a]
+        np.equal(new[:, None, :], ids, out=onehot)
+        sums = np.matmul(onehot.reshape(a * k, n), x).reshape(a, k, -1)
+        counts = onehot.sum(axis=2)
         moved = (new != prev[:a]).any(axis=1)
         update = moved[:, None] & (counts > 0)
-        c[update] = sums.reshape(a, k, -1)[update] / counts[update][:, None]
+        c[update] = sums[update] / counts[update][:, None]
         centers[active] = c
         labels, prev = prev, labels  # this step's labels are the next one's prev
         for row, i in enumerate(np.flatnonzero(moved)):
@@ -213,7 +211,18 @@ def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     mind2 = _nearest(_dist2(xt, sq, centers, d2), labels)
     inertia = mind2.sum(axis=1)
     best = int(np.argmin(inertia))
-    return labels[best].copy(), centers[best].copy(), float(inertia[best])
+    return labels[best].astype(np.int64), centers[best].copy(), float(inertia[best])
+
+
+def _has_empty(labels: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per restart (row of ``labels``), whether some cluster in ``ids``
+    (a k x 1 column) has no member."""
+    empty = np.zeros(labels.shape[0], dtype=bool)
+    hit = np.empty(labels.shape, dtype=bool)
+    for j in ids[:, 0]:
+        np.equal(labels, j, out=hit)
+        empty |= ~hit.any(axis=1)
+    return empty
 
 
 def _row_normalize(x: np.ndarray) -> np.ndarray:

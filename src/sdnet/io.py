@@ -32,7 +32,17 @@ import numpy as np
 from .graph import SignedDirectedGraph
 
 
+# a TOML basic string escapes the quotation mark, the backslash and every
+# control character, by its short form where TOML has one
+_TOML_ESCAPES = {c: f"\\u{c:04X}" for c in (*range(0x20), 0x7F)}
+_TOML_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b",
+                      ord("\t"): "\\t", ord("\n"): "\\n", ord("\f"): "\\f",
+                      ord("\r"): "\\r"})
+
+
 def _fmt(value) -> str:
+    """``value`` as a TOML value: a boolean, float, integer, basic string
+    or array of them."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -40,7 +50,7 @@ def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
-        return f'"{value}"'
+        return '"' + value.translate(_TOML_ESCAPES) + '"'
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     raise TypeError(f"cannot serialize parameter of type {type(value)!r}")

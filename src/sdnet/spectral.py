@@ -9,7 +9,11 @@ D^{-1/2} = 0, keeping every operator well-defined.
 
 Every operator is a sparse Hermitian CSR matrix built in O(m) from the
 graph's COO arrays: each cell of the symmetrized support is computed
-from its pair (A[u, v], A[v, u]) and mirrored as its conjugate.
+from its pair (A[u, v], A[v, u]) and mirrored as its conjugate, straight
+into CSR rows (``_csr.hermitian_from_upper``), with each builder
+temporary dropped after its last use. ``SpectralMatrix`` checks
+Hermiticity entry by entry against each entry's mirror, without forming
+M - M^H.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
 restarted Lanczos method (``scipy.sparse.linalg.eigsh``) and a
 Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
@@ -74,7 +78,8 @@ class SpectralMatrix:
     here, once: float64 when every imaginary part is zero (the real
     kinds, and a complex kind whose phases all vanish), complex128
     otherwise. ``toarray()`` gives the dense n x n view. Hermiticity is
-    checked in O(nnz) on construction.
+    checked in O(nnz) on construction: each stored entry is compared with
+    its mirror, a block at a time, without forming M - M^H (``_csr``).
     """
 
     entries: object
@@ -82,7 +87,7 @@ class SpectralMatrix:
     q: float | None = None
 
     def __post_init__(self):
-        from ._csr import as_csr
+        from ._csr import as_csr, hermitian_residual
         m = self.entries
         if not hasattr(m, "tocsr"):
             m = np.asarray(m)
@@ -92,7 +97,7 @@ class SpectralMatrix:
             raise ValueError(f"unknown spectral kind {self.kind!r}")
         m = as_csr(m)
         scale = max(1.0, float(np.linalg.norm(m.data)))
-        if np.linalg.norm((m - m.conj().T).data) > HERMITICITY_RTOL * scale:
+        if hermitian_residual(m) > HERMITICITY_RTOL * scale:
             raise NumericError("operator is not Hermitian to tolerance")
         object.__setattr__(self, "entries", m)
 
@@ -130,43 +135,61 @@ def _inv_sqrt_degrees(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _laplacian(g: SignedDirectedGraph, lo, hi, h, d, normalized: bool,
-               kind: str, q: float | None = None) -> SpectralMatrix:
-    """I - D^{-1/2} H D^{-1/2} (normalized) or D - H, with H given per cell.
+def _laplacian(n: int, lo, hi, h, d, normalized: bool):
+    """CSR of I - D^{-1/2} H D^{-1/2} (normalized) or D - H, with H given per cell.
 
     ``h`` holds H[lo, hi] for every cell of the symmetrized support and
-    ``d`` the degrees; H[hi, lo] is its conjugate.
+    ``d`` the degrees; H[hi, lo] is its conjugate. ``h`` is overwritten.
     """
     from ._csr import hermitian_from_upper
-    n = g.num_nodes
     if normalized:
         dis = _inv_sqrt_degrees(d)
-        h = dis[lo] * h * dis[hi]
+        h *= dis[lo]  # dis[lo] * h * dis[hi], in place with the same bits
+        h *= dis[hi]
         diag = np.ones(n, dtype=h.dtype)
     else:
         diag = d.astype(h.dtype)
+    np.negative(h, out=h)
     loop = lo == hi
-    diag[lo[loop]] -= h[loop]
-    off = ~loop
-    entries = hermitian_from_upper(n, lo[off], hi[off], -h[off], diag)
-    return SpectralMatrix(entries, kind, q=q)
+    if loop.any():
+        diag[lo[loop]] += h[loop]
+        off = ~loop
+        lo, hi, h = lo[off], hi[off], h[off]
+    return hermitian_from_upper(n, lo, hi, h, diag)
+
+
+def _phase(a_lh, a_hl, q: float):
+    """exp(i 2 pi q (a_lh - a_hl)), computed in ``a_lh``'s place."""
+    np.subtract(a_lh, a_hl, out=a_lh)
+    a_lh *= 2.0 * np.pi * q
+    z = 1j * a_lh
+    return np.exp(z, out=z)
 
 
 def normalized_laplacian(g: SignedDirectedGraph) -> SpectralMatrix:
     """I - D^{-1/2} A_s D^{-1/2} on the symmetrized absolute adjacency."""
-    lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    m = (np.abs(a_lh) + np.abs(a_hl)) / 2.0
+    lo, hi, m, a_hl = symmetric_pairs(g)
+    np.abs(m, out=m)
+    m += np.abs(a_hl, out=a_hl)
+    del a_hl
+    m /= 2.0
     d = pair_row_sums(g.num_nodes, lo, hi, m)
-    return _laplacian(g, lo, hi, m, d, True, "normalized_laplacian")
+    entries = _laplacian(g.num_nodes, lo, hi, m, d, True)
+    del lo, hi, m
+    return SpectralMatrix(entries, "normalized_laplacian")
 
 
 def signed_laplacian(g: SignedDirectedGraph, normalized: bool = False) -> SpectralMatrix:
     """Dbar - A_s with absolute-degree diagonal, or its normalized form."""
-    lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    a_s = (a_lh + a_hl) / 2.0
+    lo, hi, a_s, a_hl = symmetric_pairs(g)
+    a_s += a_hl
+    del a_hl
+    a_s /= 2.0
     dbar = pair_row_sums(g.num_nodes, lo, hi, np.abs(a_s))
+    entries = _laplacian(g.num_nodes, lo, hi, a_s, dbar, normalized)
+    del lo, hi, a_s
     kind = "signed_laplacian_sym" if normalized else "signed_laplacian"
-    return _laplacian(g, lo, hi, a_s, dbar, normalized, kind)
+    return SpectralMatrix(entries, kind)
 
 
 def _check_q(q: float) -> float:
@@ -189,10 +212,16 @@ def magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
         raise ValueError("magnetic_laplacian needs nonnegative weights; "
                          "use signed_magnetic_laplacian for signed graphs")
     lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    a_s = (a_lh + a_hl) / 2.0
-    h = a_s * np.exp(1j * (2.0 * np.pi * q * (a_lh - a_hl)))
+    a_s = a_lh + a_hl
+    a_s /= 2.0
+    h = _phase(a_lh, a_hl, q)
+    del a_lh, a_hl
+    h *= a_s
     d = pair_row_sums(g.num_nodes, lo, hi, a_s)
-    return _laplacian(g, lo, hi, h, d, normalized, "magnetic_laplacian", q=q)
+    del a_s
+    entries = _laplacian(g.num_nodes, lo, hi, h, d, normalized)
+    del lo, hi, h
+    return SpectralMatrix(entries, "magnetic_laplacian", q=q)
 
 
 def signed_magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
@@ -206,12 +235,22 @@ def signed_magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
     """
     q = _check_q(q)
     lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    abs_lh, abs_hl = np.abs(a_lh), np.abs(a_hl)
-    m = (abs_lh + abs_hl) / 2.0
-    s = np.where(a_lh + a_hl < 0, -1.0, 1.0)
-    h = s * m * np.exp(1j * (2.0 * np.pi * q * (abs_lh - abs_hl)))
+    m = a_lh + a_hl
+    negative = m < 0
+    np.abs(a_lh, out=a_lh)
+    np.abs(a_hl, out=a_hl)
+    np.add(a_lh, a_hl, out=m)
+    m /= 2.0
+    h = _phase(a_lh, a_hl, q)
+    del a_lh, a_hl
     d = pair_row_sums(g.num_nodes, lo, hi, m)
-    return _laplacian(g, lo, hi, h, d, normalized, "signed_magnetic_laplacian", q=q)
+    np.negative(m, out=m, where=negative)  # s * m with s = -1 or 1 is exact
+    del negative
+    h *= m
+    del m
+    entries = _laplacian(g.num_nodes, lo, hi, h, d, normalized)
+    del lo, hi, h
+    return SpectralMatrix(entries, "signed_magnetic_laplacian", q=q)
 
 
 def hermitian_imbalance(g: SignedDirectedGraph) -> SpectralMatrix:
@@ -219,9 +258,16 @@ def hermitian_imbalance(g: SignedDirectedGraph) -> SpectralMatrix:
     from ._csr import hermitian_from_upper
     lo, hi, a_lh, a_hl = symmetric_pairs(g)
     off = lo != hi
-    h = 1j * (a_lh[off] - a_hl[off])
-    return SpectralMatrix(hermitian_from_upper(g.num_nodes, lo[off], hi[off], h, None),
-                          "hermitian_imbalance")
+    if not off.all():
+        lo, hi, a_lh, a_hl = lo[off], hi[off], a_lh[off], a_hl[off]
+    del off
+    a_lh -= a_hl
+    del a_hl
+    h = 1j * a_lh
+    del a_lh
+    entries = hermitian_from_upper(g.num_nodes, lo, hi, h, None)
+    del lo, hi, h
+    return SpectralMatrix(entries, "hermitian_imbalance")
 
 
 def _select(vals: np.ndarray, k: int, which: str) -> np.ndarray:
@@ -242,12 +288,49 @@ def _dense_eigh(m: np.ndarray, k: int, which: str) -> EigenPairs:
     return EigenPairs(vals[idx], vecs[:, idx])
 
 
+def _norm_inf(a) -> float:
+    """max_i sum_j |a_ij|, each row summed as scipy's ``abs(a).sum(axis=1)``
+    sums it (``np.add.reduceat``; a sequential ``bincount`` differs in the
+    last bits), without copying a's pattern."""
+    rows = np.flatnonzero(np.diff(a.indptr))
+    if not rows.size:
+        return 0.0
+    return float(np.add.reduceat(np.abs(a.data), a.indptr[rows]).max(initial=0.0))
+
+
+def _shifted(a, shift: float):
+    """shift * I - a with the bits and pattern of scipy's sparse
+    subtraction: shift - a_ii on the diagonal, 0 - a_ij elsewhere, and
+    no entry that comes out zero. Built on a's own index arrays when a
+    stores every diagonal entry and no result is zero."""
+    from ._csr import CSRMatrix
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+    on_diag = a.indices == rows
+    del rows
+    if np.count_nonzero(on_diag) != n:
+        from scipy.sparse import identity
+        return shift * identity(n, dtype=a.dtype, format="csr") - a
+    data = np.subtract(0.0, a.data)
+    data[on_diag] = shift - a.data[on_diag]
+    del on_diag
+    kept = data != 0
+    if kept.all():
+        return CSRMatrix((data, a.indices, a.indptr), shape=a.shape)
+    before = np.zeros(kept.size + 1, dtype=a.indptr.dtype)  # kept entries before each
+    np.cumsum(kept, out=before[1:])
+    return CSRMatrix((data[kept], a.indices[kept], before[a.indptr]), shape=a.shape)
+
+
 def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     """k eigenpairs of a sparse operator by ARPACK, then Rayleigh-Ritz.
 
     ``smallest`` takes the largest-algebraic pairs of c I - L with c the
     Gershgorin bound ||L||_inf (max absolute row sum), so every wanted
-    eigenvalue is the top of a nonnegative spectrum. A float64 operator
+    eigenvalue is the top of a nonnegative spectrum. The bound is summed
+    from |L.data| and c I - L is built on L's own index arrays
+    (``_shifted``), both with the bits scipy's ``abs(L).sum(axis=1)`` and
+    ``c * identity(n) - L`` give. A float64 operator
     runs in real arithmetic. ARPACK stops at relative accuracy
     LANCZOS_TOL. Its complex driver does not return orthonormal Ritz
     vectors, so the basis is orthonormalized (QR) and the k x k
@@ -256,7 +339,6 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     LANCZOS_RESIDUAL_RTOL * max(1, ||L||_inf) raises NumericError.
     Below LANCZOS_THREADED_MIN_N rows all of it runs on one BLAS thread.
     """
-    from scipy.sparse import identity
     from scipy.sparse.linalg import ArpackError, eigsh
     a = op.entries
     n = op.num_nodes
@@ -265,11 +347,11 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     with limit():
         z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
         v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
-        norm_inf = float(abs(a).sum(axis=1).max(initial=0.0))
+        norm_inf = _norm_inf(a)
         shift = 0.0
         if which == "smallest":
             shift = norm_inf
-            target, mode = shift * identity(n, dtype=a.dtype, format="csr") - a, "LA"
+            target, mode = _shifted(a, shift), "LA"
         else:
             target, mode = a, ("LA" if which == "largest" else "LM")
         if not np.any(target.data):

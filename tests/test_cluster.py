@@ -108,3 +108,27 @@ def test_kmeans_rejects_non_finite_input(bad):
     x[4, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         kmeans_full(x, 3)
+
+
+def test_kmeans_traced_memory_within_its_distance_buffer():
+    # the (restarts, k, n) distance buffer also takes each step's one-hot
+    # labels; the d weighted bincounts and (restarts, n) int64 labels it
+    # replaced traced 2x the buffer
+    import tracemalloc
+    n, k, d, restarts = 20_000, 3, 6, 10
+    x = stream(5).normal(size=(n, d)) + 4.0 * stream(6).normal(size=(k, d))[
+        stream(7).integers(k, size=n)]
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        labels, _, _ = kmeans_full(x, k, restarts=restarts, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert labels.dtype == np.int64 and np.unique(labels).size == k
+    buffer = restarts * k * n * 8
+    assert peak <= 1.5 * buffer, f"{peak / buffer:.2f} x the distance buffer"

@@ -65,8 +65,10 @@ def test_roundtrip_with_io_format_params(tmp_path):
     from sdnet.io import format_params
     from sdnet.pipeline import generate_from_params
     params = {"model": "dsbm", "n": 100, "p": 0.02, "ambient": False,
-              "values": [0.0, 0.5], "name": "run"}
+              "values": [0.0, 0.5], "name": "run", "source": "C:\\data\\x.tsv",
+              "note": 'say "hi"', "names": ["tab\there", "two\nlines", "bell\x07", "del\x7f"]}
     lines = [ln[2:] for ln in format_params(params)]  # strip leading '# '
+    assert len(lines) == len(params)  # no value breaks its line
     cfg = loads("\n".join(lines))[""]
     assert cfg == params
     # every model's provenance header, read back as [graph], regenerates it

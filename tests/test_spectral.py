@@ -763,3 +763,217 @@ def test_single_thread_solve_matches_two_thread_solve(monkeypatch, two_blas_thre
     threaded = eigh(op, 3, which)
     assert np.allclose(limited.values, threaded.values, rtol=0, atol=1e-9)
     assert np.max(np.abs(_projector(limited.vectors) - _projector(threaded.vectors))) <= 1e-9
+
+
+# ------------------------------------- byte oracles for assembly and shift
+# The COO builder and the scipy shift that the row-by-row assembly and the
+# own-pattern shift replaced, kept verbatim: the operators and eigenpairs
+# must keep their bytes.
+
+def ref_hermitian_from_upper(n, rows, cols, upper, diag):
+    from sdnet._csr import CSRMatrix
+    r = [rows, cols]
+    c = [cols, rows]
+    v = [upper, np.conj(upper)]
+    if diag is not None:
+        r.append(np.arange(n))
+        c.append(np.arange(n))
+        v.append(diag)
+    r = np.concatenate(r)
+    c = np.concatenate(c)
+    # + 0.0 turns a -0.0 component into 0.0, as an averaged (M + M^H) / 2 does
+    v = np.concatenate(v) + 0.0
+    order = np.lexsort((c, r))
+    index = np.int32 if max(n, v.size) < 2 ** 31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
+    return CSRMatrix((v[order], c[order].astype(index), indptr), shape=(n, n))
+
+
+def ref_shifted(a, shift):
+    from scipy.sparse import identity
+    return shift * identity(a.shape[0], dtype=a.dtype, format="csr") - a
+
+
+def ref_norm_inf(a):
+    return float(abs(a).sum(axis=1).max(initial=0.0))
+
+
+def _all_kinds(g):
+    ops = [normalized_laplacian(g), signed_laplacian(g), signed_laplacian(g, normalized=True),
+           signed_magnetic_laplacian(g, q=0.2), signed_magnetic_laplacian(g, normalized=False),
+           hermitian_imbalance(g)]
+    if not np.any(g.weight < 0):
+        ops += [magnetic_laplacian(g, q=0.3), magnetic_laplacian(g, normalized=False)]
+    return ops
+
+
+def _same_bytes(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)))
+
+
+def byte_oracle_graphs():
+    """Random graphs with self-loops, reciprocal pairs whose weights cancel
+    and isolated nodes, unsigned ones among them, and every graph on n <= 2."""
+    out = oracle_fixtures()
+    out += [G(0, []), G(1, []), G(1, [(0, 0, -2.0)]), G(2, []), G(2, [(0, 1, 1.0)]),
+            G(2, [(0, 1, 2.0), (1, 0, -2.0)]), G(2, [(0, 0, 1.5), (0, 1, -0.5), (1, 1, 3.0)])]
+    for seed in range(6):
+        rng = stream(4100 + seed)
+        n = int(rng.integers(3, 50))
+        edges = {}
+        for _ in range(int(rng.integers(0, 3 * n))):
+            u, v = (int(x) for x in rng.integers(n - 2, size=2))  # the last two isolated
+            edges[(u, v)] = float(rng.normal()) or 1.0
+        for u in range(0, n - 2, 5):
+            w = 0.25 + float(rng.random())
+            edges[(u, u + 1)], edges[(u + 1, u)] = w, -w
+        if seed % 2:
+            edges = {e: abs(w) for e, w in edges.items()}
+        out.append(G(n, [(u, v, w) for (u, v), w in sorted(edges.items())]))
+    return out
+
+
+def test_operators_byte_identical_to_coo_lexsort_oracle(monkeypatch):
+    from sdnet import _csr
+    from sdnet.spectral import SPECTRAL_KINDS
+    kinds = set()
+    for g in byte_oracle_graphs():
+        got = _all_kinds(g)
+        with monkeypatch.context() as m:
+            m.setattr(_csr, "hermitian_from_upper", ref_hermitian_from_upper)
+            want = _all_kinds(g)
+        for a, b in zip(got, want):
+            kinds.add(a.kind)
+            assert _same_bytes(a.entries, b.entries), (g.num_nodes, a.kind)
+    assert kinds == set(SPECTRAL_KINDS)
+
+
+def test_shift_and_bound_byte_identical_to_scipy_oracle():
+    from sdnet.spectral import _norm_inf, _shifted
+    paths = set()
+    for g in byte_oracle_graphs():
+        for op in _all_kinds(g):
+            a = op.entries
+            bound = _norm_inf(a)
+            assert bound == ref_norm_inf(a), op.kind
+            got, want = _shifted(a, bound), ref_shifted(a, bound)
+            assert _same_bytes(got, want), (g.num_nodes, op.kind)
+            # a's own pattern, unless a lacks a diagonal entry (the scipy
+            # expression) or a result is zero, as for a cancelling pair's cell
+            rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+            if np.count_nonzero(a.indices == rows) < a.shape[0]:
+                paths.add("scipy")
+            elif got.nnz < a.nnz:
+                paths.add("compressed")
+            elif a.nnz:
+                assert np.shares_memory(got.indices, a.indices), op.kind
+                paths.add("own")
+    assert paths == {"own", "compressed", "scipy"}
+
+
+@pytest.mark.parametrize("which", ["smallest", "largest", "largest_abs"])
+def test_eigh_byte_identical_to_oracles_on_workload_families(monkeypatch, which):
+    from sdnet import _csr, spectral
+    dsbm_g, sdsbm_g = _workload_graphs()
+    builds = [lambda: hermitian_imbalance(dsbm_g), lambda: magnetic_laplacian(dsbm_g),
+              lambda: signed_magnetic_laplacian(sdsbm_g),
+              lambda: signed_laplacian(sdsbm_g, normalized=True)]
+    for build in builds:
+        got = eigh(build(), 3, which)
+        with monkeypatch.context() as m:
+            m.setattr(_csr, "hermitian_from_upper", ref_hermitian_from_upper)
+            m.setattr(spectral, "_shifted", ref_shifted)
+            m.setattr(spectral, "_norm_inf", ref_norm_inf)
+            want = eigh(build(), 3, which)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+
+# ------------------------------------------------------ Hermiticity check
+
+def test_hermiticity_check_catches_one_value_off_by_1e9():
+    op = signed_magnetic_laplacian(_workload_graphs()[1])
+    bad = op.entries.copy()
+    upper = np.flatnonzero(bad.indices > np.repeat(np.arange(bad.shape[0]),
+                                                   np.diff(bad.indptr)))[17]
+    scale = np.linalg.norm(bad.data)
+    bad.data[upper] += 1e-9 * scale
+    with pytest.raises(NumericError):
+        SpectralMatrix(bad, op.kind)
+    bad.data[upper] = op.entries.data[upper]
+    assert SpectralMatrix(bad, op.kind).entries.nnz == op.entries.nnz
+
+
+def test_hermiticity_check_catches_entry_without_mirror():
+    import scipy.sparse as sps
+    m = sps.csr_array(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.25, 0.0, 1.0]]))
+    with pytest.raises(NumericError):
+        SpectralMatrix(m, "signed_laplacian")
+    # an explicitly stored zero needs no mirror, as M - M^H stays zero
+    m = sps.csr_array((np.array([1.0, 0.0, 1.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+                      shape=(2, 2))
+    assert SpectralMatrix(m, "signed_laplacian").entries.nnz == 3
+
+
+def test_hermiticity_check_catches_dense_non_hermitian():
+    m = np.array([[1.0, 2.0 + 1j], [2.0 + 1j, 0.5]])  # symmetric, not Hermitian
+    with pytest.raises(NumericError):
+        SpectralMatrix(m, "hermitian_imbalance")
+    with pytest.raises(NumericError):
+        SpectralMatrix(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), "signed_laplacian")
+
+
+def test_hermitian_residual_is_frobenius_norm_of_difference():
+    import scipy.sparse as sps
+    from sdnet._csr import as_csr, hermitian_residual
+    rng = stream(12)
+    for case in range(20):
+        n = int(rng.integers(1, 30))
+        dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        dense[rng.random((n, n)) < 0.7] = 0.0
+        if case % 2:
+            dense = dense + dense.conj().T
+            dense[0, -1] += 1e-7  # a near-Hermitian one with a symmetric pattern
+        m = as_csr(sps.csr_array(dense))
+        want = np.linalg.norm(dense - dense.conj().T)
+        assert hermitian_residual(m) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+# ------------------------------------------------------------------ memory
+
+def _traced_peak(fn):
+    import tracemalloc
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[1] - base, out
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["normalized_laplacian", "signed_laplacian",
+                                  "signed_laplacian_sym", "magnetic_laplacian",
+                                  "signed_magnetic_laplacian", "hermitian_imbalance"])
+def test_operator_build_traced_bytes_per_edge(kind):
+    # the COO lexsort builder and the M - M^H check once traced 313 bytes per
+    # edge for the signed magnetic Laplacian; the stored operator is 42
+    n = 20_000
+    g = sdsbm(f1_meta(0.0), n, 20.0 / n, seed=1).graph
+    if kind == "magnetic_laplacian":
+        g = SignedDirectedGraph(n, g.src, g.dst, np.abs(g.weight))
+    build = {"normalized_laplacian": normalized_laplacian,
+             "signed_laplacian": signed_laplacian,
+             "signed_laplacian_sym": lambda g: signed_laplacian(g, normalized=True),
+             "magnetic_laplacian": magnetic_laplacian,
+             "signed_magnetic_laplacian": signed_magnetic_laplacian,
+             "hermitian_imbalance": hermitian_imbalance}[kind]
+    peak, op = _traced_peak(lambda: build(g))
+    assert op.kind == kind and g.num_edges > 190_000
+    assert peak <= 130 * g.num_edges, f"{peak / g.num_edges:.0f} bytes per edge"

@@ -13,7 +13,8 @@ Tracing is on while the stages are timed, which slows allocation-heavy
 stages a little.
 The header names each OpenBLAS loaded and its thread count; solves below
 ``spectral.LANCZOS_THREADED_MIN_N`` rows run on one of them. Not part of
-the test suite; run it by hand from the root of a source checkout:
+the pytest suite; the CI workflow runs it at n = 20,000 (a few seconds),
+which keeps it working. Run it from the root of a source checkout:
 
     PYTHONPATH=src python tools/scale_probe.py [n]
 """
