@@ -2,7 +2,9 @@
 
 Subcommands: generate, split, cluster, linkpred, sweep, metrics. Each
 takes ``--config <path>`` (a TOML file), ``--out <dir>`` and an
-optional ``--seed`` overriding the graph seed. Exit codes: 0 success,
+optional ``--seed`` overriding the graph seed. A command's section is
+bound (``pipeline.bind``) to the library call it drives, defaults and
+all. Exit codes: 0 success,
 2 configuration error, 3 numeric failure. All outputs are byte-identical
 across reruns of the same configuration.
 """
@@ -10,7 +12,6 @@ across reruns of the same configuration.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
@@ -21,15 +22,13 @@ from . import metrics as met
 from .cluster import is_complex
 from .config import ConfigError, load
 from .graph import is_directed, is_signed
-from .pipeline import (cluster_sweep, generate_from_params, linkpred_run,
-                       resolve_combiner, spectral_cluster)
+from .pipeline import (bind, cluster_sweep, generate_from_params, linkpred_run,
+                       record_keys, resolve_combiner, spectral_cluster)
 from .plotsvg import render_line_plot
 from .spectral import NumericError
 from .splitters import canonical_task, link_class_split, node_split
 
 
-# library parameter -> the differently spelt config key that sets it
-RENAMED = {"embed_method": "embed"}
 # [metrics] drives no single library call, so it lists its own keys
 METRICS_KEYS = ("labels_pred", "labels_true", "names")
 
@@ -46,20 +45,9 @@ def _section(cfg: dict, name: str, keys=None) -> dict:
 
 
 def _kwargs(cfg: dict, name: str, fn, extra=()) -> dict:
-    """[name] as keyword arguments of ``fn``, past its first (data) argument.
-
-    ``fn``'s signature is the one place the section's keys and defaults
-    are written down; ``extra`` names keys the command reads itself. A key
-    ``fn`` does not take, or a required argument left out, raises
-    ConfigError.
-    """
-    params = list(inspect.signature(fn).parameters.values())[1:]
-    keys = {RENAMED.get(p.name, p.name): p for p in params}
-    sec = _section(cfg, name, (*keys, *extra))
-    for key, p in keys.items():
-        if p.default is p.empty:
-            _need(sec, key, name)
-    return {keys[k].name: v for k, v in sec.items() if k in keys}
+    """[name] bound to ``fn`` past its data argument; the command reads ``extra``."""
+    sec = _section(cfg, name, (*record_keys(fn), *extra))
+    return bind(fn, sec, f"[{name}]")
 
 
 def _need(sec: dict, key: str, where: str):
@@ -184,16 +172,13 @@ def _write_runs(outdir: Path, result, params):
 def cmd_linkpred(cfg, outdir: Path, seed_override):
     kw = _kwargs(cfg, "linkpred", linkpred_run)
     canonical_task(kw["task"])  # ValueError for an unknown task
-    run = inspect.signature(linkpred_run).bind_partial(**kw)
-    run.apply_defaults()
-    args = run.arguments
-    args["combine"] = resolve_combiner(args["embed_method"], args["combine"])
+    kw["combine"] = resolve_combiner(kw["embed_method"], kw["combine"])
     graph, _, gparams = _load_graph(cfg, seed_override)
-    result = linkpred_run(graph, **args)
+    result = linkpred_run(graph, **kw)
     # the resolved settings, so the header names what produced the runs
-    params = {**gparams, "task": args["task"], "embed": args["embed_method"],
-              **{k: args[k] for k in ("combine", "embed_dim", "q", "tau", "prob_val",
-                                      "prob_test", "maintain_connectedness")}}
+    params = {**gparams, "task": kw["task"], "embed": kw["embed_method"],
+              **{k: kw[k] for k in ("combine", "embed_dim", "q", "tau", "prob_val",
+                                    "prob_test", "maintain_connectedness")}}
     _write_runs(outdir, result, params)
 
 
@@ -202,7 +187,6 @@ def cmd_sweep(cfg, outdir: Path, seed_override):
     if "path" in gparams:
         raise ConfigError("sweep needs generator parameters, not a file path")
     kw = _kwargs(cfg, "sweep", cluster_sweep)
-    is_complex(kw["method"])  # ValueError for an unknown method
     result = cluster_sweep(gparams, **kw)
     param, method = kw["param"], kw["method"]
     params = {**gparams, "sweep_param": param, "method": method, "k": kw["k"]}

@@ -52,10 +52,6 @@ class BlockSizes:
             raise ValueError("block sizes must be nondecreasing")
         object.__setattr__(self, "sizes", sizes)
 
-    @property
-    def total(self) -> int:
-        return int(self.sizes.sum())
-
     def labels(self) -> np.ndarray:
         """Contiguous block assignment: block b occupies an index interval."""
         return np.repeat(np.arange(self.sizes.size, dtype=np.int64), self.sizes)
@@ -237,8 +233,7 @@ def ssbm(n: int, K: int, p_in: float, p_out: float, rho: float = 1.0,
     src, dst, ww = _both_directions(u, v, np.where(flip, -sign, sign))
     params = {"model": "ssbm", "n": n, "k": K, "p_in": p_in, "p_out": p_out,
               "rho": rho, "eta_in": eta_in, "eta_out": eta_out, "seed": seed}
-    graph = SignedDirectedGraph(n, src, dst, ww, labels=labels)
-    return GeneratedInstance(graph, labels, params)
+    return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww), labels, params)
 
 
 def signed_erdos_renyi(n: int, p: float, seed: int = 0) -> SignedDirectedGraph:
@@ -294,8 +289,7 @@ def pol_ssbm(n: int, r: int, p: float, rho: float = 1.0, eta: float = 0.0,
     src, dst, ww = _both_directions(u, v, w)
     params = {"model": "pol_ssbm", "n": n, "r": r, "p": p, "rho": rho,
               "eta": eta, "community_nodes": N, "seed": seed}
-    graph = SignedDirectedGraph(n, src, dst, ww, labels=labels)
-    return GeneratedInstance(graph, labels, params)
+    return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww), labels, params)
 
 
 def _meta_core(kind, K, eta, rng):
@@ -424,8 +418,7 @@ def dsbm(meta: MetaGraph, n: int, K: int, p: float, rho: float = 1.0,
               "seed": seed, "meta_kind": meta.kind,
               "meta_f": meta.F.tolist(),
               "meta_f_filled": meta.F_filled.tolist()}
-    graph = SignedDirectedGraph(n, src, dst, w, labels=labels)
-    return GeneratedInstance(graph, labels, params)
+    return GeneratedInstance(SignedDirectedGraph(n, src, dst, w), labels, params)
 
 
 def sdsbm(meta: MetaGraph, n: int, p: float, rho: float = 1.0,
@@ -453,5 +446,4 @@ def sdsbm(meta: MetaGraph, n: int, p: float, rho: float = 1.0,
               "seed": seed, "meta_kind": meta.kind,
               "meta_f": meta.F.tolist(),
               "meta_f_filled": meta.F_filled.tolist()}
-    graph = SignedDirectedGraph(n, src, dst, w, labels=labels)
-    return GeneratedInstance(graph, labels, params)
+    return GeneratedInstance(SignedDirectedGraph(n, src, dst, w), labels, params)

@@ -2,8 +2,11 @@
 
 A single COO edge-list type serves signed, directed and weighted graphs
 alike. Undirected graphs are stored with both ordered pairs present and
-equal weights; negative weights encode hostile/negative ties. Graphs are
-immutable after construction and every operation here is a pure function.
+equal weights; negative weights encode hostile/negative ties. A graph is
+its node count and its edges only: node labels travel beside it (a
+generator's ``GeneratedInstance.labels``, a labels CSV) and node features
+are built from it (``FeatureMatrix``). Graphs are immutable after
+construction and every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ class SignedDirectedGraph:
     """Weighted directed graph in COO form.
 
     Self-loops are allowed; duplicate ordered pairs (multi-edges) are not.
-    Weights must be finite and nonzero. ``features`` (n x d) and
-    ``labels`` (length n) are optional node attributes.
+    Weights must be finite and nonzero. A graph holds only its edges: a
+    generator's planted labels live in ``GeneratedInstance.labels``.
     """
 
     num_nodes: int
     src: np.ndarray
     dst: np.ndarray
     weight: np.ndarray
-    features: np.ndarray | None = None
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         n = int(self.num_nodes)
@@ -52,25 +53,13 @@ class SignedDirectedGraph:
                 codes = np.sort(codes)
                 if np.any(codes[1:] == codes[:-1]):
                     raise ValueError("duplicate ordered edge (multi-edges not supported)")
-        feats = self.features
-        if feats is not None:
-            feats = np.asarray(feats, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != n:
-                raise ValueError("features must be an (num_nodes x d) matrix")
-        labels = self.labels
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64).ravel()
-            if labels.shape[0] != n:
-                raise ValueError("labels must have length num_nodes")
         object.__setattr__(self, "num_nodes", n)
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def from_edges(cls, num_nodes, edges, features=None, labels=None):
+    def from_edges(cls, num_nodes, edges):
         """Build a graph from an iterable of (src, dst, weight) triples."""
         edges = list(edges)
         if edges:
@@ -79,7 +68,7 @@ class SignedDirectedGraph:
         else:
             src = dst = np.zeros(0, dtype=np.int64)
             w = np.zeros(0, dtype=np.float64)
-        return cls(num_nodes, src, dst, w, features=features, labels=labels)
+        return cls(num_nodes, src, dst, w)
 
     @property
     def num_edges(self) -> int:
@@ -95,9 +84,8 @@ class SignedDirectedGraph:
         return a
 
     def replace_edges(self, src, dst, weight) -> "SignedDirectedGraph":
-        """New graph on the same node set (features/labels carried over)."""
-        return SignedDirectedGraph(self.num_nodes, src, dst, weight,
-                                   features=self.features, labels=self.labels)
+        """New graph on the same node set."""
+        return SignedDirectedGraph(self.num_nodes, src, dst, weight)
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,7 @@ class SignedPair:
         dst = np.concatenate([pos.dst, neg.dst])
         w = np.concatenate([pos.weight, -neg.weight])
         order = np.lexsort((dst, src))
-        return SignedDirectedGraph(pos.num_nodes, src[order], dst[order], w[order],
-                                   features=pos.features, labels=pos.labels)
+        return SignedDirectedGraph(pos.num_nodes, src[order], dst[order], w[order])
 
 
 @dataclass(frozen=True)
@@ -196,9 +183,10 @@ def largest_weakly_connected_component(
 ) -> tuple[SignedDirectedGraph, np.ndarray]:
     """Largest component of the undirected support, densely reindexed.
 
-    Returns the component graph and an index map (new id -> original id).
-    Ties between equal-size components go to the one containing the
-    smallest original node id.
+    Returns the component graph and an index map (new id -> original id);
+    ``labels[index_map]`` carries node labels over. Ties between
+    equal-size components go to the one containing the smallest original
+    node id.
     """
     if g.num_nodes == 0:
         return g, np.zeros(0, dtype=np.int64)
@@ -213,16 +201,8 @@ def largest_weakly_connected_component(
     new_id = -np.ones(g.num_nodes, dtype=np.int64)
     new_id[keep] = np.arange(keep.size)
     mask = new_id[g.src] >= 0
-    feats = g.features[keep] if g.features is not None else None
-    labels = g.labels[keep] if g.labels is not None else None
-    sub = SignedDirectedGraph(
-        keep.size,
-        new_id[g.src[mask]],
-        new_id[g.dst[mask]],
-        g.weight[mask],
-        features=feats,
-        labels=labels,
-    )
+    sub = SignedDirectedGraph(keep.size, new_id[g.src[mask]], new_id[g.dst[mask]],
+                              g.weight[mask])
     return sub, index_map
 
 

@@ -1,4 +1,4 @@
-"""File formats: edge-list TSV, feature/label CSV, split, run and metric CSV.
+"""File formats: edge-list TSV, label CSV, split, run and metric CSV.
 
 Every writer accepts an optional ``params`` mapping that is echoed into
 the file header as ``# key = value`` lines for provenance. Output bytes
@@ -221,32 +221,14 @@ def write_labels_csv(path, labels, params: dict | None = None) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    rows = _read_csv_rows(path, expected_header="label")
-    return np.asarray([int(r[0]) for r in rows], dtype=np.int64)
-
-
-def write_features_csv(path, values, params: dict | None = None) -> None:
-    values = np.asarray(values, dtype=np.float64)
-    header = ",".join(f"f{j}" for j in range(values.shape[1]))
-    lines = [header] + [",".join(repr(float(x)) for x in row) for row in values]
-    _write_lines(path, params, lines)
-
-
-def read_features_csv(path) -> np.ndarray:
-    rows = _read_csv_rows(path)
-    return np.asarray([[float(x) for x in r] for r in rows], dtype=np.float64)
-
-
-def _read_csv_rows(path, expected_header: str | None = None) -> list[list[str]]:
-    lines = [
-        ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
-        if ln.strip() and not ln.startswith("#")
-    ]
+    """The labels under a ``label`` header; comments and blank lines are skipped."""
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines()
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"{path}: empty CSV")
-    if expected_header is not None and lines[0] != expected_header:
-        raise ValueError(f"{path}: expected header {expected_header!r}, got {lines[0]!r}")
-    return [ln.split(",") for ln in lines[1:]]
+    if lines[0] != "label":
+        raise ValueError(f"{path}: expected header 'label', got {lines[0]!r}")
+    return np.asarray([int(ln.split(",")[0]) for ln in lines[1:]], dtype=np.int64)
 
 
 def write_node_split_csv(path, split, params: dict | None = None) -> None:
@@ -314,21 +296,4 @@ def write_metric_reports_csv(path, reports, params: dict | None = None) -> None:
     lines = ["metric,value,support,params_hash"]
     for rep in reports:
         lines.append(f"{rep.name},{repr(float(rep.value))},{rep.support},{digest}")
-    _write_lines(path, params, lines)
-
-
-def write_matrix_csv(path, matrix, params: dict | None = None) -> None:
-    """Debug dump of a spectral operator as (row, col, re, im) rows.
-
-    Walks the CSR's stored entries, which are in row-major order with
-    sorted columns, and skips exact zeros, so the rows are the nonzero
-    cells of the dense matrix in row-major order.
-    """
-    entries = matrix.entries
-    rows = np.repeat(np.arange(entries.shape[0]), np.diff(entries.indptr))
-    keep = entries.data != 0
-    lines = ["row,col,re,im"]
-    lines.extend(f"{i},{j},{repr(float(z.real))},{repr(float(z.imag))}"
-                 for i, j, z in zip(rows[keep], entries.indices[keep],
-                                    entries.data[keep]))
     _write_lines(path, params, lines)

@@ -36,9 +36,6 @@ class SoftAssignment:
     def num_clusters(self) -> int:
         return int(self.P.shape[1])
 
-    def hard_labels(self) -> np.ndarray:
-        return np.argmax(self.P, axis=1).astype(np.int64)
-
     @classmethod
     def from_labels(cls, labels, num_clusters: int | None = None) -> "SoftAssignment":
         labels = np.asarray(labels, dtype=np.int64)

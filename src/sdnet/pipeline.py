@@ -10,6 +10,10 @@ whose conj(z_u) * z_v block carries edge direction. ``cluster_sweep``
 drives spectral clustering over a swept generator parameter and reports
 test-mask agreement per run.
 
+``bind`` maps a flat record (generator parameters, a CLI section) onto
+a call's signature, which lists its keys and defaults; RECORD_KEYS is
+the one table of keys spelt differently from their parameters.
+
 Seeds for sub-steps are derived from the run seed with fixed tags, so
 an entire experiment is a pure function of its configuration.
 """
@@ -77,16 +81,6 @@ class RunResult:
 # each model's generator is the function of that name in ``generators``,
 # looked up when called, so that a wrapper bound to the attribute sees it
 GENERATORS = ("ssbm", "pol_ssbm", "dsbm", "sdsbm", "erdos_renyi")
-# parameter -> the record key that sets it, where the two are spelt
-# differently; each map holds for its own function only, so ``meta_seed``
-# never sets a generator's ``seed``
-RECORD_KEYS = {
-    gen.ssbm: {"K": "k"},
-    gen.dsbm: {"K": "k"},
-    gen.pol_ssbm: {"N": "community_nodes"},
-    gen.meta_graph: {"kind": "meta", "K": "k", "seed": "meta_seed"},
-    gen.MetaGraph: {"F": "meta_f", "F_filled": "meta_f_filled", "kind": "meta_kind"},
-}
 
 
 def _meta_builder(model: str, p: dict):
@@ -110,30 +104,12 @@ def _meta_builder(model: str, p: dict):
     return getattr(gen, f"{kind}_meta")
 
 
-def _record_keys(fn, p: dict, model: str, skip: int = 0) -> dict:
-    """{record key: parameter} for each parameter of ``fn`` that ``p`` sets.
-
-    The first ``skip`` parameters are left to the caller. A required
-    parameter ``p`` does not set raises ValueError naming its key.
-    """
-    renamed = RECORD_KEYS.get(inspect.unwrap(fn), {})
-    keys = {}
-    for name, par in list(inspect.signature(fn).parameters.items())[skip:]:
-        key = renamed.get(name, name)
-        if key in p:
-            keys[key] = name
-        elif par.default is par.empty:
-            raise ValueError(f"{model} is missing required key {key!r}")
-    return keys
-
-
 def generate_from_params(params: dict, seed: int | None = None) -> gen.GeneratedInstance:
     """Dispatch a generator call from a flat parameter record.
 
     The record's ``model`` names the generator (GENERATORS), and every
     other key is a keyword argument of the generator or of its meta-graph
-    builder (``_meta_builder``), spelt as in RECORD_KEYS where the two
-    differ; their signatures hold every default. A key neither of them
+    builder (``_meta_builder``), bound by ``bind``. A key neither of them
     takes, or a required key left out, raises ValueError before anything
     is generated. Every instance echoes its ``meta_f``/``meta_f_filled``
     matrices, so it regenerates bit-identically from its own record.
@@ -146,13 +122,15 @@ def generate_from_params(params: dict, seed: int | None = None) -> gen.Generated
         p["seed"] = seed
     fn = getattr(gen, model)
     meta = _meta_builder(model, p)
-    keys = _record_keys(fn, p, model, skip=meta is not None)
-    meta_keys = _record_keys(meta, p, model) if meta is not None else {}
-    unknown = sorted(set(p) - set(keys) - set(meta_keys))
+    skip = int(meta is not None)  # the meta-graph is the generator's first argument
+    kwargs = bind(fn, p, model, skip)
+    meta_kwargs = {} if meta is None else bind(meta, p, model, 0)
+    taken = set(record_keys(fn, skip)).union(() if meta is None else record_keys(meta, 0))
+    unknown = sorted(set(p) - taken)
     if unknown:
         raise ValueError(f"{model} takes no key(s) {', '.join(map(repr, unknown))}")
-    args = () if meta is None else (meta(**{n: p[k] for k, n in meta_keys.items()}),)
-    return fn(*args, **{name: p[key] for key, name in keys.items()})
+    args = () if meta is None else (meta(**meta_kwargs),)
+    return fn(*args, **kwargs)
 
 
 def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,
@@ -189,7 +167,7 @@ def link_node_embedding(g: SignedDirectedGraph, embed_method: str,
     share a common scale for the classifier.
     """
     deg = signed_degree_features(g).values
-    if embed_method in ("none", "signed_degree"):
+    if embed_method == "signed_degree":
         return deg
     emb = real_columns(_embedding(g, embed_method, embed_dim, q, tau))
     return np.hstack([standardize_columns(emb), deg])
@@ -219,10 +197,9 @@ def resolve_combiner(embed_method: str, combine: str | None = None) -> str:
 
     None gives ``phase`` for a complex embedding (``cluster.is_complex``)
     and ``concat`` otherwise; an unknown embedding or combiner, or
-    ``phase`` with a real embedding, raises ValueError. ``"none"`` embeds
-    nodes by their signed degrees alone.
+    ``phase`` with a real embedding, raises ValueError.
     """
-    complex_embedding = embed_method != "none" and is_complex(embed_method)
+    complex_embedding = is_complex(embed_method)
     if combine is None:
         combine = "phase" if complex_embedding else "concat"
     if combine not in EDGE_COMBINERS:
@@ -307,10 +284,12 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     (``spectral_embedding``, one eigensolve). For each seed: draw one
     node split, run k-means on that embedding (``cluster_embedding``)
     and score ARI on the test mask only. Records equal those of calling
-    ``spectral_cluster`` per seed. An empty ``seeds`` raises ValueError.
+    ``spectral_cluster`` per seed. An unknown ``param`` or ``method``, or
+    an empty ``seeds``, raises ValueError before anything is generated.
     """
     if param not in ("eta", "gamma", "p", "rho"):
         raise ValueError(f"unsupported sweep parameter {param!r}")
+    is_complex(method)  # ValueError for an unknown method
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
@@ -332,3 +311,45 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
                 records.append(RunRecord(float(value), inst, int(s), "ari",
                                          ari(labels[mask], pred[mask])))
     return RunResult(tuple(records))
+
+
+# parameter -> the record key that sets it, where the two are spelt
+# differently; each map holds for its own function only, so ``meta_seed``
+# never sets a generator's ``seed``
+RECORD_KEYS = {
+    gen.ssbm: {"K": "k"},
+    gen.dsbm: {"K": "k"},
+    gen.pol_ssbm: {"N": "community_nodes"},
+    gen.meta_graph: {"kind": "meta", "K": "k", "seed": "meta_seed"},
+    gen.MetaGraph: {"F": "meta_f", "F_filled": "meta_f_filled", "kind": "meta_kind"},
+    linkpred_run: {"embed_method": "embed"},
+}
+
+
+def record_keys(fn, skip: int = 1) -> dict:
+    """{record key: parameter} past the first ``skip`` (data) parameters of ``fn``.
+
+    A key is spelt as its parameter unless RECORD_KEYS renames it for ``fn``.
+    """
+    renamed = RECORD_KEYS.get(inspect.unwrap(fn), {})
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    return {renamed.get(par.name, par.name): par for par in params}
+
+
+def bind(fn, record: dict, where: str, skip: int = 1) -> dict:
+    """``record`` as keyword arguments of ``fn``, with every default applied.
+
+    Each parameter past the first ``skip`` takes the value of its key
+    (``record_keys``) or its default. Keys ``fn`` does not take are left
+    for the caller to reject. A required parameter left out raises
+    ValueError "<where> is missing required key 'k'".
+    """
+    kwargs = {}
+    for key, par in record_keys(fn, skip).items():
+        if key in record:
+            kwargs[par.name] = record[key]
+        elif par.default is par.empty:
+            raise ValueError(f"{where} is missing required key {key!r}")
+        else:
+            kwargs[par.name] = par.default
+    return kwargs

@@ -15,8 +15,8 @@ temporary dropped after its last use. ``SpectralMatrix`` checks
 Hermiticity entry by entry against each entry's mirror, without forming
 M - M^H.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
-restarted Lanczos method (``scipy.sparse.linalg.eigsh``) and a
-Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
+restarted Lanczos method (scipy's ``eigsh``, or ``eigs`` when complex)
+and a Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
 LAPACK decomposition. ARPACK stops at relative accuracy
 ``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
 returned pair is then checked: a residual ||A v - lambda v|| above
@@ -32,6 +32,7 @@ so ``import sdnet`` loads none.
 
 from __future__ import annotations
 
+import inspect
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -338,8 +339,10 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     ascending values. A pair whose residual ||L v - lambda v|| exceeds
     LANCZOS_RESIDUAL_RTOL * max(1, ||L||_inf) raises NumericError.
     Below LANCZOS_THREADED_MIN_N rows all of it runs on one BLAS thread.
+    A complex operator goes to ``eigs`` itself, as ``eigsh`` would pass it
+    on without the fixed ``rng`` stream that ARPACK's restarts draw from.
     """
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.sparse import linalg as spla
     a = op.entries
     n = op.num_nodes
     # scipy's BLAS is loaded by now, so the library lookup finds it
@@ -359,9 +362,15 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
             # ARPACK would stop on a zero Krylov vector
             return EigenPairs(np.full(k, shift), np.eye(n, k))
         where = f"{op.kind} (n={n}, k={k}, which={which!r})"
+        solve = spla.eigsh
+        if a.dtype.kind == "c":
+            solve, mode = spla.eigs, mode.replace("LA", "LR")
+        # older scipy takes no rng
+        rng = ({"rng": stream(LANCZOS_V0_KEY, 1)}
+               if "rng" in inspect.signature(solve).parameters else {})
         try:
-            _, basis = eigsh(target, k, which=mode, v0=v0, tol=LANCZOS_TOL)
-        except ArpackError as exc:  # ArpackNoConvergence among them
+            _, basis = solve(target, k, which=mode, v0=v0, tol=LANCZOS_TOL, **rng)
+        except spla.ArpackError as exc:  # ArpackNoConvergence among them
             raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
         basis, _ = np.linalg.qr(basis)
         proj = basis.conj().T @ (a @ basis)

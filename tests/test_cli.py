@@ -428,3 +428,49 @@ def test_metrics_negative_predicted_label_exits_2(tmp_path, capsys):
     assert run(["metrics", "--config", cfg, "--out", out]) == 2
     assert "labels must lie in [0, 1)" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.toml"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_binds(monkeypatch, path):
+    import sdnet.cli as cli
+    import sdnet.generators as generators
+    from sdnet.config import load
+    cfg = load(path)
+    calls = {"cluster": cli.spectral_cluster, "linkpred": cli.linkpred_run,
+             "sweep": cli.cluster_sweep}
+    for name, fn in calls.items():
+        if name in cfg:
+            assert cli._kwargs(cfg, name, fn)
+    if "split" in cfg:
+        assert cli._kwargs(cfg, "split", cli.SPLITTERS[cfg["split"]["kind"]], ("kind",))
+    if "metrics" in cfg:
+        cli._section(cfg, "metrics", cli.METRICS_KEYS)
+    # every record the command would generate binds to the generator, which
+    # only records its arguments
+    model = cfg["graph"]["model"]
+    bound = []
+
+    @functools.wraps(getattr(generators, model))
+    def record(*args, **kwargs):
+        bound.append(kwargs)
+
+    monkeypatch.setattr(generators, model, record)
+    sweep = cfg.get("sweep")
+    records = ([cfg["graph"]] if sweep is None else
+               [{**cfg["graph"], sweep["param"]: value} for value in sweep["values"]])
+    for params in records:
+        cli.generate_from_params(params)
+    assert len(bound) == len(records)
+
+
+def test_record_keys_name_their_parameters():
+    import inspect
+    from sdnet.pipeline import RECORD_KEYS
+    for fn, renamed in RECORD_KEYS.items():
+        params = inspect.signature(fn).parameters
+        assert set(renamed) <= set(params), fn
+        # a key spelt like another parameter would set both
+        assert not set(renamed.values()) & (set(params) - set(renamed)), fn

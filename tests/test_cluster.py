@@ -53,7 +53,7 @@ def test_spectral_cluster_ssbm_zero_noise():
     assert soft.P.shape == (150, 3)
     assert np.allclose(soft.P.sum(axis=1), 1.0)
     # soft assignment argmax agrees with hard labels
-    assert np.array_equal(soft.hard_labels(), labels)
+    assert np.array_equal(soft.P.argmax(axis=1), labels)
 
 
 def test_spectral_cluster_dsbm_hermitian_zero_noise():

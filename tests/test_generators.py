@@ -341,11 +341,6 @@ def test_generator_determinism_property(seed):
     assert list(a.labels) == list(b.labels)
 
 
-def test_labels_match_graph_labels():
-    inst = ssbm(30, 2, 0.3, 0.3, seed=0)
-    assert np.array_equal(inst.labels, inst.graph.labels)
-
-
 # ------------------------------------------------------- block-pair sampler
 
 def _edge_set(g):

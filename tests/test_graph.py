@@ -147,12 +147,6 @@ def test_wcc_idempotent_and_empty():
     assert empty.num_nodes == 0 and idx.size == 0
 
 
-def test_wcc_carries_labels():
-    g = G(4, [(0, 1, 1.0)], labels=[5, 6, 7, 8])
-    sub, idx = largest_weakly_connected_component(g)
-    assert list(sub.labels) == [5, 6]
-
-
 def _bfs_component_labels(g):
     """Reference: breadth-first search from each unvisited node in id order."""
     adj = [[] for _ in range(g.num_nodes)]

@@ -7,7 +7,6 @@ from sdnet import io as sio
 from sdnet.generators import dsbm, f2_meta, meta_graph, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.pipeline import RunRecord, RunResult
-from sdnet.spectral import hermitian_imbalance
 from sdnet.splitters import LinkTaskSplit, link_class_split, node_split
 
 
@@ -156,9 +155,6 @@ def test_labels_and_features_roundtrip(tmp_path):
     labels = np.array([0, 2, 1, 1])
     sio.write_labels_csv(tmp_path / "y.csv", labels, {"model": "x"})
     assert list(sio.read_labels_csv(tmp_path / "y.csv")) == [0, 2, 1, 1]
-    feats = np.array([[0.5, -1.25], [3.0, 2.0**-20]])
-    sio.write_features_csv(tmp_path / "x.csv", feats)
-    assert np.array_equal(sio.read_features_csv(tmp_path / "x.csv"), feats)
 
 
 def test_node_split_csv(tmp_path):
@@ -336,15 +332,6 @@ def test_run_csvs_bytes_match_per_row_formatter(tmp_path):
         lines.append(f"{repr(float(sv))},{metric},{repr(mean)},{repr(sd)},{count}")
     assert (tmp_path / "summary.csv").read_text(encoding="utf-8") == \
         "\n".join(sio.format_params(params) + lines) + "\n"
-
-
-def test_matrix_csv(tmp_path):
-    g = SignedDirectedGraph.from_edges(2, [(0, 1, 2.0)])
-    m = hermitian_imbalance(g)
-    sio.write_matrix_csv(tmp_path / "m.csv", m)
-    lines = (tmp_path / "m.csv").read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert "0,1,0.0,2.0" in lines and "1,0,0.0,-2.0" in lines
 
 
 def test_params_hash_stable():
