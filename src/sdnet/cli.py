@@ -4,7 +4,8 @@ Subcommands: generate, split, cluster, linkpred, sweep, metrics. Each
 takes ``--config <path>`` (a TOML file), ``--out <dir>`` and an
 optional ``--seed`` overriding the graph seed. A command's section is
 bound (``pipeline.bind``) to the library call it drives, defaults and
-all. Exit codes: 0 success,
+all, and an output's header is the graph record followed by each bound
+key of that section as ``<section>_<key>``. Exit codes: 0 success,
 2 configuration error, 3 numeric failure. All outputs are byte-identical
 across reruns of the same configuration.
 """
@@ -29,6 +30,8 @@ from .spectral import NumericError
 from .splitters import canonical_task, link_class_split, node_split
 
 
+# the sections some command reads; any other is a ConfigError
+SECTIONS = ("graph", "split", "cluster", "linkpred", "sweep", "metrics")
 # [metrics] drives no single library call, so it lists its own keys
 METRICS_KEYS = ("labels_pred", "labels_true", "names")
 
@@ -48,6 +51,11 @@ def _kwargs(cfg: dict, name: str, fn, extra=()) -> dict:
     """[name] bound to ``fn`` past its data argument; the command reads ``extra``."""
     sec = _section(cfg, name, (*record_keys(fn), *extra))
     return bind(fn, sec, f"[{name}]")
+
+
+def _provenance(gparams: dict, name: str, kw: dict) -> dict:
+    """The graph record, then each bound key of [name] as ``<name>_<key>``."""
+    return {**gparams, **{f"{name}_{key}": value for key, value in kw.items()}}
 
 
 def _need(sec: dict, key: str, where: str):
@@ -132,7 +140,7 @@ def cmd_split(cfg, outdir: Path, seed_override):
     if kind == "link":
         canonical_task(kw["task"])  # ValueError for an unknown task
     graph, labels, gparams = _load_graph(cfg, seed_override)
-    params = {**gparams, **{f"split_{k}": v for k, v in sec.items()}}
+    params = _provenance(gparams, "split", {"kind": kind, **kw})
     if kind == "node":
         if labels is None:
             raise ConfigError("node splits need labels (generated or labels_path)")
@@ -150,13 +158,12 @@ def cmd_cluster(cfg, outdir: Path, seed_override):
     is_complex(kw["method"])  # ValueError for an unknown method
     graph, labels, gparams = _load_graph(cfg, seed_override)
     soft, pred = spectral_cluster(graph, **kw)
-    k = kw["k"]
-    params = {**gparams, "method": kw["method"], "k": k}
+    params = _provenance(gparams, "cluster", kw)
     sio.write_labels_csv(outdir / "pred_labels.csv", pred, params)
     names = [] if labels is None else ["ari"]
     if is_signed(graph) and graph.num_edges:
         names += ["unhappy_ratio", "pbnc_loss"]
-    if is_directed(graph) and k >= 2:
+    if is_directed(graph) and kw["k"] >= 2:
         names.append("prob_imbalance")
     reports = _metric_reports(names, graph, labels, pred, soft)
     sio.write_metric_reports_csv(outdir / "metrics.csv", reports, params)
@@ -175,11 +182,7 @@ def cmd_linkpred(cfg, outdir: Path, seed_override):
     kw["combine"] = resolve_combiner(kw["embed_method"], kw["combine"])
     graph, _, gparams = _load_graph(cfg, seed_override)
     result = linkpred_run(graph, **kw)
-    # the resolved settings, so the header names what produced the runs
-    params = {**gparams, "task": kw["task"], "embed": kw["embed_method"],
-              **{k: kw[k] for k in ("combine", "embed_dim", "q", "tau", "prob_val",
-                                    "prob_test", "maintain_connectedness")}}
-    _write_runs(outdir, result, params)
+    _write_runs(outdir, result, _provenance(gparams, "linkpred", kw))
 
 
 def cmd_sweep(cfg, outdir: Path, seed_override):
@@ -188,15 +191,13 @@ def cmd_sweep(cfg, outdir: Path, seed_override):
         raise ConfigError("sweep needs generator parameters, not a file path")
     kw = _kwargs(cfg, "sweep", cluster_sweep)
     result = cluster_sweep(gparams, **kw)
-    param, method = kw["param"], kw["method"]
-    params = {**gparams, "sweep_param": param, "method": method, "k": kw["k"]}
-    agg = _write_runs(outdir, result, params)
+    agg = _write_runs(outdir, result, _provenance(gparams, "sweep", kw))
     xs = [float(v) for v in kw["values"]]
     means = [agg[(x, "ari")][0] for x in xs]
     sds = [agg[(x, "ari")][1] for x in xs]
     render_line_plot(outdir / "sweep.svg", xs, means, sds,
-                     title=f"{gparams.get('model', 'graph')} / {method}",
-                     xlabel=param, ylabel="test ARI")
+                     title=f"{gparams.get('model', 'graph')} / {kw['method']}",
+                     xlabel=kw["param"], ylabel="test ARI")
 
 
 def cmd_metrics(cfg, outdir: Path, seed_override):
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load(args.config)
+        unknown = sorted(set(cfg) - set(SECTIONS))
+        if unknown:
+            raise ConfigError(f"unknown section(s) {', '.join(f'[{s}]' for s in unknown)}")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](cfg, outdir, args.seed)

@@ -1,9 +1,8 @@
 """Experiment configs: TOML files read by the standard library's ``tomllib``.
 
-A config is returned as {section: {key: value}}. Every table is a
-section; the other keys before the first ``[section]`` header land in
-section ``""``, which is left out when empty. Every parse or read error
-is a ConfigError.
+A config is returned as {section: {key: value}}: every table is a
+section, and a key above the first ``[section]`` header is a
+ConfigError. Every parse or read error is a ConfigError.
 """
 
 from __future__ import annotations
@@ -17,14 +16,15 @@ class ConfigError(ValueError):
 
 
 def loads(text: str) -> dict:
-    """Parse config text into {section: {key: value}} (top level: '')."""
+    """Parse config text into {section: {key: value}}."""
     try:
         doc = tomllib.loads(text)
     except tomllib.TOMLDecodeError as exc:
         raise ConfigError(str(exc)) from None
-    top = {key: value for key, value in doc.items() if not isinstance(value, dict)}
-    sections = {key: value for key, value in doc.items() if isinstance(value, dict)}
-    return {"": top, **sections} if top else sections
+    top = [key for key, value in doc.items() if not isinstance(value, dict)]
+    if top:
+        raise ConfigError(f"key(s) {', '.join(map(repr, top))} must sit in a [section]")
+    return doc
 
 
 def load(path) -> dict:

@@ -3,7 +3,7 @@
 Implements the four block-model families used for benchmarking signed
 and directed clustering methods (signed SBM, polarized signed SBM,
 directed SBM with meta-graph structure and ambient filling, and the
-signed directed SBM), plus a signed Erdos-Renyi helper.
+signed directed SBM), plus a signed Erdos-Renyi graph.
 
 All generators are pure functions of their parameters and a seed; one
 independent Philox stream is opened per call, so identical inputs give
@@ -236,21 +236,17 @@ def ssbm(n: int, K: int, p_in: float, p_out: float, rho: float = 1.0,
     return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww), labels, params)
 
 
-def signed_erdos_renyi(n: int, p: float, seed: int = 0) -> SignedDirectedGraph:
-    """Undirected graph, each pair present w.p. p with a uniform +-1 sign."""
+def erdos_renyi(n: int, p: float, seed: int = 0) -> GeneratedInstance:
+    """Signed Erdos-Renyi graph: undirected, each pair present w.p. p with
+    a uniform +-1 sign. Every node carries label 0."""
     _check_prob("p", p)
     rng = stream(seed)
     u, v = _block_pairs(rng, [n], np.full((1, 1), p), directed=False)
     w = np.where(rng.random(u.size) < 0.5, 1.0, -1.0)
     src, dst, ww = _both_directions(u, v, w)
-    return SignedDirectedGraph(n, src, dst, ww)
-
-
-def erdos_renyi(n: int, p: float, seed: int = 0) -> GeneratedInstance:
-    """``signed_erdos_renyi`` as an instance whose nodes all carry label 0."""
-    graph = signed_erdos_renyi(n, p, seed=seed)
     params = {"model": "erdos_renyi", "n": n, "p": p, "seed": seed}
-    return GeneratedInstance(graph, np.zeros(n, dtype=np.int64), params)
+    return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww),
+                             np.zeros(n, dtype=np.int64), params)
 
 
 def pol_ssbm(n: int, r: int, p: float, rho: float = 1.0, eta: float = 0.0,
@@ -365,10 +361,10 @@ def meta_graph(kind: str, K: int, eta: float = 0.0, ambient: bool = False,
     return MetaGraph(F, filled, kind)
 
 
-def custom_meta(F, kind: str = "custom") -> MetaGraph:
+def custom_meta(F) -> MetaGraph:
     """Wrap an explicit (possibly signed) meta-graph matrix; no filling."""
     F = np.asarray(F, dtype=np.float64)
-    return MetaGraph(F, F.copy(), kind)
+    return MetaGraph(F, F.copy(), "custom")
 
 
 def f1_meta(gamma: float = 0.0) -> MetaGraph:

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FEATURE_TAGS = ("given", "signed_spectral", "hermitian_spectral", "signed_degree")
-
 
 @dataclass(frozen=True)
 class SignedDirectedGraph:
@@ -110,10 +108,9 @@ class SignedPair:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense node-feature matrix plus a tag naming how it was built."""
+    """Dense, finite n x d node-feature matrix."""
 
     values: np.ndarray
-    construction_tag: str
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -121,8 +118,6 @@ class FeatureMatrix:
             raise ValueError("feature matrix must be 2-D")
         if not np.all(np.isfinite(vals)):
             raise ValueError("feature matrix entries must be finite")
-        if self.construction_tag not in FEATURE_TAGS:
-            raise ValueError(f"unknown construction tag {self.construction_tag!r}")
         object.__setattr__(self, "values", vals)
 
 
@@ -282,6 +277,16 @@ def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _feature_adjacency(g: SignedDirectedGraph, k: int) -> np.ndarray:
+    """Dense adjacency of ``g`` for k spectral feature columns (1 <= k <= n)."""
+    n = g.num_nodes
+    if n == 0:
+        raise ValueError("cannot build spectral features on an empty graph")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    return g.adjacency()
+
+
 def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) -> FeatureMatrix:
     """Leading eigenvectors of the regularized symmetrized signed adjacency.
 
@@ -291,21 +296,16 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     descending eigenvalue, each flipped so its largest-magnitude entry is
     positive.
     """
-    n = g.num_nodes
-    if n == 0:
-        raise ValueError("cannot build spectral features on an empty graph")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    a = g.adjacency()
+    a = _feature_adjacency(g, k)
     a_s = (a + a.T) / 2.0
     dbar = float(np.abs(a_s).sum(axis=1).mean())
-    reg = a_s + tau * (dbar / n)  # the J term as a scalar: c * 1.0 == c
+    reg = a_s + tau * (dbar / g.num_nodes)  # the J term as a scalar: c * 1.0 == c
     if not reg.any():
         warnings.warn("regularized adjacency is identically zero; "
                       "spectral features are degenerate", RuntimeWarning)
     vals, vecs = np.linalg.eigh(reg)
     top = vecs[:, ::-1][:, :k]
-    return FeatureMatrix(_fix_sign(top), "signed_spectral")
+    return FeatureMatrix(_fix_sign(top))
 
 
 def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
@@ -320,12 +320,8 @@ def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
     an odd k keeps the +sigma member of its last pair.
     """
     from .spectral import NumericError  # spectral imports this module
+    a = _feature_adjacency(g, k)
     n = g.num_nodes
-    if n == 0:
-        raise ValueError("cannot build spectral features on an empty graph")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    a = g.adjacency()
     s = a - a.T
     p = (k + 1) // 2
     _, vecs = np.linalg.eigh(s.T @ s)
@@ -357,7 +353,7 @@ def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix
     residual above 1e-10 * max(1, ||A - A^T||_inf) raises NumericError.
     """
     z = _hermitian_vectors(g, k)
-    return FeatureMatrix(np.hstack([z.real, z.imag]), "hermitian_spectral")
+    return FeatureMatrix(np.hstack([z.real, z.imag]))
 
 
 def signed_degree_counts(g: SignedDirectedGraph) -> np.ndarray:
@@ -391,4 +387,4 @@ def standardize_columns(x: np.ndarray, ref: np.ndarray | None = None) -> np.ndar
 
 def signed_degree_features(g: SignedDirectedGraph) -> FeatureMatrix:
     """Standardized signed in/out degree features (constant columns -> 0)."""
-    return FeatureMatrix(standardize_columns(signed_degree_counts(g)), "signed_degree")
+    return FeatureMatrix(standardize_columns(signed_degree_counts(g)))

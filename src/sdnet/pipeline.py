@@ -284,15 +284,17 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     (``spectral_embedding``, one eigensolve). For each seed: draw one
     node split, run k-means on that embedding (``cluster_embedding``)
     and score ARI on the test mask only. Records equal those of calling
-    ``spectral_cluster`` per seed. An unknown ``param`` or ``method``, or
-    an empty ``seeds``, raises ValueError before anything is generated.
+    ``spectral_cluster`` per seed. An unknown ``param`` or ``method``, an
+    empty ``values`` or ``seeds``, or ``instances`` below 1 raises
+    ValueError before anything is generated.
     """
     if param not in ("eta", "gamma", "p", "rho"):
         raise ValueError(f"unsupported sweep parameter {param!r}")
     is_complex(method)  # ValueError for an unknown method
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
+    values, seeds = tuple(values), tuple(seeds)
+    for name, count in (("value", len(values)), ("seed", len(seeds)), ("instance", instances)):
+        if count < 1:
+            raise ValueError(f"need at least one {name}")
     base_seed = int(graph_params.get("seed", 0))
     records = []
     for vi, value in enumerate(values):

@@ -85,7 +85,6 @@ class SpectralMatrix:
 
     entries: object
     kind: str
-    q: float | None = None
 
     def __post_init__(self):
         from ._csr import as_csr, hermitian_residual
@@ -159,23 +158,22 @@ def _laplacian(n: int, lo, hi, h, d, normalized: bool):
     return hermitian_from_upper(n, lo, hi, h, diag)
 
 
-def _phase(a_lh, a_hl, q: float):
-    """exp(i 2 pi q (a_lh - a_hl)), computed in ``a_lh``'s place."""
-    np.subtract(a_lh, a_hl, out=a_lh)
-    a_lh *= 2.0 * np.pi * q
-    z = 1j * a_lh
-    return np.exp(z, out=z)
+def _signed_laplacian(n: int, lo, hi, a_sum, normalized: bool):
+    """CSR of Dbar - A_s, or its normalized form, from a_sum = A[lo, hi] +
+    A[hi, lo] per cell (overwritten), with Dbar the absolute degrees of A_s."""
+    a_sum /= 2.0
+    dbar = pair_row_sums(n, lo, hi, np.abs(a_sum))
+    return _laplacian(n, lo, hi, a_sum, dbar, normalized)
 
 
 def normalized_laplacian(g: SignedDirectedGraph) -> SpectralMatrix:
-    """I - D^{-1/2} A_s D^{-1/2} on the symmetrized absolute adjacency."""
+    """I - D^{-1/2} A_s D^{-1/2} on the symmetrized absolute adjacency: the
+    normalized signed Laplacian of |A|."""
     lo, hi, m, a_hl = symmetric_pairs(g)
     np.abs(m, out=m)
     m += np.abs(a_hl, out=a_hl)
     del a_hl
-    m /= 2.0
-    d = pair_row_sums(g.num_nodes, lo, hi, m)
-    entries = _laplacian(g.num_nodes, lo, hi, m, d, True)
+    entries = _signed_laplacian(g.num_nodes, lo, hi, m, True)
     del lo, hi, m
     return SpectralMatrix(entries, "normalized_laplacian")
 
@@ -185,19 +183,38 @@ def signed_laplacian(g: SignedDirectedGraph, normalized: bool = False) -> Spectr
     lo, hi, a_s, a_hl = symmetric_pairs(g)
     a_s += a_hl
     del a_hl
-    a_s /= 2.0
-    dbar = pair_row_sums(g.num_nodes, lo, hi, np.abs(a_s))
-    entries = _laplacian(g.num_nodes, lo, hi, a_s, dbar, normalized)
+    entries = _signed_laplacian(g.num_nodes, lo, hi, a_s, normalized)
     del lo, hi, a_s
     kind = "signed_laplacian_sym" if normalized else "signed_laplacian"
     return SpectralMatrix(entries, kind)
 
 
-def _check_q(q: float) -> float:
+def _magnetic_laplacian(g: SignedDirectedGraph, q: float, normalized: bool,
+                        kind: str) -> SpectralMatrix:
+    """The signed magnetic Laplacian of ``signed_magnetic_laplacian``."""
     q = float(q)
     if not 0.0 <= q <= 0.5:
         raise ValueError(f"phase parameter q must lie in [0, 0.5], got {q}")
-    return q
+    lo, hi, a_lh, a_hl = symmetric_pairs(g)
+    m = a_lh + a_hl
+    negative = m < 0
+    np.abs(a_lh, out=a_lh)
+    np.abs(a_hl, out=a_hl)
+    np.add(a_lh, a_hl, out=m)
+    m /= 2.0
+    a_lh -= a_hl  # the phase, in a_lh's place
+    a_lh *= 2.0 * np.pi * q
+    h = 1j * a_lh
+    del a_lh, a_hl
+    np.exp(h, out=h)
+    d = pair_row_sums(g.num_nodes, lo, hi, m)
+    np.negative(m, out=m, where=negative)  # s * m with s = -1 or 1 is exact
+    del negative
+    h *= m
+    del m
+    entries = _laplacian(g.num_nodes, lo, hi, h, d, normalized)
+    del lo, hi, h
+    return SpectralMatrix(entries, kind)
 
 
 def magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
@@ -206,23 +223,13 @@ def magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
 
     Connectivity lives in the magnitude A_s = (A + A^T)/2 and direction
     in the phase Theta = 2 pi q (A - A^T); the Hermitian adjacency is
-    H = A_s * exp(i Theta).
+    H = A_s * exp(i Theta), built as the signed magnetic Laplacian it
+    equals on such a graph.
     """
-    q = _check_q(q)
     if bool(np.any(g.weight < 0)):
         raise ValueError("magnetic_laplacian needs nonnegative weights; "
                          "use signed_magnetic_laplacian for signed graphs")
-    lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    a_s = a_lh + a_hl
-    a_s /= 2.0
-    h = _phase(a_lh, a_hl, q)
-    del a_lh, a_hl
-    h *= a_s
-    d = pair_row_sums(g.num_nodes, lo, hi, a_s)
-    del a_s
-    entries = _laplacian(g.num_nodes, lo, hi, h, d, normalized)
-    del lo, hi, h
-    return SpectralMatrix(entries, "magnetic_laplacian", q=q)
+    return _magnetic_laplacian(g, q, normalized, "magnetic_laplacian")
 
 
 def signed_magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
@@ -234,24 +241,7 @@ def signed_magnetic_laplacian(g: SignedDirectedGraph, q: float = 0.25,
     exp(i theta). Equals the signed Laplacian on undirected graphs and
     the magnetic Laplacian on all-positive ones.
     """
-    q = _check_q(q)
-    lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    m = a_lh + a_hl
-    negative = m < 0
-    np.abs(a_lh, out=a_lh)
-    np.abs(a_hl, out=a_hl)
-    np.add(a_lh, a_hl, out=m)
-    m /= 2.0
-    h = _phase(a_lh, a_hl, q)
-    del a_lh, a_hl
-    d = pair_row_sums(g.num_nodes, lo, hi, m)
-    np.negative(m, out=m, where=negative)  # s * m with s = -1 or 1 is exact
-    del negative
-    h *= m
-    del m
-    entries = _laplacian(g.num_nodes, lo, hi, h, d, normalized)
-    del lo, hi, h
-    return SpectralMatrix(entries, "signed_magnetic_laplacian", q=q)
+    return _magnetic_laplacian(g, q, normalized, "signed_magnetic_laplacian")
 
 
 def hermitian_imbalance(g: SignedDirectedGraph) -> SpectralMatrix:

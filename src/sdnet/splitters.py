@@ -45,8 +45,6 @@ import numpy as np
 from .graph import SignedDirectedGraph, _jump_to_roots, _sorted_pair_codes
 from .rng import stream
 
-LINK_TASKS = ("SP", "DP", "EP", "3C", "4C", "5C")
-
 TASK_ALIASES = {
     "sign": "SP",
     "direction": "DP",
@@ -70,7 +68,7 @@ LABEL_NAMES = {
 
 def canonical_task(task: str) -> str:
     name = TASK_ALIASES.get(task.lower(), task.upper())
-    if name not in LINK_TASKS:
+    if name not in LABEL_NAMES:
         raise ValueError(f"unknown link task {task!r}")
     return name
 

@@ -284,6 +284,12 @@ def test_unknown_method_rejected_before_generating(tmp_path, monkeypatch, capsys
     ("linkpred", '[linkpred]\ntask = "XY"\n', "unknown link task 'XY'"),
     ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
               'k = 3\nseeds = []\n', "need at least one seed"),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = []\nmethod = "signed_laplacian_sym"\n'
+              'k = 3\n', "need at least one value"),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
+              'k = 3\ninstances = 0\n', "need at least one instance"),
+    ("generate", '[clustr]\nk = 2\n', "unknown section(s) [clustr]"),
+    ("generate", 'seed = 5\n', "key(s) 'seed' must sit in a [section]"),
 ])
 def test_config_error_rejected_before_generating(tmp_path, monkeypatch, capsys,
                                                  command, section, message):
@@ -295,7 +301,9 @@ def test_config_error_rejected_before_generating(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(cli, "generate_from_params", record)
     monkeypatch.setattr(pipeline, "generate_from_params", record)
-    cfg = write(tmp_path / "c.toml", GEN_CFG + section)
+    # a key written before [graph] is a top-level key
+    text = GEN_CFG + section if section.startswith("[") else section + GEN_CFG
+    cfg = write(tmp_path / "c.toml", text)
     assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
     assert not any((tmp_path / "out").glob("*"))
@@ -330,11 +338,33 @@ def test_linkpred_header_records_resolved_settings(tmp_path):
         assert run(["linkpred", "--config", cfg, "--out", tmp_path / name]) == 0
         heads[name] = _header(tmp_path / name / "runs.csv")
     assert heads["default"] != heads["concat"]
-    assert '# combine = "phase"' in heads["default"]
-    assert '# combine = "concat"' in heads["concat"]
-    for line in ("# embed_dim = 3", "# q = 0.25", "# tau = 0.25", "# prob_val = 0.15",
-                 "# prob_test = 0.05"):
+    assert '# linkpred_combine = "phase"' in heads["default"]
+    assert '# linkpred_combine = "concat"' in heads["concat"]
+    for line in ("# linkpred_embed_dim = 3", "# linkpred_q = 0.25", "# linkpred_tau = 0.25",
+                 "# linkpred_prob_val = 0.15", "# linkpred_prob_test = 0.05"):
         assert line in heads["default"]
+
+
+@pytest.mark.parametrize("command, section, name, lines", [
+    ("cluster", '[cluster]\nmethod = "signed_laplacian_sym"\nk = 2\nseed = 7\n',
+     "pred_labels.csv",
+     ['# cluster_method = "signed_laplacian_sym"', "# cluster_k = 2", "# cluster_seed = 7",
+      "# cluster_q = 0.25", "# cluster_tau = 0.25"]),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
+              'k = 2\nseeds = [0]\n', "runs.csv",
+     ['# sweep_param = "eta"', "# sweep_values = [0.0]",
+      '# sweep_method = "signed_laplacian_sym"', "# sweep_k = 2", "# sweep_instances = 2",
+      "# sweep_seeds = [0]", "# sweep_train_frac = 0.8", "# sweep_val_frac = 0.1",
+      "# sweep_test_frac = 0.1", "# sweep_q = 0.25", "# sweep_tau = 0.25"]),
+])
+def test_header_keeps_graph_record_and_prefixes_section_keys(tmp_path, command, section,
+                                                             name, lines):
+    cfg = write(tmp_path / "c.toml", GEN_CFG + section)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 0
+    head = _header(tmp_path / "out" / name)
+    graph = [ln for ln in head if not ln.startswith(f"# {command}_")]
+    assert "# k = 3" in graph  # the graph's k, not the section's
+    assert head == graph + lines
 
 
 @pytest.mark.parametrize("command, section, bad", [

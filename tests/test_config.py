@@ -6,7 +6,6 @@ from sdnet.config import ConfigError, load, loads
 def test_loads_sections_and_types():
     cfg = loads("""
 # comment
-top = 1
 
 [graph]
 model = "ssbm"
@@ -16,7 +15,6 @@ eta = 0.1
 directed = false
 seeds = [0, 1, 2]
 """)
-    assert cfg[""]["top"] == 1
     g = cfg["graph"]
     assert g["model"] == "ssbm" and isinstance(g["model"], str)
     assert g["n"] == 100 and isinstance(g["n"], int)
@@ -69,7 +67,7 @@ def test_roundtrip_with_io_format_params(tmp_path):
               "note": 'say "hi"', "names": ["tab\there", "two\nlines", "bell\x07", "del\x7f"]}
     lines = [ln[2:] for ln in format_params(params)]  # strip leading '# '
     assert len(lines) == len(params)  # no value breaks its line
-    cfg = loads("\n".join(lines))[""]
+    cfg = loads("[graph]\n" + "\n".join(lines))["graph"]
     assert cfg == params
     # every model's provenance header, read back as [graph], regenerates it
     for record in (

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnet.generators import (block_sizes, custom_meta, dsbm, f1_meta, f2_meta,
-                              meta_graph, pol_ssbm, sdsbm, signed_erdos_renyi,
-                              ssbm)
+from sdnet.generators import (block_sizes, custom_meta, dsbm, erdos_renyi, f1_meta,
+                              f2_meta, meta_graph, pol_ssbm, sdsbm, ssbm)
 from sdnet.graph import is_directed, is_signed
 
 
@@ -317,14 +316,14 @@ def test_sdsbm_directed_signed():
 # ------------------------------------------------------------------ signed ER
 
 def test_signed_er_limits():
-    assert signed_erdos_renyi(10, 0.0, seed=0).num_edges == 0
-    g = signed_erdos_renyi(4, 1.0, seed=0)
+    assert erdos_renyi(10, 0.0, seed=0).graph.num_edges == 0
+    g = erdos_renyi(4, 1.0, seed=0).graph
     assert g.num_edges == 12  # 6 undirected edges, both directions
     assert not is_directed(g)
 
 
 def test_signed_er_sign_census():
-    g = signed_erdos_renyi(2000, 0.05, seed=0)
+    g = erdos_renyi(2000, 0.05, seed=0).graph
     half = g.src < g.dst
     pos_frac = np.mean(g.weight[half] > 0)
     assert abs(pos_frac - 0.5) <= binom_3sigma(0.5, int(half.sum()))
@@ -384,7 +383,7 @@ def test_ssbm_and_signed_er_unit_probability():
     edges = _edge_set(across.graph)
     assert set(edges) == {(i, j) for i, j in _all_ordered_pairs(5) if lab[i] != lab[j]}
     assert set(edges.values()) == {-1.0}
-    er = signed_erdos_renyi(7, 1.0, seed=2)
+    er = erdos_renyi(7, 1.0, seed=2).graph
     assert set(_edge_set(er)) == set(_all_ordered_pairs(7))
 
 
@@ -405,7 +404,7 @@ def test_pol_ssbm_unit_probability():
 
 def _sampler_families(eta):
     yield "ssbm", ssbm(40, 3, 0.3, 0.2, rho=2.0, eta=eta, seed=7).graph
-    yield "er", signed_erdos_renyi(30, 0.2, seed=7)
+    yield "er", erdos_renyi(30, 0.2, seed=7).graph
     yield "pol_ssbm", pol_ssbm(40, 2, 0.3, eta=eta, N=12, seed=7).graph
     yield "dsbm", dsbm(meta_graph("cycle", 3, eta=0.2), 40, 3, 0.4, rho=2.0, seed=7).graph
     yield "sdsbm", sdsbm(f1_meta(0.3), 40, 0.5, rho=2.0, eta=eta, seed=7).graph
@@ -451,7 +450,7 @@ def _exact_models():
     yield ("ssbm", lambda s: ssbm(12, 3, 0.5, 0.2, rho=2.0, eta_in=0.1, eta_out=0.3,
                                   seed=s), False, lab,
            np.where(same, 0.5, 0.2), np.where(same, 0.9, 0.3))
-    yield ("er", lambda s: signed_erdos_renyi(12, 0.3, seed=s), False,
+    yield ("er", lambda s: erdos_renyi(12, 0.3, seed=s), False,
            np.zeros(12, dtype=np.int64), np.full((1, 1), 0.3), np.full((1, 1), 0.5))
     # pol_ssbm, r=2, N=5: halves [2, 3] per community and 4 ambient nodes
     pol = np.repeat(np.arange(5), [2, 3, 2, 3, 4])
@@ -474,8 +473,7 @@ def test_sampler_exact_over_many_seeds(model):
     pos = np.zeros((n, n))
     per_seed = np.zeros((SEEDS, len(blocks)))
     for s in range(SEEDS):
-        made = make(s)
-        g = getattr(made, "graph", made)
+        g = make(s).graph
         A = np.zeros((n, n))
         A[g.src, g.dst] = g.weight
         if not directed:

@@ -8,7 +8,7 @@ from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_labels,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
                          hermitian_spectral_features, standardize_columns)
-from sdnet.generators import f1_meta, sdsbm, ssbm, dsbm, meta_graph, signed_erdos_renyi
+from sdnet.generators import f1_meta, sdsbm, ssbm, dsbm, meta_graph, erdos_renyi
 from sdnet.cluster import kmeans
 from sdnet.pipeline import linkpred_run
 from sdnet.spectral import NumericError
@@ -137,7 +137,7 @@ def test_wcc_connected_identity_and_isolated():
 
 
 def test_wcc_idempotent_and_empty():
-    g = signed_erdos_renyi(30, 0.05, seed=5)
+    g = erdos_renyi(30, 0.05, seed=5).graph
     sub, _ = largest_weakly_connected_component(g)
     sub2, idx2 = largest_weakly_connected_component(sub)
     assert sub2.num_nodes == sub.num_nodes
@@ -436,7 +436,7 @@ def test_signed_degree_all_positive_zero_columns():
 
 
 def test_signed_degree_census_oracle():
-    g = signed_erdos_renyi(10, 0.5, seed=2)
+    g = erdos_renyi(10, 0.5, seed=2).graph
     counts = signed_degree_counts(g)
     n_pos = float(np.sum(g.weight > 0))
     n_neg = float(np.sum(g.weight < 0))
@@ -445,6 +445,6 @@ def test_signed_degree_census_oracle():
 
 def test_feature_matrix_validation():
     with pytest.raises(ValueError):
-        FeatureMatrix(np.array([[np.nan]]), "given")
+        FeatureMatrix(np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        FeatureMatrix(np.zeros((2, 2)), "bogus")
+        FeatureMatrix(np.zeros(2))

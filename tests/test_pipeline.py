@@ -91,8 +91,8 @@ def test_run_result_aggregate_matches_rows():
 
 def test_linkpred_ep_no_signal_on_dense_er():
     # dense ER: degrees concentrate, so edge presence is near-unpredictable
-    from sdnet.generators import signed_erdos_renyi
-    g = signed_erdos_renyi(80, 0.4, seed=1)
+    from sdnet.generators import erdos_renyi
+    g = erdos_renyi(80, 0.4, seed=1).graph
     res = linkpred_run(g, "EP", embed_method="signed_degree", seeds=(0, 1, 2))
     acc = res.aggregate()[(0.0, "accuracy")][0]
     assert 0.35 <= acc <= 0.65
@@ -305,10 +305,10 @@ linkpred_run(dp, "DP", embed_method="hermitian_spectral", embed_dim=3, seeds=[0]
 sdnet.link_class_split(sp, "4C", maintain_connectedness=True, seed=1)
 sdnet.link_class_split(sp, "EP", seed=1)
 sdnet.largest_weakly_connected_component(sp)
-from sdnet.generators import pol_ssbm, signed_erdos_renyi, ssbm
+from sdnet.generators import erdos_renyi, pol_ssbm, ssbm
 ssbm(60, 3, 0.2, 0.1, eta=0.1, seed=0)
 pol_ssbm(60, 2, 0.2, eta=0.1, seed=0)
-signed_erdos_renyi(60, 0.1, seed=0)
+erdos_renyi(60, 0.1, seed=0)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdnet.generators import dsbm, meta_graph, sdsbm, f1_meta, signed_erdos_renyi, ssbm
+from sdnet.generators import dsbm, meta_graph, sdsbm, f1_meta, erdos_renyi, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.rng import stream
 from sdnet.spectral import (EigenPairs, NumericError, SpectralMatrix, eigh,
@@ -77,6 +77,13 @@ def test_signed_laplacian_all_positive_equals_ordinary():
     assert np.allclose(lap, np.diag(a.sum(1)) - a, atol=1e-12)
     lap_n = signed_laplacian(g, normalized=True).toarray()
     assert np.allclose(lap_n, normalized_laplacian(g).toarray(), atol=1e-12)
+    # the normalized Laplacian of a signed graph is the normalized signed
+    # Laplacian of |A|, bit for bit
+    for seed in range(3):
+        s = random_graph(14, seed + 30, signed=True, directed=True)
+        mag = SignedDirectedGraph(s.num_nodes, s.src, s.dst, np.abs(s.weight))
+        assert _same_bytes(normalized_laplacian(s).entries,
+                           signed_laplacian(mag, normalized=True).entries)
 
 
 def test_signed_laplacian_balanced_two_block_nullvector():
@@ -107,10 +114,10 @@ def test_signed_laplacians_psd():
 # ---------------------------------------------------------- magnetic Laplacian
 
 def test_magnetic_q0_equals_normalized():
-    g = random_graph(14, 1, signed=False, directed=True)
-    m0 = magnetic_laplacian(g, q=0.0).toarray()
-    ln = normalized_laplacian(g).toarray()
-    assert np.max(np.abs(m0 - ln)) <= 1e-12
+    for seed in range(3):
+        g = random_graph(14, seed + 1, signed=False, directed=True)
+        assert _same_bytes(magnetic_laplacian(g, q=0.0).entries,
+                           normalized_laplacian(g).entries)
 
 
 def test_magnetic_single_directed_edge():
@@ -155,9 +162,9 @@ def test_signed_magnetic_reduces_to_magnetic_on_positive():
     for seed in range(3):
         g = random_graph(13, seed + 20, signed=False, directed=True)
         for normalized in (False, True):
-            a = signed_magnetic_laplacian(g, q=0.2, normalized=normalized).toarray()
-            b = magnetic_laplacian(g, q=0.2, normalized=normalized).toarray()
-            assert np.max(np.abs(a - b)) <= 1e-12
+            a = signed_magnetic_laplacian(g, q=0.2, normalized=normalized)
+            b = magnetic_laplacian(g, q=0.2, normalized=normalized)
+            assert _same_bytes(a.entries, b.entries)
 
 
 def test_signed_magnetic_opposite_sign_tie():
@@ -238,7 +245,7 @@ def fixtures():
         out.append(dsbm(metas[seed % 2], 40, metas[seed % 2].num_clusters,
                         0.2, seed=seed).graph)
         out.append(sdsbm(f1_meta(0.3), 40, 0.2, eta=0.1, seed=seed).graph)
-        out.append(signed_erdos_renyi(40, 0.15, seed=seed))
+        out.append(erdos_renyi(40, 0.15, seed=seed).graph)
     return out
 
 
@@ -516,6 +523,39 @@ def test_lanczos_restart_vectors_are_deterministic(which):
     g = G(35, [(0, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0), (4, 5, 1.0), (5, 4, 1.0)])
     runs = [eigh(hermitian_imbalance(g), 3, which) for _ in range(5)]
     assert len({r.values.tobytes() + r.vectors.tobytes() for r in runs}) == 1
+
+
+def test_lanczos_without_rng_parameter(monkeypatch):
+    # an older scipy's eigs and eigsh take no rng: none is passed, and a
+    # solve that never restarts from a drawn vector gives the same bytes
+    import inspect
+    import scipy.sparse.linalg as spla
+    calls = []
+
+    def without_rng(fn):
+        sig = inspect.signature(fn)
+
+        def solve(*args, **kwargs):
+            assert "rng" not in kwargs
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        solve.__signature__ = sig.replace(
+            parameters=[p for p in sig.parameters.values() if p.name != "rng"])
+        return solve
+
+    dsbm_g, sdsbm_g = _workload_graphs()
+    ssbm_g = ssbm(300, 3, 0.1, 0.05, eta=0.1, seed=4).graph
+    cases = [(signed_magnetic_laplacian(sdsbm_g), "smallest"),
+             (hermitian_imbalance(dsbm_g), "largest_abs"),
+             (signed_laplacian(ssbm_g, normalized=True), "smallest")]
+    want = [eigh(op, 3, which) for op, which in cases]
+    monkeypatch.setattr(spla, "eigs", without_rng(spla.eigs))
+    monkeypatch.setattr(spla, "eigsh", without_rng(spla.eigsh))
+    for (op, which), w in zip(cases, want):
+        got = eigh(op, 3, which)
+        assert got.values.tobytes() == w.values.tobytes(), op.kind
+        assert got.vectors.tobytes() == w.vectors.tobytes(), op.kind
+    assert calls == ["eigs", "eigs", "eigsh"]
 
 
 def test_lanczos_non_convergence_raises_numeric_error(monkeypatch):
