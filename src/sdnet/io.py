@@ -14,10 +14,12 @@ each with the separator that follows it in a row, into NUL-padded
 fixed-width ``S`` cells. Each block of rows is gathered from these
 tables into one record array by fancy indexing, and one boolean
 compress drops the padding, so no value is formatted per row and no
-Python string is made per row. The edge TSV reader parses the file
-with one ``np.loadtxt`` call into int64, int64 and float64 columns, and
-finds the ``# num_nodes = N`` header with one regular-expression scan of
-its text that starts only at ``#`` characters (the last header wins).
+Python string is made per row. The edge TSV reader finds the
+``# num_nodes = N`` header with one regular-expression scan of the
+file's text that starts only at ``#`` characters (the last header wins),
+drops the text, and parses the file with one ``np.loadtxt`` call into
+int64, int64 and float64 columns; the text is read again only to retry
+a file whose blank lines hold spaces.
 """
 
 from __future__ import annotations
@@ -174,24 +176,22 @@ _BLANK_LINE = re.compile(r"^[^\S\n]+(?:#.*)?$", re.MULTILINE)
 _EDGE_DTYPE = [("src", np.int64), ("dst", np.int64), ("weight", np.float64)]
 
 
-def _edge_rows(source, text: str) -> np.ndarray:
-    """Structured (src, dst, weight) rows of an edge TSV.
+def _edge_rows(source) -> np.ndarray:
+    """Structured (src, dst, weight) rows of an edge TSV with a data line.
 
-    ``source`` is the path or text stream that ``np.loadtxt`` reads (a
-    path is read in chunks, which holds less in memory than a stream of
-    the whole text); ``text`` is its content.
+    ``source`` is its path, which ``np.loadtxt`` reads in chunks, or on
+    the retry a text stream of its content with blank lines emptied.
     """
-    if not _DATA_LINE.search(text):
-        return np.zeros(0, dtype=_EDGE_DTYPE)
     try:
         return np.loadtxt(source, dtype=_EDGE_DTYPE, delimiter="\t", comments="#",
                           ndmin=1, encoding="utf-8")
     except ValueError as err:
         # loadtxt drops comments but skips only the lines left empty:
         # empty the lines of blanks (or blanks and a comment) and retry
-        if _BLANK_LINE.search(text):
-            text = _BLANK_LINE.sub("", text)
-            return _edge_rows(io.StringIO(text), text)
+        if not isinstance(source, io.StringIO):
+            text = Path(source).read_text(encoding="utf-8")
+            if _BLANK_LINE.search(text):
+                return _edge_rows(io.StringIO(_BLANK_LINE.sub("", text)))
         raise ValueError(f"malformed edge line: {err}") from None
 
 
@@ -204,7 +204,9 @@ def read_edge_tsv(path, num_nodes: int | None = None) -> SignedDirectedGraph:
     """
     text = Path(path).read_text(encoding="utf-8")
     headers = [m[1] for m in _NUM_NODES.finditer(text) if _opens_line(text, m.start())]
-    rows = _edge_rows(path, text)
+    has_data = _DATA_LINE.search(text) is not None
+    del text  # not held while loadtxt parses the file again
+    rows = _edge_rows(path) if has_data else np.zeros(0, dtype=_EDGE_DTYPE)
     # explicit column copies: handing the graph the strided field views
     # (which it copies itself) measured ~3 MB more peak RSS on large_sparse
     src, dst = np.ascontiguousarray(rows["src"]), np.ascontiguousarray(rows["dst"])

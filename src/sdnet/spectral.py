@@ -17,7 +17,9 @@ M - M^H.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
 restarted Lanczos method (scipy's ``eigsh``, or ``eigs`` when complex)
 and a Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
-LAPACK decomposition. ARPACK stops at relative accuracy
+LAPACK decomposition. The smallest eigenpairs of L are the largest of
+c I - L, which ARPACK sees only as the product x -> c x - L x, so a
+solve stores no shifted copy of L. ARPACK stops at relative accuracy
 ``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
 returned pair is then checked: a residual ||A v - lambda v|| above
 ``LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf)`` (1e-10 times the
@@ -289,40 +291,16 @@ def _norm_inf(a) -> float:
     return float(np.add.reduceat(np.abs(a.data), a.indptr[rows]).max(initial=0.0))
 
 
-def _shifted(a, shift: float):
-    """shift * I - a with the bits and pattern of scipy's sparse
-    subtraction: shift - a_ii on the diagonal, 0 - a_ij elsewhere, and
-    no entry that comes out zero. Built on a's own index arrays when a
-    stores every diagonal entry and no result is zero."""
-    from ._csr import CSRMatrix
-    n = a.shape[0]
-    rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
-    on_diag = a.indices == rows
-    del rows
-    if np.count_nonzero(on_diag) != n:
-        from scipy.sparse import identity
-        return shift * identity(n, dtype=a.dtype, format="csr") - a
-    data = np.subtract(0.0, a.data)
-    data[on_diag] = shift - a.data[on_diag]
-    del on_diag
-    kept = data != 0
-    if kept.all():
-        return CSRMatrix((data, a.indices, a.indptr), shape=a.shape)
-    before = np.zeros(kept.size + 1, dtype=a.indptr.dtype)  # kept entries before each
-    np.cumsum(kept, out=before[1:])
-    return CSRMatrix((data[kept], a.indices[kept], before[a.indptr]), shape=a.shape)
-
-
 def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     """k eigenpairs of a sparse operator by ARPACK, then Rayleigh-Ritz.
 
     ``smallest`` takes the largest-algebraic pairs of c I - L with c the
     Gershgorin bound ||L||_inf (max absolute row sum), so every wanted
     eigenvalue is the top of a nonnegative spectrum. The bound is summed
-    from |L.data| and c I - L is built on L's own index arrays
-    (``_shifted``), both with the bits scipy's ``abs(L).sum(axis=1)`` and
-    ``c * identity(n) - L`` give. A float64 operator
-    runs in real arithmetic. ARPACK stops at relative accuracy
+    from |L.data| with the bits scipy's ``abs(L).sum(axis=1)`` gives, and
+    the shift is applied inside ARPACK's operator, x -> c x - L x, so no
+    shifted copy of L is stored. A float64 operator runs in real
+    arithmetic. ARPACK stops at relative accuracy
     LANCZOS_TOL. Its complex driver does not return orthonormal Ritz
     vectors, so the basis is orthonormalized (QR) and the k x k
     projection Q^H L Q diagonalized, giving orthonormal vectors and
@@ -344,12 +322,14 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
         shift = 0.0
         if which == "smallest":
             shift = norm_inf
-            target, mode = _shifted(a, shift), "LA"
+            target, mode = spla.LinearOperator(
+                a.shape, matvec=lambda x: shift * x - a @ x, dtype=a.dtype), "LA"
         else:
             target, mode = a, ("LA" if which == "largest" else "LM")
-        if not np.any(target.data):
-            # the operator is shift * I: every vector is an eigenvector, and
-            # ARPACK would stop on a zero Krylov vector
+        if not np.any(target @ v0):
+            # the operator is shift * I (c v0 - L v0 rounds to exactly 0 when
+            # L = c I): every vector is an eigenvector, and ARPACK would stop
+            # on a zero Krylov vector
             return EigenPairs(np.full(k, shift), np.eye(n, k))
         where = f"{op.kind} (n={n}, k={k}, which={which!r})"
         solve = spla.eigsh

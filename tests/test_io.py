@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdnet import io as sio
-from sdnet.generators import dsbm, f2_meta, meta_graph, sdsbm, ssbm
+from sdnet.generators import dsbm, f1_meta, f2_meta, meta_graph, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph
 from sdnet.pipeline import RunRecord, RunResult
 from sdnet.splitters import LinkTaskSplit, link_class_split, node_split
@@ -344,3 +344,16 @@ def test_read_csv_header_check(tmp_path):
     (tmp_path / "bad.csv").write_text("wrong\n1\n")
     with pytest.raises(ValueError):
         sio.read_labels_csv(tmp_path / "bad.csv")
+
+
+def test_read_edge_tsv_traced_bytes_per_edge(tmp_path):
+    # holding the file's text while loadtxt parsed the file again once
+    # traced 73 bytes per edge
+    from test_spectral import _traced_peak
+    n = 20_000
+    g = sdsbm(f1_meta(0.0), n, 20.0 / n, seed=1).graph
+    path = tmp_path / "edges.tsv"
+    sio.write_edge_tsv(path, g)
+    peak, back = _traced_peak(lambda: sio.read_edge_tsv(path))
+    assert back.edge_list() == g.edge_list() and g.num_edges > 190_000
+    assert peak <= 65 * g.num_edges, f"{peak / g.num_edges:.1f} bytes per edge"

@@ -7,7 +7,8 @@ builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
 stage its wall time, its own traced peak (tracemalloc, in bytes per
 edge above what was held when the stage began) and the process's peak
-RSS so far (``ru_maxrss``). ``ru_maxrss`` only grows, so a stage that
+RSS so far (``ru_maxrss``); under the build stage it prints the bytes
+per edge the operator keeps. ``ru_maxrss`` only grows, so a stage that
 peaks below an earlier one shows no rise there; the traced peak does.
 Tracing is on while the stages are timed, which slows allocation-heavy
 stages a little.
@@ -82,6 +83,7 @@ def main(argv=None) -> None:
           lambda: link_class_split(g, "4C", maintain_connectedness=True))
     stage("link_class_split(EP)", link_class_split, g, "EP")
     op = stage("signed_magnetic_laplacian", spectral.signed_magnetic_laplacian, g)
+    print(f"  operator keeps {op.entries.nbytes / m:.1f} B/edge")
     pairs = stage("eigh(k=3)", spectral.eigh, op, K)
     emb = real_columns(pairs.vectors)
     emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-300)
