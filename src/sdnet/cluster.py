@@ -4,8 +4,8 @@
 The embedding computes the method's vectors as its ``EMBEDDINGS`` entry
 says (an operator and the eigenpairs to keep: smallest for Laplacian
 kinds, largest by absolute eigenvalue for the Hermitian imbalance
-operator; or a ``graph`` feature function, which for
-``hermitian_spectral`` returns the complex vectors themselves), stacks
+operator; or a ``graph`` feature function, whose [Re | Im] columns
+``hermitian_spectral`` packs back into complex vectors), stacks
 real and imaginary parts of complex ones and row-normalizes; it holds
 the one eigensolve.
 ``cluster_embedding`` runs k-means on it; soft assignments come from a
@@ -29,8 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import spectral as sp
-from .graph import (SignedDirectedGraph, _fix_phase, _fix_sign, _hermitian_vectors,
-                    signed_degree_features, signed_spectral_features)
+from .graph import (SignedDirectedGraph, _fix_phase, _fix_sign,
+                    hermitian_spectral_features, signed_degree_features,
+                    signed_spectral_features)
 from .metrics import SoftAssignment
 from .rng import stream
 
@@ -62,8 +63,8 @@ EMBEDDINGS = {
     "signed_spectral": Embedding(False, features=lambda g, k, tau: (
         signed_spectral_features(g, k, tau=tau).values)),
     # dense on purpose: the sparse operator would load scipy in link prediction
-    "hermitian_spectral": Embedding(
-        True, features=lambda g, k, tau: _hermitian_vectors(g, k)),
+    "hermitian_spectral": Embedding(True, features=lambda g, k, tau: (
+        _complex_columns(hermitian_spectral_features(g, k).values))),
     "signed_degree": Embedding(False, features=lambda g, k, tau: (
         signed_degree_features(g).values)),
 }
@@ -247,6 +248,14 @@ def _embedding(g: SignedDirectedGraph, method: str, k: int, q: float,
 def real_columns(x: np.ndarray) -> np.ndarray:
     """x itself if real, else [Re | Im]."""
     return np.hstack([x.real, x.imag]) if np.iscomplexobj(x) else x
+
+
+def _complex_columns(x: np.ndarray) -> np.ndarray:
+    """The complex z whose [Re | Im] is the real x, bit for bit."""
+    k = x.shape[1] // 2
+    z = np.empty((x.shape[0], k), dtype=np.complex128)
+    z.real, z.imag = x[:, :k], x[:, k:]
+    return z
 
 
 def spectral_embedding(g: SignedDirectedGraph, method: str, k: int,

@@ -287,6 +287,17 @@ def _feature_adjacency(g: SignedDirectedGraph, k: int) -> np.ndarray:
     return g.adjacency()
 
 
+def _skew_adjacency(g: SignedDirectedGraph, k: int) -> np.ndarray:
+    """S = A - A^T in one n x n array, with the bits of ``a - a.T``.
+
+    Each ordered pair is an edge at most once, so subtracting the weights
+    at the transposed cells leaves every entry as A[u, v] - A[v, u].
+    """
+    s = _feature_adjacency(g, k)
+    s[g.dst, g.src] -= g.weight
+    return s
+
+
 def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) -> FeatureMatrix:
     """Leading eigenvectors of the regularized symmetrized signed adjacency.
 
@@ -294,12 +305,15 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     dbar is the mean absolute degree and J the all-ones matrix. Columns
     are unit-norm eigenvectors for the k largest eigenvalues, ordered by
     descending eigenvalue, each flipped so its largest-magnitude entry is
-    positive.
+    positive. The operator is formed in place in one n x n array, the
+    only one of its own held while ``np.linalg.eigh`` runs.
     """
     a = _feature_adjacency(g, k)
-    a_s = (a + a.T) / 2.0
-    dbar = float(np.abs(a_s).sum(axis=1).mean())
-    reg = a_s + tau * (dbar / g.num_nodes)  # the J term as a scalar: c * 1.0 == c
+    reg = a + a.T
+    del a
+    reg /= 2.0
+    dbar = float(np.abs(reg).sum(axis=1).mean())
+    reg += tau * (dbar / g.num_nodes)  # the J term as a scalar: c * 1.0 == c
     if not reg.any():
         warnings.warn("regularized adjacency is identically zero; "
                       "spectral features are degenerate", RuntimeWarning)
@@ -317,15 +331,21 @@ def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
     2p eigenvectors Q of S^T S span them, and the 2p x 2p Hermitian
     i Q^T S Q (Rayleigh-Ritz) gives the p positive sigma and their
     vectors v = Q r. Columns are [v_1, conj v_1, v_2, conj v_2, ...][:k]:
-    an odd k keeps the +sigma member of its last pair.
+    an odd k keeps the +sigma member of its last pair. S is dropped
+    while ``np.linalg.eigh(S^T S)`` runs and built again for the
+    Rayleigh-Ritz step, so one n x n array of its own is live at a time.
     """
     from .spectral import NumericError  # spectral imports this module
-    a = _feature_adjacency(g, k)
+    s = _skew_adjacency(g, k)
     n = g.num_nodes
-    s = a - a.T
     p = (k + 1) // 2
-    _, vecs = np.linalg.eigh(s.T @ s)
-    q = vecs[:, ::-1][:, :min(2 * p, n)]
+    sts = s.T @ s
+    del s
+    _, vecs = np.linalg.eigh(sts)
+    del sts
+    q = vecs[:, ::-1][:, :min(2 * p, n)].copy()
+    del vecs
+    s = _skew_adjacency(g, k)
     sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
     sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
     keep = sigma > 1e-12 * np.linalg.norm(s)
@@ -349,8 +369,9 @@ def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix
     -sigma; an odd k keeps v of its last pair. Pairs whose sigma is
     negligible relative to ||A - A^T||_F carry no imbalance information
     and are zeroed. Output is the n x 2k matrix [Re | Im]. The pairs come
-    from one real symmetric eigenproblem (see ``_hermitian_vectors``); a
-    residual above 1e-10 * max(1, ||A - A^T||_inf) raises NumericError.
+    from one real symmetric eigenproblem (see ``_hermitian_vectors``),
+    beside which one n x n array of its own is held; a residual above
+    1e-10 * max(1, ||A - A^T||_inf) raises NumericError.
     """
     z = _hermitian_vectors(g, k)
     return FeatureMatrix(np.hstack([z.real, z.imag]))

@@ -141,6 +141,8 @@ def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,
     conj(z_u) * z_v per column: swapping the endpoints negates the Im
     block, and a column's global phase cancels.
     """
+    if combine == "concat":
+        return node_x[pairs].reshape(len(pairs), 2 * node_x.shape[1])  # [x_u | x_v], one gather
     xu = node_x[pairs[:, 0]]
     xv = node_x[pairs[:, 1]]
     if combine == "phase":
@@ -148,8 +150,6 @@ def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,
             raise ValueError("the phase combiner needs a complex node embedding")
         prod = np.conj(xu) * xv
         return np.hstack([prod.real, prod.imag])
-    if combine == "concat":
-        return np.hstack([xu, xv])
     if combine == "hadamard":
         return xu * xv
     if combine == "difference":

@@ -383,11 +383,91 @@ def test_hermitian_features_keep_dp_accuracy(monkeypatch):
                              embed_dim=k, seeds=range(5)).aggregate()[(0.0, "accuracy")][0]
                 for k in (3, 8)]
 
+    def dense_features(g, k):
+        z = dense_hermitian_pairs(g, k)[1]
+        return FeatureMatrix(np.hstack([z.real, z.imag]))
+
     got = accuracies()
-    monkeypatch.setattr(cluster, "_hermitian_vectors",
-                        lambda g, k: dense_hermitian_pairs(g, k)[1])
+    monkeypatch.setattr(cluster, "hermitian_spectral_features", dense_features)
     want = accuracies()
     assert np.allclose(got, want, rtol=0.0, atol=1e-9), (got, want)
+
+
+# ------------------------------------------- dense feature bytes and footprint
+
+def ref_signed_spectral_features(g, k, tau=0.25):
+    """``signed_spectral_features`` as it was written with three n x n arrays."""
+    a = g.adjacency()
+    a_s = (a + a.T) / 2.0
+    dbar = float(np.abs(a_s).sum(axis=1).mean())
+    reg = a_s + tau * (dbar / g.num_nodes)
+    vals, vecs = np.linalg.eigh(reg)
+    top = vecs[:, ::-1][:, :k]
+    return _fix_sign(top)
+
+
+def ref_hermitian_vectors(g, k):
+    """``_hermitian_vectors`` as it was written, holding A, S and S^T S."""
+    a = g.adjacency()
+    n = g.num_nodes
+    s = a - a.T
+    p = (k + 1) // 2
+    _, vecs = np.linalg.eigh(s.T @ s)
+    q = vecs[:, ::-1][:, :min(2 * p, n)]
+    sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
+    sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
+    keep = sigma > 1e-12 * np.linalg.norm(s)
+    v = _fix_phase(v * keep[np.newaxis, :])
+    return np.stack([v, v.conj()], axis=2).reshape(n, 2 * p)[:, :k]
+
+
+def _dense_feature_graphs():
+    return {
+        "sdsbm_f1": sdsbm(f1_meta(0.1), 300, 0.1, eta=0.1, seed=3).graph,
+        "dsbm_cycle": dsbm(meta_graph("cycle", 3), 300, 3, 0.1, seed=0).graph,
+        # self-loops, a one-way edge and reciprocal pairs that do and do not cancel
+        "loops": G(9, [(0, 0, 2.0), (0, 1, 1.5), (1, 0, -0.5), (2, 3, 1.0),
+                       (3, 2, 1.0), (4, 5, -2.0), (5, 5, -1.0), (6, 7, 0.25),
+                       (8, 6, 3.0)]),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_dense_features_keep_the_reference_bytes(k):
+    for name, g in _dense_feature_graphs().items():
+        for tau in (0.0, 0.25):
+            got = signed_spectral_features(g, k, tau=tau).values
+            assert got.tobytes() == ref_signed_spectral_features(g, k, tau).tobytes(), name
+        assert _hermitian_vectors(g, k).tobytes() == ref_hermitian_vectors(g, k).tobytes(), name
+
+
+def _traced_peak(fn):
+    import tracemalloc
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", ["sdsbm_f1", "dsbm_cycle"])
+@pytest.mark.parametrize("builder", [signed_spectral_features, _hermitian_vectors],
+                         ids=["signed_spectral", "hermitian"])
+def test_dense_feature_builder_holds_one_n_by_n_beside_eigh(model, builder):
+    # A, A + A^T and the shifted operator (or A, S and S^T S) once traced
+    # 4.0 n^2 doubles with eigh's eigenvectors; one operator and the
+    # eigenvectors are 2.0
+    n = 1000
+    g = (sdsbm(f1_meta(0.0), n, 0.1, seed=1) if model == "sdsbm_f1" else
+         dsbm(meta_graph("cycle", 3), n, 3, 0.1, seed=0)).graph
+    peak = _traced_peak(lambda: builder(g, 8))
+    assert peak <= 2.5 * n * n * 8, f"{peak / (8 * n * n):.2f} n^2 doubles"
 
 
 # ------------------------------------------------------------- degree feats

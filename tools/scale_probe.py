@@ -12,6 +12,13 @@ per edge the operator keeps. ``ru_maxrss`` only grows, so a stage that
 peaks below an earlier one shows no rise there; the traced peak does.
 Tracing is on while the stages are timed, which slows allocation-heavy
 stages a little.
+A last stage builds the dense link features (``signed_spectral_features``
+and ``hermitian_spectral_features``, k = 8) on an sdsbm f1 graph of
+n_f = min(n, 2000) nodes and prints each builder's wall time, its traced
+peak and its RSS growth in n_f^2 doubles. Each builder runs in a fresh
+process, whose peak RSS (Linux's ``VmHWM``) starts below the builder;
+``ru_maxrss`` would not, as it keeps the RSS of the process it was
+started from.
 The header names each OpenBLAS loaded and its thread count; solves below
 ``spectral.LANCZOS_THREADED_MIN_N`` rows run on one of them. Not part of
 the pytest suite; the CI workflow runs it at n = 20,000 (a few seconds),
@@ -23,6 +30,7 @@ which keeps it working. Run it from the root of a source checkout:
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import resource
 import tempfile
 import tracemalloc
@@ -31,7 +39,7 @@ from time import perf_counter
 
 import numpy as np
 
-from sdnet import _blas, spectral
+from sdnet import _blas, graph, spectral
 from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
@@ -40,10 +48,35 @@ from sdnet.splitters import link_class_split
 N = 100_000
 DEGREE = 20.0
 K = 3
+DENSE_N = 2000
+DENSE_K = 8
+DENSE_BUILDERS = ("signed_spectral_features", "hermitian_spectral_features")
 
 
 def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _status_bytes(field: str) -> int:
+    """A ``kB`` field of /proc/self/status (``VmRSS``, ``VmHWM``) in bytes."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith(field + ":"):
+            return int(line.split()[1]) * 1024
+    raise KeyError(field)
+
+
+def _dense_stage(name: str, n: int) -> tuple[float, int, int]:
+    """Seconds, traced peak and RSS growth (bytes) of one dense feature
+    builder, run in the calling process."""
+    g = sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph
+    before = _status_bytes("VmRSS")
+    tracemalloc.start()
+    t = perf_counter()
+    getattr(graph, name)(g, DENSE_K)
+    seconds = perf_counter() - t
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return seconds, traced, _status_bytes("VmHWM") - before
 
 
 def main(argv=None) -> None:
@@ -88,6 +121,16 @@ def main(argv=None) -> None:
     emb = real_columns(pairs.vectors)
     emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-300)
     stage("cluster_embedding", cluster_embedding, emb, K)
+
+    n_f = min(n, DENSE_N)
+    print(f"dense features, sdsbm f1, n_f={n_f}, k={DENSE_K}, each in a fresh process "
+          f"(units of n_f^2 doubles, {8 * n_f * n_f / 2**20:.1f} MB)")
+    for name in DENSE_BUILDERS:
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            seconds, traced, grown = pool.apply(_dense_stage, (name, n_f))
+        unit = 8.0 * n_f * n_f
+        print(f"{name:<29} {seconds:8.2f} s   traced peak {traced / unit:4.1f} n^2   "
+              f"RSS growth {grown / unit:4.1f} n^2", flush=True)
 
 
 if __name__ == "__main__":
