@@ -7,13 +7,17 @@ builds an operator) loads no scipy.
 ``hermitian_from_upper`` assembles an operator's CSR rows in place:
 row i holds its mirrored cells (columns below i), its diagonal, then its
 upper cells (columns above i), and the row counts say where each run
-starts. The upper cells arrive ordered by (row, column), so they fill
-their slots in order; the mirrored ones fill theirs in (column, row)
-order, which a counting sort of the upper triangle (scipy's CSR to CSC
-conversion) gives. No COO triple is concatenated or lexsorted.
+starts. Every value is written straight to its slot, BLOCK cells at a
+time: an upper cell's slot follows from its place in the input, which is
+ordered by (row, column), and a mirrored cell's from its rank within its
+new row, which a counting sort of the int32 cell numbers by column
+(scipy's CSR to CSC conversion) gives. No COO triple is concatenated or
+lexsorted and no value is copied to be sorted, so the build holds, beside
+its inputs and the matrix, one index per cell.
 ``hermitian_residual`` measures ||M - M^H||_F entry by entry against each
 entry's mirror, whose position the same counting sort of the entry
-numbers finds, with no transposed or subtracted matrix formed.
+numbers finds, with no transposed or subtracted matrix formed; its
+temporaries are three indices per entry and one block.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-# entries compared per step, which bounds each step's temporaries
-BLOCK = 1 << 16
+from .graph import index_dtype
+
+# entries written or compared per step, which bounds each step's
+# temporaries (128 KiB of complex values)
+BLOCK = 1 << 13
 
 
 class CSRMatrix(sparse.csr_array):
@@ -31,6 +38,14 @@ class CSRMatrix(sparse.csr_array):
     @property
     def nbytes(self) -> int:
         return int(self.data.nbytes + self.indices.nbytes + self.indptr.nbytes)
+
+
+def _transposed_order(n: int, indices: np.ndarray, indptr: np.ndarray):
+    """The n x n CSR pattern (indices, indptr) transposed by a counting sort
+    (scipy's CSR to CSC) of its entry numbers: a CSC array whose data are
+    the entry numbers in (column, row) order. No values are moved."""
+    number = np.arange(indices.size, dtype=index_dtype(n, indices.size))
+    return sparse.csr_array((number, indices, indptr), shape=(n, n)).tocsc()
 
 
 def hermitian_from_upper(n: int, rows: np.ndarray, cols: np.ndarray,
@@ -43,40 +58,47 @@ def hermitian_from_upper(n: int, rows: np.ndarray, cols: np.ndarray,
     Column indices come out sorted within each row, and every stored
     diagonal is kept, zero or not; the data keeps the dtype of ``upper``
     and ``diag``, and a -0.0 component is stored as 0.0, as an averaged
-    (M + M^H) / 2 gives it.
+    (M + M^H) / 2 gives it. Beside its inputs and the matrix it returns,
+    it holds one index per cell and BLOCK-sized temporaries.
     """
     on = 0 if diag is None else 1
     dtype = upper.dtype if diag is None else np.result_type(upper, diag)
-    below = np.bincount(cols, minlength=n)  # mirrored cells per row
-    above = np.bincount(rows, minlength=n)
     nnz = 2 * upper.size + on * n
-    index = np.int32 if max(n, nnz) < 2 ** 31 else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(below + above + on, out=indptr[1:])
-    # slot kinds along the rows: 0 mirrored, 1 diagonal, 2 upper
-    kind = np.repeat(np.tile(np.array([0, 1, 2], dtype=np.uint8), n),
-                     np.stack([below, np.full(n, on), above], axis=1).ravel())
-    del below
+    index = index_dtype(n, nnz)
+    starts = np.searchsorted(rows, np.arange(n + 1))  # upper cells by row
+    # each cell's rank among its row's mirrored cells, which are ordered by
+    # (cols, rows); taken before the matrix is allocated, so the sort's
+    # temporaries are gone by then
+    transposed = _transposed_order(n, cols, starts)
+    ends = transposed.indptr  # mirrored cells by row
+    rank = np.empty(upper.size, dtype=transposed.data.dtype)
+    rank[transposed.data] = np.arange(upper.size, dtype=rank.dtype)
+    del transposed
+    # row r holds its mirrored cells, its diagonal, then its upper cells: the
+    # j-th upper cell, of row r, goes to slot j + to_upper[r], and the
+    # mirrored cell of rank k in row r to slot k + to_mirrored[r]
+    step = on * np.arange(n + 1)
+    to_mirrored = starts + step
+    to_upper = ends[1:] + step[1:]
+    indptr = (to_mirrored + ends).astype(index)
+    del ends, step
     data = np.empty(nnz, dtype=dtype)
     indices = np.empty(nnz, dtype=index)
-    slots = kind == 2
-    data[slots] = upper
-    indices[slots] = cols
     if diag is not None:
-        np.equal(kind, 1, out=slots)
+        slots = to_upper - 1 + starts[:-1]
         data[slots] = diag
         indices[slots] = np.arange(n, dtype=index)
-    # the mirrored cells are the upper triangle's transpose, in (cols, rows)
-    # order, which scipy's counting sort gives
-    starts = np.zeros(n + 1, dtype=index)
-    np.cumsum(above, out=starts[1:])
-    del above
-    mirrored = sparse.csr_array((upper, cols.astype(index), starts), shape=(n, n)).tocsc()
-    np.equal(kind, 0, out=slots)
-    del kind
-    data[slots] = np.conjugate(mirrored.data, out=mirrored.data)
-    indices[slots] = mirrored.indices
-    del mirrored, slots
+    for s in range(0, upper.size, BLOCK):
+        end = min(s + BLOCK, upper.size)
+        r, c, v = rows[s:end], cols[s:end], upper[s:end]
+        slots = to_upper[r]
+        slots += np.arange(s, end)
+        data[slots] = v
+        indices[slots] = c
+        slots = to_mirrored[c]
+        slots += rank[s:end]
+        data[slots] = np.conjugate(v)
+        indices[slots] = r
     data += 0.0
     return CSRMatrix((data, indices, indptr), shape=(n, n))
 
@@ -89,16 +111,15 @@ def hermitian_residual(m: CSRMatrix) -> float:
     transposing the entry numbers (a counting sort), so no transposed
     values are held. Otherwise m - m^H is formed and measured.
     """
-    nnz = m.nnz
-    number = np.arange(nnz, dtype=np.int32 if nnz < 2 ** 31 else np.int64)
-    mirror = sparse.csr_array((number, m.indices, m.indptr), shape=m.shape).tocsc()
-    del number
+    n, nnz = m.shape[0], m.nnz
+    mirror = _transposed_order(n, m.indices, m.indptr)
     if not (np.array_equal(mirror.indptr, m.indptr)
             and np.array_equal(mirror.indices, m.indices)):
         return float(np.linalg.norm((m - m.conj().T).data))
+    mirror = mirror.data  # each entry's mirror; the CSC pattern goes
     total = 0.0
     for s in range(0, nnz, BLOCK):
-        diff = m.data[mirror.data[s:s + BLOCK]]
+        diff = m.data[mirror[s:s + BLOCK]]
         np.conjugate(diff, out=diff)
         np.subtract(m.data[s:s + BLOCK], diff, out=diff)
         parts = diff.view(np.float64)  # real and imaginary parts

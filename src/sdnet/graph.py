@@ -181,13 +181,16 @@ def largest_weakly_connected_component(
     Returns the component graph and an index map (new id -> original id);
     ``labels[index_map]`` carries node labels over. Ties between
     equal-size components go to the one containing the smallest original
-    node id.
+    node id. A graph whose largest component holds every node comes back
+    as itself, with the identity map.
     """
     if g.num_nodes == 0:
         return g, np.zeros(0, dtype=np.int64)
     roots = _component_labels(g)
     sizes = np.bincount(roots, minlength=g.num_nodes)
     best = sizes.max()
+    if best == g.num_nodes:  # graphs are immutable, so g itself is the copy
+        return g, np.arange(g.num_nodes, dtype=np.int64)
     # roots are the minimum id of their component, so the smallest
     # qualifying root is the required tie-break
     chosen = int(np.nonzero(sizes == best)[0].min())
@@ -201,6 +204,12 @@ def largest_weakly_connected_component(
     return sub, index_map
 
 
+def index_dtype(*sizes: int):
+    """int32 when every size given fits below 2**31, int64 otherwise: the
+    index type of arrays whose values stay below those sizes."""
+    return np.int32 if max(sizes) < 2 ** 31 else np.int64
+
+
 def symmetric_pairs(g: SignedDirectedGraph):
     """Cells of the symmetrized support with both directed weights, in O(m).
 
@@ -209,23 +218,36 @@ def symmetric_pairs(g: SignedDirectedGraph):
     (lo, hi), with a_lh = A[lo, hi] and a_hl = A[hi, lo] (0 where there
     is no edge). A self-loop gives lo == hi and a_lh == a_hl == its
     weight, so it counts once. Reciprocal pairs whose weights cancel
-    keep their cell, unlike the support of a summed A + A^T.
+    keep their cell, unlike the support of a summed A + A^T. The cell
+    ends are ``index_dtype(n, m)`` (int32 below 2**31 nodes and edges),
+    and so is each edge's cell number while the weights are placed.
     """
     n = max(g.num_nodes, 1)
+    index = index_dtype(n, g.num_edges)
     ranked, order = _sorted_pair_codes(g)
     new = np.empty(ranked.size, dtype=bool)
     new[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
     cells = ranked[new]
-    cell = np.empty(ranked.size, dtype=np.int64)  # each edge's cell
-    cell[order] = np.cumsum(new) - 1
-    a_lh = np.zeros(cells.size)
-    a_hl = np.zeros(cells.size)
+    del ranked
+    cell = np.empty(new.size, dtype=index)  # each edge's cell
+    number = np.cumsum(new, dtype=index)
+    del new
+    number -= 1
+    cell[order] = number
+    del order, number
+    lo = np.empty(cells.size, dtype=index)
+    hi = np.empty(cells.size, dtype=index)
+    np.floor_divide(cells, n, out=lo, casting="unsafe")
+    np.remainder(cells, n, out=hi, casting="unsafe")
+    del cells
+    a_lh = np.zeros(lo.size)
+    a_hl = np.zeros(lo.size)
     up = g.src <= g.dst
     a_lh[cell[up]] = g.weight[up]
-    down = g.src >= g.dst
+    down = np.less_equal(g.dst, g.src, out=up)
     a_hl[cell[down]] = g.weight[down]
-    return cells // n, cells % n, a_lh, a_hl
+    return lo, hi, a_lh, a_hl
 
 
 def _sorted_pair_codes(g: SignedDirectedGraph):

@@ -15,6 +15,10 @@ import numpy as np
 
 from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 
+# wedges searched per step of balanced_triangle_ratio, which bounds the
+# step's temporaries (about 3 MB)
+WEDGES = 1 << 16
+
 
 @dataclass(frozen=True)
 class SoftAssignment:
@@ -216,28 +220,46 @@ def balanced_triangle_ratio(g: SignedDirectedGraph) -> float:
     points from its endpoint of lower (degree, id) rank to the higher, so
     a node has O(sqrt m) out-neighbours; every pair of out-edges of a
     node is a wedge, closed when its far ends are an edge too (a binary
-    search over the sorted edge codes). O(m^1.5) time, exact counts.
+    search over the sorted edge codes). O(m^1.5) time, exact counts. The
+    wedges are searched WEDGES at a time (a run of edges whose wedges add
+    up to at most that many, or one edge), so beside O(m) edge arrays only
+    one run's wedges are held.
     """
     n = g.num_nodes
-    lo, hi, a_lh, a_hl = symmetric_pairs(g)
-    a_s = (a_lh + a_hl) / 2.0
+    lo, hi, a_s, a_hl = symmetric_pairs(g)
+    a_s += a_hl
+    del a_hl
+    a_s /= 2.0
     cut = (lo != hi) & (a_s != 0.0)
-    lo, hi, neg = lo[cut], hi[cut], (a_s[cut] < 0).astype(np.int64)
+    lo, hi, neg = lo[cut], hi[cut], (a_s[cut] < 0).astype(np.int8)
+    del a_s, cut
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n),
                     kind="stable")] = np.arange(n)
-    u, w = np.minimum(rank[lo], rank[hi]), np.maximum(rank[lo], rank[hi])
+    u, w = rank[lo], rank[hi]
+    del lo, hi, rank
+    u, w = np.minimum(u, w), np.maximum(u, w)
     codes = u * n + w
     order = np.argsort(codes)
-    codes, u, w, neg = codes[order], u[order], w[order], neg[order]
+    codes, w, neg = codes[order], w[order], neg[order]
+    del order
     # edge e pairs with the later out-edges of its row: end[u] - e - 1 of them
-    later = np.cumsum(np.bincount(u, minlength=n))[u] - np.arange(codes.size) - 1
-    first = np.repeat(np.arange(codes.size), later)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    close = w[first] * n + w[second]
-    at = np.minimum(np.searchsorted(codes, close), codes.size - 1)
-    hit = codes[at] == close
-    counts = np.bincount((neg[first] + neg[second] + neg[at])[hit], minlength=4)
+    out = np.bincount(u, minlength=n)
+    del u
+    later = np.repeat(np.cumsum(out), out) - np.arange(codes.size) - 1
+    wedges = np.cumsum(later)  # through each edge
+    counts = np.zeros(4, dtype=np.int64)
+    start = done = 0
+    while start < codes.size:
+        stop = max(int(np.searchsorted(wedges, done + WEDGES, side="right")), start + 1)
+        k = later[start:stop]
+        first = np.repeat(np.arange(start, stop), k)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(k) - k, k)
+        close = w[first] * n + w[second]
+        at = np.minimum(np.searchsorted(codes, close), codes.size - 1)
+        hit = codes[at] == close
+        counts += np.bincount((neg[first] + neg[second] + neg[at])[hit], minlength=4)
+        start, done = stop, wedges[stop - 1]
     total = counts.sum()
     if total == 0:
         raise ValueError("graph has no triangles")

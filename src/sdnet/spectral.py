@@ -13,7 +13,8 @@ from its pair (A[u, v], A[v, u]) and mirrored as its conjugate, straight
 into CSR rows (``_csr.hermitian_from_upper``), with each builder
 temporary dropped after its last use. ``SpectralMatrix`` checks
 Hermiticity entry by entry against each entry's mirror, without forming
-M - M^H.
+M - M^H. A build, its check included, holds at most about twice the
+bytes the operator keeps.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
 restarted Lanczos method (scipy's ``eigsh``, or ``eigs`` when complex)
 and a Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense

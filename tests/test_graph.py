@@ -7,10 +7,12 @@ from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_labels,
                          is_signed, largest_weakly_connected_component,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
-                         hermitian_spectral_features, standardize_columns)
+                         hermitian_spectral_features, standardize_columns,
+                         symmetric_pairs)
 from sdnet.generators import f1_meta, sdsbm, ssbm, dsbm, meta_graph, erdos_renyi
 from sdnet.cluster import kmeans
 from sdnet.pipeline import linkpred_run
+from sdnet.rng import stream
 from sdnet.spectral import NumericError
 
 
@@ -145,6 +147,17 @@ def test_wcc_idempotent_and_empty():
     assert list(idx2) == list(range(sub.num_nodes))
     empty, idx = largest_weakly_connected_component(G(0, []))
     assert empty.num_nodes == 0 and idx.size == 0
+
+
+def test_wcc_returns_a_spanning_graph_itself():
+    # graphs are immutable, so a component that holds every node shares g
+    g = G(3, [(0, 1, 1.0), (2, 1, -1.0)])
+    sub, idx = largest_weakly_connected_component(g)
+    assert sub is g and idx.dtype == np.int64 and list(idx) == [0, 1, 2]
+    g2 = G(4, [(0, 1, 1.0), (2, 1, -1.0)])  # node 3 is isolated
+    sub2, idx2 = largest_weakly_connected_component(g2)
+    assert sub2 is not g2 and sub2.num_nodes == 3 and list(idx2) == [0, 1, 2]
+    assert sorted(sub2.edge_list()) == sorted(g2.edge_list())
 
 
 def _bfs_component_labels(g):
@@ -528,3 +541,50 @@ def test_feature_matrix_validation():
         FeatureMatrix(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         FeatureMatrix(np.zeros(2))
+
+
+# ------------------------------------------------------------ symmetric pairs
+
+def ref_symmetric_pairs(g):
+    """The int64 cell builder that the int32 one replaced, kept verbatim."""
+    n = max(g.num_nodes, 1)
+    codes = np.minimum(g.src, g.dst) * n + np.maximum(g.src, g.dst)
+    order = np.argsort(codes)
+    ranked = codes[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    cells = ranked[new]
+    cell = np.empty(ranked.size, dtype=np.int64)
+    cell[order] = np.cumsum(new) - 1
+    a_lh = np.zeros(cells.size)
+    a_hl = np.zeros(cells.size)
+    up = g.src <= g.dst
+    a_lh[cell[up]] = g.weight[up]
+    down = g.src >= g.dst
+    a_hl[cell[down]] = g.weight[down]
+    return cells // n, cells % n, a_lh, a_hl
+
+
+def test_symmetric_pairs_int32_ends_hold_the_int64_values():
+    graphs = [G(0, []), G(1, [(0, 0, -2.0)]),
+              # a self-loop, a cancelling reciprocal pair and a one-way edge
+              G(4, [(0, 1, 1.0), (1, 0, -1.0), (2, 2, 0.5), (3, 1, 2.0)])]
+    for seed in range(4):
+        rng = stream(5200 + seed)
+        n = int(rng.integers(2, 60))
+        edges = {}
+        for _ in range(3 * n):
+            u, v = (int(x) for x in rng.integers(n, size=2))
+            edges[(u, v)] = float(rng.normal()) or 1.0
+        for u in range(0, n - 1, 4):
+            edges[(u, u)] = 1.5
+            edges[(u, u + 1)], edges[(u + 1, u)] = 0.75, -0.75
+        graphs.append(G(n, [(u, v, w) for (u, v), w in edges.items()]))  # unsorted
+    for g in graphs:
+        got, want = symmetric_pairs(g), ref_symmetric_pairs(g)
+        assert got[0].dtype == got[1].dtype == np.int32
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and a.shape == b.shape
+        for a, b in zip(got[2:], want[2:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

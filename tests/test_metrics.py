@@ -338,6 +338,38 @@ def test_triangle_matches_dense_traces():
         assert balanced_triangle_ratio(g) == dense_balanced_triangle_ratio(g)
 
 
+def test_triangle_counts_exact_in_any_wedge_step(monkeypatch):
+    # steps of one wedge, a few and more than a graph holds give the same counts
+    from sdnet import metrics
+    graphs = [sdsbm(f1_meta(0.1), 300, 0.05, eta=0.1, seed=0).graph,
+              pol_ssbm(300, 2, 0.05, eta=0.1, seed=1).graph]
+    for g in graphs:
+        want = dense_balanced_triangle_ratio(g)
+        for wedges in (1, 7, 1000, 1 << 30):
+            monkeypatch.setattr(metrics, "WEDGES", wedges)
+            assert balanced_triangle_ratio(g) == want
+
+
+def test_triangle_traced_bytes_per_edge():
+    # holding every wedge at once once traced 356 bytes per edge here
+    import tracemalloc
+    n = 20_000
+    g = sdsbm(f1_meta(0.2), n, 20.0 / n, eta=0.2, seed=1).graph
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ratio = balanced_triangle_ratio(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert 0.0 < ratio < 1.0 and g.num_edges > 190_000
+    assert peak <= 120 * g.num_edges, f"{peak / g.num_edges:.1f} bytes per edge"
+
+
 def test_triangle_no_triangles_error():
     for g in (undirected(3, [(0, 1, 1.0), (1, 2, 1.0)]), G(0, []),
               # the cancelled pair 0-2 leaves a path, not a triangle

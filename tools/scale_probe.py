@@ -2,14 +2,16 @@
 
 Generates an sdsbm f1 graph (n = 100000 unless given, p = 20 / n),
 writes it to an edge TSV in a temporary directory and reads it back,
+takes the largest weakly connected component of the read-back graph,
 splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
 stage its wall time, its own traced peak (tracemalloc, in bytes per
 edge above what was held when the stage began) and the process's peak
 RSS so far (``ru_maxrss``); under the build stage it prints the bytes
-per edge the operator keeps. ``ru_maxrss`` only grows, so a stage that
-peaks below an earlier one shows no rise there; the traced peak does.
+per edge the operator keeps and the build's traced peak as a multiple of
+them. ``ru_maxrss`` only grows, so a stage that peaks below an earlier
+one shows no rise there; the traced peak does.
 Tracing is on while the stages are timed, which slows allocation-heavy
 stages a little.
 A last stage builds the dense link features (``signed_spectral_features``
@@ -85,9 +87,10 @@ def main(argv=None) -> None:
     n = ap.parse_args(argv).n
 
     m = 0
+    traced = 0.0  # the last stage's traced peak, bytes per edge
 
     def stage(name, fn, *fn_args):
-        nonlocal m
+        nonlocal m, traced
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         t = perf_counter()
@@ -95,7 +98,7 @@ def main(argv=None) -> None:
         seconds = perf_counter() - t
         m = m or max(out.num_edges, 1)  # the first stage returns the graph
         traced = (tracemalloc.get_traced_memory()[1] - held) / m
-        print(f"{name:<29} {seconds:8.2f} s   traced peak {traced:6.1f} B/edge   "
+        print(f"{name:<34} {seconds:8.2f} s   traced peak {traced:6.1f} B/edge   "
               f"peak RSS {_peak_mb():7.1f} MB", flush=True)
         return out
 
@@ -111,12 +114,17 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "edges.tsv"
         stage("write_edge_tsv", sio.write_edge_tsv, path, g)
-        stage("read_edge_tsv", sio.read_edge_tsv, path)
+        back = stage("read_edge_tsv", sio.read_edge_tsv, path)
+    sub, _ = stage("largest_weakly_connected_component",
+                   graph.largest_weakly_connected_component, back)
+    print(f"  component: n = {sub.num_nodes}, m = {sub.num_edges}")
+    del back, sub
     stage("link_class_split(4C, forest)",
           lambda: link_class_split(g, "4C", maintain_connectedness=True))
     stage("link_class_split(EP)", link_class_split, g, "EP")
     op = stage("signed_magnetic_laplacian", spectral.signed_magnetic_laplacian, g)
-    print(f"  operator keeps {op.entries.nbytes / m:.1f} B/edge")
+    kept = op.entries.nbytes / m
+    print(f"  operator keeps {kept:.1f} B/edge; the build traced {traced / kept:.2f}x that")
     pairs = stage("eigh(k=3)", spectral.eigh, op, K)
     emb = real_columns(pairs.vectors)
     emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-300)
@@ -129,7 +137,7 @@ def main(argv=None) -> None:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
             seconds, traced, grown = pool.apply(_dense_stage, (name, n_f))
         unit = 8.0 * n_f * n_f
-        print(f"{name:<29} {seconds:8.2f} s   traced peak {traced / unit:4.1f} n^2   "
+        print(f"{name:<34} {seconds:8.2f} s   traced peak {traced / unit:4.1f} n^2   "
               f"RSS growth {grown / unit:4.1f} n^2", flush=True)
 
 
