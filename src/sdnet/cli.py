@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](cfg, outdir, args.seed)
         return 0
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"sdnet: config error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError, FloatingPointError) as exc:

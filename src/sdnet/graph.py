@@ -7,6 +7,9 @@ its node count and its edges only: node labels travel beside it (a
 generator's ``GeneratedInstance.labels``, a labels CSV) and node features
 are built from it (``FeatureMatrix``). Graphs are immutable after
 construction and every operation here is a pure function.
+
+Weak components and the splitters' spanning forest share one routine:
+Borůvka rounds over windows of the edges (``_component_roots``).
 """
 
 from __future__ import annotations
@@ -154,23 +157,53 @@ def _jump_to_roots(parent: np.ndarray) -> np.ndarray:
         parent = jumped
 
 
-def _component_labels(g: SignedDirectedGraph) -> np.ndarray:
-    """Weak component of every node, labelled by its smallest node id.
+def _boruvka(n, cu, cv, order=None, chosen=None):
+    """Borůvka rounds over edges given in rank order (Borůvka 1926).
 
-    Each round hooks every root to the smallest root across its edges,
-    then jumps pointers until every node points at a root; it stops when
-    a round changes nothing.
+    ``cu`` and ``cv`` are the components of the edges' ends. Each round
+    drops the edges inside a component, takes each component's
+    minimum-rank edge, hooks the component to that edge's other end and
+    jumps pointers to the new roots; it at least halves the number of
+    components. With ``chosen``, ``order`` holds the edges' indices and
+    each round appends those of its hooking edges to ``chosen``. Returns
+    the final root of every component label.
     """
-    lab = np.arange(g.num_nodes, dtype=np.int64)
+    relabel = np.arange(n)
     while True:
-        lo = np.minimum(lab[g.src], lab[g.dst])
-        new = lab.copy()
-        np.minimum.at(new, lab[g.src], lo)
-        np.minimum.at(new, lab[g.dst], lo)
-        new = _jump_to_roots(new)
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
+        live = cu != cv
+        cu, cv = cu[live], cv[live]
+        if not cu.size:
+            return relabel
+        rank = np.arange(cu.size)  # edges stay in rank order
+        best = np.full(n, cu.size)
+        np.minimum.at(best, cu, rank)
+        np.minimum.at(best, cv, rank)
+        comps = np.nonzero(best < cu.size)[0]
+        e = best[comps]
+        other = np.where(cu[e] == comps, cv[e], cu[e])
+        parent = np.arange(n, dtype=np.int64)
+        parent[comps] = other
+        # two components that chose the same edge point at each other:
+        # the smaller one becomes the root
+        mutual = comps[(parent[other] == comps) & (comps < other)]
+        parent[mutual] = mutual
+        if chosen is not None:
+            order = order[live]
+            chosen.append(order[e])
+        root = _jump_to_roots(parent)
+        cu, cv = root[cu], root[cv]
+        relabel = root[relabel]
+
+
+def _component_roots(n, src, dst, windows, chosen=None):
+    """Root of every node's weak component: ``_boruvka`` over each window
+    of the edges ``src``, ``dst`` (a slice; an index array with ``chosen``)
+    in turn, its ends relabelled by the components earlier windows formed."""
+    label = np.arange(n)
+    for window in windows:
+        root = _boruvka(n, label[src[window]], label[dst[window]], window, chosen)
+        label = root[label]
+    return label
 
 
 def largest_weakly_connected_component(
@@ -184,19 +217,21 @@ def largest_weakly_connected_component(
     node id. A graph whose largest component holds every node comes back
     as itself, with the identity map.
     """
-    if g.num_nodes == 0:
+    n = g.num_nodes
+    if n == 0:
         return g, np.zeros(0, dtype=np.int64)
-    roots = _component_labels(g)
-    sizes = np.bincount(roots, minlength=g.num_nodes)
+    # every step-th edge, about 2n of them, joins most nodes cheaply first
+    step = max(g.num_edges // (2 * n), 1)
+    roots = _component_roots(n, g.src, g.dst, (slice(None, None, step), slice(None)))
+    sizes = np.bincount(roots, minlength=n)
     best = sizes.max()
-    if best == g.num_nodes:  # graphs are immutable, so g itself is the copy
-        return g, np.arange(g.num_nodes, dtype=np.int64)
-    # roots are the minimum id of their component, so the smallest
-    # qualifying root is the required tie-break
-    chosen = int(np.nonzero(sizes == best)[0].min())
+    if best == n:  # graphs are immutable, so g itself is the copy
+        return g, np.arange(n, dtype=np.int64)
+    # the first node in a largest component is its smallest id
+    chosen = roots[np.argmax(sizes[roots] == best)]
     keep = np.nonzero(roots == chosen)[0]
     index_map = keep.astype(np.int64)
-    new_id = -np.ones(g.num_nodes, dtype=np.int64)
+    new_id = -np.ones(n, dtype=np.int64)
     new_id[keep] = np.arange(keep.size)
     mask = new_id[g.src] >= 0
     sub = SignedDirectedGraph(keep.size, new_id[g.src[mask]], new_id[g.dst[mask]],

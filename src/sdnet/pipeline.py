@@ -277,8 +277,11 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
                   train_frac: float = 0.8, val_frac: float = 0.1,
                   test_frac: float = 0.1, q: float = 0.25,
                   tau: float = 0.25) -> RunResult:
-    """Sweep a generator parameter and report test-node ARI per run.
+    """Sweep a graph parameter and report test-node ARI per run.
 
+    ``param`` is any key of ``graph_params`` that ``generate_from_params``
+    binds, except ``model`` and ``seed`` (each instance derives its own);
+    each value reaches the generator as given and its record as a float.
     For each (value, instance): generate an instance (seed derived from
     the base seed, sweep index and instance index) and embed it once
     (``spectral_embedding``, one eigensolve). For each seed: draw one
@@ -288,8 +291,8 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     empty ``values`` or ``seeds``, or ``instances`` below 1 raises
     ValueError before anything is generated.
     """
-    if param not in ("eta", "gamma", "p", "rho"):
-        raise ValueError(f"unsupported sweep parameter {param!r}")
+    if param in ("model", "seed"):
+        raise ValueError(f"cannot sweep {param!r}")
     is_complex(method)  # ValueError for an unknown method
     values, seeds = tuple(values), tuple(seeds)
     for name, count in (("value", len(values)), ("seed", len(seeds)), ("instance", instances)):
@@ -299,7 +302,7 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     records = []
     for vi, value in enumerate(values):
         gp = dict(graph_params)
-        gp[param] = float(value)
+        gp[param] = value
         for inst in range(instances):
             instance = generate_from_params(gp, seed=derive(base_seed, vi, inst))
             labels = instance.labels

@@ -22,10 +22,11 @@ Conventions shared by the link tasks:
 The enumeration keeps, for each edge-backed query, the index of the
 stored edge it came from; sampled non-edges follow those queries. The
 observed graph drops the edges of validation and test queries by that
-index, and the forest lock reads it too. Set operations on pairs run on
-int64 codes u * n + v by sorts, adjacent comparisons and binary
-searches; numpy's hash-based ``np.unique`` and its stable mergesort cost
-several times more.
+index, and the forest lock reads it too. The forest is grown by the
+Borůvka rounds that also find weak components (``graph._boruvka``).
+Set operations on pairs run on int64 codes u * n + v by sorts, adjacent
+comparisons and binary searches; numpy's hash-based ``np.unique`` and
+its stable mergesort cost several times more.
 
 Memory: a split keeps 43 bytes per edge (SP, DP, 4C) to 67 (EP) in its
 outputs: int64 query pairs, int64 labels and the observed graph. Its
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph, _jump_to_roots, _sorted_pair_codes
+from .graph import SignedDirectedGraph, _component_roots, _sorted_pair_codes
 from .rng import stream
 
 TASK_ALIASES = {
@@ -243,67 +244,23 @@ def spanning_forest(g: SignedDirectedGraph) -> np.ndarray:
     Kruskal's greedy pass over that order keeps. That pass keeps the
     same edges when it runs over the 2n best-ranked edges first and then
     over the rest with their ends relabelled by component, so the forest
-    is grown in these two windows by Borůvka rounds (``_boruvka``); most
-    edges of the second join nodes already joined by the first. Returns
-    the n - #components chosen indices as an ascending int64 array;
-    self-loops are never chosen.
+    is grown in these two windows by Borůvka rounds (``graph._boruvka``,
+    driven by ``graph._component_roots``); most edges of the second join
+    nodes already joined by the first. Returns the n - #components
+    chosen indices as an ascending int64 array; self-loops are never
+    chosen.
     """
     # the order of np.lexsort((dst, src, -|w|)) in two cheaper sorts: by the
     # distinct pair codes, then stably by -|w|
     order = np.argsort(g.src * g.num_nodes + g.dst)
     order = order[np.argsort(-np.abs(g.weight[order]), kind="stable")]
     order = order[g.src[order] != g.dst[order]]
-    label = np.arange(g.num_nodes)  # component of every node
     chosen = [np.zeros(0, dtype=np.int64)]
     cut = 2 * g.num_nodes
-    for window in (order[:cut], order[cut:]):
-        root = _boruvka(g.num_nodes, window, label[g.src[window]],
-                        label[g.dst[window]], chosen)
-        label = root[label]
+    _component_roots(g.num_nodes, g.src, g.dst, (order[:cut], order[cut:]), chosen)
     # a mutually chosen edge was appended twice
     chosen = np.sort(np.concatenate(chosen))
     return np.concatenate([chosen[:1], chosen[1:][chosen[1:] != chosen[:-1]]])
-
-
-def _boruvka(n, order, cu, cv, chosen):
-    """Borůvka rounds over the edges ``order``, given in rank order.
-
-    ``cu`` and ``cv`` are the components of their ends. Each round passes
-    over the edges inside a component, takes each component's
-    minimum-rank edge, hooks the component to that edge's other end and
-    jumps pointers to the new roots; it at least halves the number of
-    components. Appends each round's edges to ``chosen`` and returns the
-    final root of every component label.
-    """
-    relabel = np.arange(n)
-    while True:
-        live = cu != cv
-        alive = int(np.count_nonzero(live))
-        if not alive:
-            return relabel
-        rank = np.arange(live.size)  # edges stay in rank order
-        if 4 * alive < 3 * live.size:
-            # drop the edges inside a component once they are a quarter
-            order, cu, cv, rank = order[live], cu[live], cv[live], rank[:alive]
-        elif alive < live.size:
-            # until then they stay, ranked behind every live edge
-            rank[~live] = live.size
-        best = np.full(n, order.size)
-        np.minimum.at(best, cu, rank)
-        np.minimum.at(best, cv, rank)
-        comps = np.nonzero(best < order.size)[0]
-        e = best[comps]
-        other = np.where(cu[e] == comps, cv[e], cu[e])
-        parent = np.arange(n, dtype=np.int64)
-        parent[comps] = other
-        # two components that chose the same edge point at each other:
-        # the smaller one becomes the root
-        mutual = comps[(parent[other] == comps) & (comps < other)]
-        parent[mutual] = mutual
-        chosen.append(order[e])
-        root = _jump_to_roots(parent)
-        cu, cv = root[cu], root[cv]
-        relabel = root[relabel]
 
 
 def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:

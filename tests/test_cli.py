@@ -309,6 +309,19 @@ def test_config_error_rejected_before_generating(tmp_path, monkeypatch, capsys,
     assert not any((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("command, text", [
+    ("sweep", GEN_CFG + '[sweep]\nparam = "eta"\nvalues = 0.1\n'
+              'method = "signed_laplacian_sym"\nk = 3\n'),
+    ("linkpred", GEN_CFG + '[linkpred]\ntask = "SP"\nembed = "signed_spectral"\nseeds = 3\n'),
+    ("generate", GEN_CFG.replace("n = 60", 'n = "60"')),
+], ids=["sweep-values-scalar", "linkpred-seeds-scalar", "graph-n-string"])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, command, text):
+    # each once ended in a TypeError traceback with exit 1
+    cfg = write(tmp_path / "c.toml", text)
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "sdnet: config error:" in capsys.readouterr().err
+
+
 def test_exit_code_numeric_failure(tmp_path, monkeypatch):
     import sdnet.cli as cli
     from sdnet.spectral import NumericError

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import sdnet.cluster as cluster
-from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_labels,
+from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_roots,
                          _fix_phase, _fix_sign, _hermitian_vectors, is_directed,
                          is_signed, largest_weakly_connected_component,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
                          hermitian_spectral_features, standardize_columns,
                          symmetric_pairs)
-from sdnet.generators import f1_meta, sdsbm, ssbm, dsbm, meta_graph, erdos_renyi
+from sdnet.generators import f1_meta, f2_meta, sdsbm, ssbm, dsbm, meta_graph, erdos_renyi
 from sdnet.cluster import kmeans
 from sdnet.pipeline import linkpred_run
 from sdnet.rng import stream
@@ -180,17 +180,65 @@ def _bfs_component_labels(g):
     return lab
 
 
-def test_component_labels_match_bfs():
+def _bfs_graphs():
+    """Random graphs up to m = 6n edges, and twins: two copies of one
+    random graph on shuffled ids, so two largest components tie."""
     rng = np.random.default_rng(0)
-    for trial in range(40):
+    for trial in range(60):
         n = int(rng.integers(1, 80))
-        m = int(rng.integers(0, 2 * n))
+        m = int(rng.integers(0, 6 * n))
         pairs = {(int(u), int(v)) for u, v in rng.integers(n, size=(m, 2))}
         # sparse draws leave isolated nodes; u == v adds self-loops
         pairs |= {(u, u) for u in rng.integers(n, size=3).tolist()}
-        g = G(n, [(u, v, 1.0) for u, v in sorted(pairs)])
-        assert _component_labels(g).tolist() == _bfs_component_labels(g)
-    assert _component_labels(G(0, [])).size == 0
+        yield G(n, [(u, v, 1.0) for u, v in sorted(pairs)])
+    for trial in range(20):
+        half = int(rng.integers(2, 40))
+        pairs = rng.integers(half, size=(int(rng.integers(0, 3 * half)), 2))
+        ids = rng.permutation(2 * half)
+        edges = {(int(ids[u + off]), int(ids[v + off])) for u, v in pairs for off in (0, half)}
+        yield G(2 * half, [(u, v, 1.0) for u, v in sorted(edges)])
+
+
+def _partition(labels):
+    """Each node's label renamed to the first node that carries it."""
+    first = {}
+    return [first.setdefault(x, i) for i, x in enumerate(np.asarray(labels).tolist())]
+
+
+def test_component_labels_match_bfs():
+    for g in _bfs_graphs():
+        want = _bfs_component_labels(g)  # labels are the smallest id already
+        n, m = g.num_nodes, g.num_edges
+        step = max(m // (2 * n), 1)
+        # the windows of largest_weakly_connected_component, one window,
+        # and a shuffled index array cut in three
+        shuffled = np.random.default_rng(m).permutation(m)
+        for windows in ((slice(None, None, step), slice(None)), (slice(None),),
+                        np.array_split(shuffled, 3)):
+            roots = _component_roots(n, g.src, g.dst, windows)
+            assert _partition(roots) == want
+            assert np.array_equal(roots[roots], roots)  # every label is a root
+    assert _component_roots(0, np.zeros(0, int), np.zeros(0, int), (slice(None),)).size == 0
+
+
+def test_wcc_index_map_matches_bfs_tiebreak():
+    for g in _bfs_graphs():
+        labels = np.array(_bfs_component_labels(g))
+        sizes = np.bincount(labels, minlength=g.num_nodes)
+        # BFS labels are the smallest id, so the smallest largest one wins
+        want = np.nonzero(labels == np.nonzero(sizes == sizes.max())[0].min())[0]
+        sub, idx = largest_weakly_connected_component(g)
+        assert idx.tolist() == want.tolist()
+        assert sub.num_nodes == want.size
+
+
+def test_wcc_traced_peak_per_edge():
+    # the large_sparse benchmark graph (seed 1), which is connected; the
+    # min-label propagation loop once traced 32.8 bytes per edge here
+    n = 20000
+    g = sdsbm(f2_meta(0.1), n, 20.0 / n, rho=1.5, eta=0.1, seed=1).graph
+    peak = _traced_peak(lambda: largest_weakly_connected_component(g))
+    assert peak <= 25 * g.num_edges, f"{peak / g.num_edges:.1f} bytes per edge"
 
 
 # ------------------------------------------------------------ spectral feats

@@ -209,7 +209,7 @@ def test_params_regenerate_bit_identically():
 
 
 def test_cluster_sweep_bad_param():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="takes no key\\(s\\) 'zeta'"):
         cluster_sweep({"model": "dsbm", "n": 30, "k": 3, "p": 0.2},
                       "zeta", [0.1], "hermitian_imbalance", 3)
 
@@ -219,6 +219,32 @@ def test_cluster_sweep_rejects_a_param_the_model_does_not_take():
     with pytest.raises(ValueError, match="dsbm takes no key\\(s\\) 'gamma'"):
         cluster_sweep({"model": "dsbm", "meta": "cycle", "n": 30, "k": 3, "p": 0.2},
                       "gamma", [0.0, 0.2], "hermitian_imbalance", 3)
+
+
+def test_cluster_sweep_takes_any_bound_key_uncast(monkeypatch):
+    import sdnet.pipeline as pipeline
+    seen = []
+    generate = pipeline.generate_from_params
+
+    def record(params, seed=None):
+        seen.append(params["n"])
+        return generate(params, seed=seed)
+
+    monkeypatch.setattr(pipeline, "generate_from_params", record)
+    gp = {"model": "dsbm", "meta": "cycle", "k": 3, "p": 0.3, "seed": 0}
+    res = cluster_sweep(gp, "n", [60, 90], "hermitian_imbalance", 3,
+                        instances=1, seeds=[0])
+    assert [type(n) for n in seen] == [int, int] and seen == [60, 90]
+    assert [r.sweep_value for r in res.records] == [60.0, 90.0]
+    assert all(type(r.sweep_value) is float for r in res.records)
+
+
+@pytest.mark.parametrize("param", ["seed", "model"])
+def test_cluster_sweep_rejects_seed_and_model(param):
+    # each instance derives its own seed, so a swept one would be ignored
+    with pytest.raises(ValueError, match=f"cannot sweep '{param}'"):
+        cluster_sweep({"model": "dsbm", "meta": "cycle", "n": 30, "k": 3, "p": 0.2},
+                      param, [1], "hermitian_imbalance", 3)
 
 
 @pytest.mark.parametrize("params, message", [

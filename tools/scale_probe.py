@@ -2,7 +2,8 @@
 
 Generates an sdsbm f1 graph (n = 100000 unless given, p = 20 / n),
 writes it to an edge TSV in a temporary directory and reads it back,
-takes the largest weakly connected component of the read-back graph,
+takes the largest weakly connected component of the read-back graph
+and its spanning forest (the two callers of one Borůvka routine),
 splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
@@ -45,7 +46,7 @@ from sdnet import _blas, graph, spectral
 from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
-from sdnet.splitters import link_class_split
+from sdnet.splitters import link_class_split, spanning_forest
 
 N = 100_000
 DEGREE = 20.0
@@ -118,7 +119,9 @@ def main(argv=None) -> None:
     sub, _ = stage("largest_weakly_connected_component",
                    graph.largest_weakly_connected_component, back)
     print(f"  component: n = {sub.num_nodes}, m = {sub.num_edges}")
-    del back, sub
+    forest = stage("spanning_forest", spanning_forest, back)
+    print(f"  forest: {forest.size} edges")
+    del back, sub, forest
     stage("link_class_split(4C, forest)",
           lambda: link_class_split(g, "4C", maintain_connectedness=True))
     stage("link_class_split(EP)", link_class_split, g, "EP")
