@@ -55,12 +55,21 @@ def _fmt(value) -> str:
         return '"' + value.translate(_TOML_ESCAPES) + '"'
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize parameter of type {type(value)!r}")
+    raise TypeError(f"cannot serialize a value of type {type(value)!r}")
 
 
 def format_params(params: dict) -> list[str]:
-    """Render a flat parameter record as ``# key = value`` header lines."""
-    return [f"# {key} = {_fmt(value)}" for key, value in params.items()]
+    """Render a flat parameter record as ``# key = value`` header lines.
+
+    A value that cannot be written raises TypeError naming its key.
+    """
+    lines = []
+    for key, value in params.items():
+        try:
+            lines.append(f"# {key} = {_fmt(value)}")
+        except TypeError as exc:
+            raise TypeError(f"parameter {key!r}: {exc}") from None
+    return lines
 
 
 def params_hash(params: dict | None) -> str:

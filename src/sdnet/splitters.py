@@ -28,12 +28,13 @@ Set operations on pairs run on int64 codes u * n + v by sorts, adjacent
 comparisons and binary searches; numpy's hash-based ``np.unique`` and
 its stable mergesort cost several times more.
 
-Memory: a split keeps 43 bytes per edge (SP, DP, 4C) to 67 (EP) in its
-outputs: int64 query pairs, int64 labels and the observed graph. Its
-traced peak is about 55 bytes per edge for SP, DP and 4C (with or
-without the forest), 63 for 5C, 71 for 3C and 88 for EP. The queries
-fill one preallocated table and the sampler writes its pairs into it;
-labels stay int8 until the fold outputs; every large array is dropped
+Memory (n = 20000, about 200k edges): a split keeps 28 bytes per edge
+(SP, DP, 4C) to 37 (EP) in its outputs: int32 query pairs, int8 labels
+and the observed graph. Its traced peak is about 39 bytes per edge for
+SP, DP and 4C (with or without the forest), 44 for 5C, 49 for 3C and 59
+for EP. The queries fill one preallocated table of ``index_dtype(n)``
+and the sampler writes its pairs into it; every code u * n + v is
+computed from the graph's int64 arrays; every large array is dropped
 after its last use; and the fold check packs its codes into one array.
 """
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph, _component_roots, _sorted_pair_codes
+from .graph import SignedDirectedGraph, _component_roots, _sorted_pair_codes, index_dtype
 from .rng import stream
 
 TASK_ALIASES = {
@@ -165,7 +166,14 @@ def node_split(labels, train_frac: float = 0.8, val_frac: float = 0.1,
 
 @dataclass(frozen=True)
 class LinkTaskSplit:
-    """Query pairs with class labels per fold, plus the observable graph."""
+    """Query pairs with class labels per fold, plus the observable graph.
+
+    Every pair array (the three folds and ``discarded_pairs``) is (k x 2)
+    of one width, ``index_dtype`` of the id farthest from 0 that any of
+    them holds: int32 when every id lies within 2^31 of 0, int64
+    otherwise. Labels are int8 in ``[0, len(label_names))``. Arrays
+    already in these dtypes are kept, not copied.
+    """
 
     task: str
     train_pairs: np.ndarray
@@ -180,30 +188,33 @@ class LinkTaskSplit:
 
     def __post_init__(self):
         alphabet = len(self.label_names)
-        folds = []
+        names = ("train_pairs", "val_pairs", "test_pairs", "discarded_pairs")
+        given = [np.asarray(getattr(self, name)).reshape(-1, 2) for name in names]
+        # the id farthest from 0 sets one width for every pair array
+        top = max((max(int(pairs.max()), -int(pairs.min())) for pairs in given if pairs.size),
+                  default=0)
+        index = index_dtype(top)
+        for name, pairs in zip(names, given):
+            object.__setattr__(self, name, pairs.astype(index, copy=False))
         for fold in ("train", "val", "test"):
-            pairs = np.asarray(getattr(self, f"{fold}_pairs"), dtype=np.int64).reshape(-1, 2)
-            labels = np.asarray(getattr(self, f"{fold}_labels"), dtype=np.int64).ravel()
-            if pairs.shape[0] != labels.shape[0]:
+            labels = np.asarray(getattr(self, f"{fold}_labels")).ravel()
+            if getattr(self, f"{fold}_pairs").shape[0] != labels.shape[0]:
                 raise ValueError("pairs and labels must align")
             if labels.size and (labels.min() < 0 or labels.max() >= alphabet):
                 raise ValueError("label outside the task alphabet")
-            folds.append(pairs)
-            object.__setattr__(self, f"{fold}_pairs", pairs)
-            object.__setattr__(self, f"{fold}_labels", labels)
-        _check_disjoint(folds)
-        object.__setattr__(self, "discarded_pairs",
-                           np.asarray(self.discarded_pairs, dtype=np.int64).reshape(-1, 2))
+            object.__setattr__(self, f"{fold}_labels", labels.astype(np.int8, copy=False))
+        _check_disjoint([self.train_pairs, self.val_pairs, self.test_pairs])
 
 
 def _check_disjoint(folds) -> None:
-    """Raise unless no query pair sits in two of the (k x 2) int64 ``folds``.
+    """Raise unless no query pair sits in two of the (k x 2) integer ``folds``.
 
     Each pair (u, v) of fold f is packed into one int64,
     ((u - low) * span + v - low) * 3 + f, straight into one array, so one
     sort puts equal pairs next to each other in fold order. Repeats
     inside one fold are allowed. The packing costs 8 bytes per query and
-    the comparison three booleans.
+    the comparison three booleans. On int32 pairs the first subtraction
+    runs in int32; it cannot wrap, as a span that packs is below 2^31.
     """
     filled = [pairs for pairs in folds if pairs.size]
     if not filled:
@@ -287,9 +298,13 @@ def _sample_nonedges(rng, n, count, taken, ordered, out=None):
     code is taken or it was accepted before. Each batch draws the
     2 * need integers that the still missing ``need`` pairs could use at
     best, so the stream stops exactly where a pair-by-pair loop would.
-    Writes the pairs into ``out``, a (count x 2) int64 array allocated
-    when not given, and returns it. At its peak a batch holds about 35
-    bytes per needed pair (43 for unordered pairs).
+    Writes the pairs into ``out``, a (count x 2) integer array (int64
+    when not given), and returns it. The codes accepted in earlier
+    batches are kept apart from ``taken``, so ``taken`` is never copied,
+    and a batch drops its codes once sorted and scatters the accepted
+    ones back into draw order, so it never holds three int64 arrays of
+    its size: at its peak it holds about 27 bytes per needed pair (35
+    for unordered pairs).
     """
     if ordered:
         available = n * (n - 1) - taken.size
@@ -300,6 +315,7 @@ def _sample_nonedges(rng, n, count, taken, ordered, out=None):
     if out is None:
         out = np.empty((count, 2), dtype=np.int64)
     done = 0
+    fresh = np.zeros(0, dtype=np.int64)  # the codes accepted so far, ascending
     while done < count:
         draw = rng.integers(n, size=2 * (count - done))
         u, v = draw[0::2], draw[1::2]
@@ -314,9 +330,11 @@ def _sample_nonedges(rng, n, count, taken, ordered, out=None):
         del draw, u, v, pair
         if not codes.size:
             continue
+        size = codes.size
         order = np.argsort(codes)
         ranked = codes[order]
-        first = np.empty(ranked.size, dtype=bool)  # first of its run of equal codes
+        del codes  # ranked and order hold it
+        first = np.empty(size, dtype=bool)  # first of its run of equal codes
         first[0] = True
         np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
         if not first.all():
@@ -327,18 +345,28 @@ def _sample_nonedges(rng, n, count, taken, ordered, out=None):
             at = np.flatnonzero(runs)
             order[at] = order[at[np.lexsort((order[at], ranked[at]))]]
         first &= ~_in_sorted(ranked, taken)
-        accept = np.zeros(codes.size, dtype=bool)
-        accept[order[first]] = True
-        fresh = ranked[first] if done + np.count_nonzero(first) < count else None
-        del order, ranked, first
+        first &= ~_in_sorted(ranked, fresh)
+        pos = order[first]  # the draw positions of the accepted codes
+        del order
+        ranked = ranked[first]
+        del first
+        # the accepted codes back in draw order: scattered to their
+        # positions, then compacted
+        accept = np.zeros(size, dtype=bool)
+        accept[pos] = True
+        codes = np.empty(size, dtype=np.int64)
+        codes[pos] = ranked
+        del pos
         codes = codes[accept]
+        del accept
         got = out[done:done + codes.size]
         np.divmod(codes, n, out=(got[:, 0], got[:, 1]))
         done += codes.size
-        del codes, accept
-        if fresh is not None:
-            taken = np.concatenate([taken, fresh])
-            taken.sort()
+        del codes
+        if done < count:
+            fresh = np.concatenate([fresh, ranked])
+            fresh.sort()
+        del ranked
     return out
 
 
@@ -357,25 +385,29 @@ def _orient(pairs, flip) -> None:
 def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
     """Candidate (query, label) samples plus discarded ambiguous pairs.
 
-    Returns (pairs, labels, edge, discarded): the k x 2 int64 queries,
-    their k int8 labels, the int64 index into ``g``'s edge arrays of the
-    stored edge behind each of the first ``edge.size`` queries (the rest
-    are sampled non-edges) and the d x 2 int64 reciprocal pairs (a < b)
-    that were discarded. The queries fill one preallocated table, stored
-    edges first and sampled non-edges after them.
+    Returns (pairs, labels, edge, discarded): the k x 2 queries, their k
+    int8 labels, the int64 index into ``g``'s edge arrays of the stored
+    edge behind each of the first ``edge.size`` queries (the rest are
+    sampled non-edges) and the d x 2 reciprocal pairs (a < b) that were
+    discarded. Both pair arrays are ``index_dtype(n)``. The queries fill
+    one preallocated table, stored edges first and sampled non-edges
+    after them. Every code u * n + v is computed from ``g``'s int64
+    arrays, never from the narrower table, where it could wrap.
     """
     n = g.num_nodes
-    discarded = np.zeros((0, 2), dtype=np.int64)
+    index = index_dtype(n)
+    discarded = np.zeros((0, 2), dtype=index)
     if task in ("SP", "EP"):
         edge = np.flatnonzero(g.src != g.dst)
         k = edge.size
-        pairs = np.empty((2 * k if task == "EP" else k, 2), dtype=np.int64)
+        pairs = np.empty((2 * k if task == "EP" else k, 2), dtype=index)
         pairs[:k, 0] = g.src[edge]
         pairs[:k, 1] = g.dst[edge]
         if task == "SP":
             return pairs, (g.weight[edge] < 0).astype(np.int8), edge, discarded
-        taken = pairs[:k, 0] * n
-        taken += pairs[:k, 1]
+        taken = g.src[edge]
+        taken *= n
+        taken += g.dst[edge]
         taken.sort()
         _sample_nonedges(rng, n, k, taken, ordered=True, out=pairs[k:])
         labels = np.zeros(2 * k, dtype=np.int8)
@@ -391,7 +423,7 @@ def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
     twin = np.zeros(ranked.size, dtype=bool)
     twin[1:] = same
     twin[:-1] |= same
-    discarded = np.column_stack(np.divmod(ranked[1:][same], n))
+    discarded = np.column_stack(np.divmod(ranked[1:][same], n)).astype(index)
     edge = order[off & ~twin]
     del order, twin
     taken = None
@@ -410,7 +442,7 @@ def _enumerate_candidates(g: SignedDirectedGraph, task: str, rng):
         nonempty = np.count_nonzero(np.bincount(labels, minlength=nonedge_label))
         count = k // nonempty if nonempty else 0
         labels = np.concatenate([labels, np.full(count, nonedge_label, dtype=np.int8)])
-    pairs = np.empty((k + count, 2), dtype=np.int64)
+    pairs = np.empty((k + count, 2), dtype=index)
     pairs[:k, 0] = g.src[edge]
     pairs[:k, 1] = g.dst[edge]
     _orient(pairs[:k], flip)
@@ -507,7 +539,7 @@ def link_class_split(g: SignedDirectedGraph, task: str, prob_val: float = 0.15,
     for f, name in enumerate(("train", "val", "test")):
         sel = fold == f
         outputs[f"{name}_pairs"] = np.compress(sel, queries, axis=0)
-        outputs[f"{name}_labels"] = labels[sel].astype(np.int64)
+        outputs[f"{name}_labels"] = labels[sel]
     del queries, labels, fold, sel
     observed = g.replace_edges(g.src[keep], g.dst[keep], g.weight[keep])
     return LinkTaskSplit(task=task, **outputs, observed_graph=observed,

@@ -322,6 +322,23 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, command, text):
     assert "sdnet: config error:" in capsys.readouterr().err
 
 
+def test_unwritable_default_exits_2_naming_its_key(tmp_path, monkeypatch, capsys):
+    # a keyword defaulting to None reaches every output header, although
+    # the config never sets it; the error once named no key
+    import sdnet.cli as cli
+    real = cli.spectral_cluster
+
+    def with_dim(g, method, k, seed=0, q=0.25, tau=0.25, dim=None):
+        return real(g, method, k, seed=seed, q=q, tau=tau)
+
+    monkeypatch.setattr(cli, "spectral_cluster", with_dim)
+    cfg = write(tmp_path / "c.toml",
+                GEN_CFG + '[cluster]\nmethod = "signed_laplacian_sym"\nk = 3\n')
+    assert run(["cluster", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "sdnet: config error:" in err and "'cluster_dim'" in err and "NoneType" in err
+
+
 def test_exit_code_numeric_failure(tmp_path, monkeypatch):
     import sdnet.cli as cli
     from sdnet.spectral import NumericError

@@ -349,25 +349,104 @@ def test_sp_requires_both_signs():
         link_class_split(all_pos, "SP", seed=0)
 
 
+@pytest.fixture(scope="module")
+def large_sparse_graph():
+    # the large_sparse benchmark graph (seed 1)
+    n = 20_000
+    return sdsbm(f2_meta(0.1), n, 20.0 / n, rho=1.5, eta=0.1, seed=1).graph
+
+
+# traced peak and kept bytes per edge; with int64 pairs and labels an EP
+# split kept 67 and peaked at 88, and its peak once reached 270
+SPLIT_BYTES_PER_EDGE = {"SP": (40, 29), "DP": (40, 29), "EP": (60, 38),
+                        "3C": (55, 34), "4C": (40, 29), "5C": (46, 31)}
+
+
 @pytest.mark.parametrize("task, forest", [("SP", True), ("DP", False), ("EP", False),
                                           ("3C", False), ("4C", True), ("5C", False)])
-def test_link_split_peak_memory_per_edge(task, forest):
-    # an EP split keeps about 67 bytes per edge (queries, int64 labels and
-    # the observed graph); its peak once reached 270
-    g = sdsbm(f2_meta(0.1), 2000, 0.01, rho=1.5, eta=0.1, seed=3).graph
+def test_link_split_peak_memory_per_edge(large_sparse_graph, task, forest):
+    # a split keeps int32 query pairs, int8 labels and the observed graph
+    g = large_sparse_graph
+    peak_max, kept_max = SPLIT_BYTES_PER_EDGE[task]
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        link_class_split(g, task, maintain_connectedness=forest, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        split = link_class_split(g, task, maintain_connectedness=forest, seed=0)
+        kept, peak = (b - base for b in tracemalloc.get_traced_memory())
+        del split
     finally:
         if started:
             tracemalloc.stop()
-    assert g.num_edges > 19_000
-    assert peak <= 120 * g.num_edges, f"{peak / g.num_edges:.0f} bytes per edge"
+    m = g.num_edges
+    assert m > 190_000
+    assert peak <= peak_max * m, f"peak {peak / m:.1f} bytes per edge"
+    assert kept <= kept_max * m, f"kept {kept / m:.1f} bytes per edge"
+
+
+def test_link_task_split_dtypes():
+    g = G(4, [(0, 1, 1.0), (1, 2, -1.0)])
+    names = LABEL_NAMES["4C"]
+    for top in (3, 2 ** 31 - 1, 2 ** 31, 2 ** 40):
+        width = np.int32 if top < 2 ** 31 else np.int64
+        # an empty fold and the discarded pairs take the same width; ids
+        # sit near ``top`` so that the fold check can pack them
+        split = LinkTaskSplit("4C", train_pairs=[[top, top - 1], [top - 2, top]],
+                              train_labels=[0, 3], val_pairs=[], val_labels=[],
+                              test_pairs=[[top - 1, top]], test_labels=[2],
+                              observed_graph=g, discarded_pairs=[[top - 3, top]],
+                              label_names=names)
+        for fold in ("train", "val", "test", "discarded"):
+            pairs = getattr(split, f"{fold}_pairs")
+            assert pairs.dtype == width and pairs.shape[1] == 2
+            assert pairs.max(initial=top) == top
+        for fold in ("train", "val", "test"):
+            assert getattr(split, f"{fold}_labels").dtype == np.int8
+        assert split.train_labels.tolist() == [0, 3] and split.val_pairs.shape == (0, 2)
+    # a negative id as far from 0 widens the arrays too
+    split = LinkTaskSplit("4C", train_pairs=[[-2 ** 31, 5 - 2 ** 31]], train_labels=[1],
+                          val_pairs=[], val_labels=[], test_pairs=[], test_labels=[],
+                          observed_graph=g, discarded_pairs=[], label_names=names)
+    assert split.train_pairs.dtype == np.int64 and split.discarded_pairs.dtype == np.int64
+    # arrays already int32 and int8 are kept, not copied
+    pairs, labels = np.array([[0, 1], [1, 2]], dtype=np.int32), np.array([0, 1], dtype=np.int8)
+    split = LinkTaskSplit("SP", train_pairs=pairs, train_labels=labels, val_pairs=pairs[:0],
+                          val_labels=labels[:0], test_pairs=pairs[:0], test_labels=labels[:0],
+                          observed_graph=g, discarded_pairs=pairs[:0],
+                          label_names=LABEL_NAMES["SP"])
+    assert np.shares_memory(split.train_pairs, pairs)
+    assert np.shares_memory(split.train_labels, labels)
+    # every task's split comes out in these dtypes
+    h = random_signed_digraph(30, 0.3, seed=2, reciprocal=0.3)
+    for task in LABEL_NAMES:
+        split = link_class_split(h, task, seed=0)
+        assert split.discarded_pairs.dtype == np.int32
+        for fold in ("train", "val", "test"):
+            assert getattr(split, f"{fold}_pairs").dtype == np.int32
+            assert getattr(split, f"{fold}_labels").dtype == np.int8
+
+
+def test_ep_nonedges_avoid_edges_whose_codes_pass_int32():
+    # a dense block on the last 400 of 50,000 nodes: every edge code
+    # u * n + v lies above 2^31, where an int32 product would wrap
+    n, lo = 50_000, 49_600
+    u, v = np.meshgrid(np.arange(lo, n), np.arange(lo, n), indexing="ij")
+    off = u != v
+    g = SignedDirectedGraph(n, u[off], v[off], np.ones(np.count_nonzero(off)))
+    assert int(g.src.min()) * n >= 2 ** 31
+    edge_codes = np.sort(g.src.astype(np.int64) * n + g.dst)
+    for seed in range(3):
+        split = link_class_split(g, "EP", seed=seed)
+        assert split.train_pairs.dtype == np.int32
+        for fold in ("train", "val", "test"):
+            pairs = getattr(split, f"{fold}_pairs").astype(np.int64)
+            codes = pairs[:, 0] * n + pairs[:, 1]
+            nonedge = getattr(split, f"{fold}_labels") == 1
+            is_edge = np.isin(codes, edge_codes)
+            assert not np.any(is_edge & nonedge), f"seed {seed}: a nonedge query is an edge"
+            assert np.all(is_edge | nonedge)
 
 
 def test_link_task_split_rejects_overlapping_folds():

@@ -8,11 +8,13 @@ splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
 clusters the row-normalized [Re | Im] embedding, printing after each
 stage its wall time, its own traced peak (tracemalloc, in bytes per
-edge above what was held when the stage began) and the process's peak
-RSS so far (``ru_maxrss``); under the build stage it prints the bytes
-per edge the operator keeps and the build's traced peak as a multiple of
-them. ``ru_maxrss`` only grows, so a stage that peaks below an earlier
-one shows no rise there; the traced peak does.
+edge above what was held when the stage began), the process's peak
+RSS so far (``ru_maxrss``) and its current RSS (Linux's ``VmRSS``);
+under the build stage it prints the bytes per edge the operator keeps
+and the build's traced peak as a multiple of them. ``ru_maxrss`` only
+grows, so a stage that peaks below an earlier one shows no rise there;
+the traced peak does, and the current RSS shows how much of the heap
+the stage left mapped for the next one.
 Tracing is on while the stages are timed, which slows allocation-heavy
 stages a little.
 A last stage builds the dense link features (``signed_spectral_features``
@@ -100,7 +102,8 @@ def main(argv=None) -> None:
         m = m or max(out.num_edges, 1)  # the first stage returns the graph
         traced = (tracemalloc.get_traced_memory()[1] - held) / m
         print(f"{name:<34} {seconds:8.2f} s   traced peak {traced:6.1f} B/edge   "
-              f"peak RSS {_peak_mb():7.1f} MB", flush=True)
+              f"peak RSS {_peak_mb():7.1f} MB   RSS {_status_bytes('VmRSS') / 2**20:7.1f} MB",
+              flush=True)
         return out
 
     import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
