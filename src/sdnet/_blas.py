@@ -1,4 +1,5 @@
-"""Process-wide OpenBLAS thread limit around small sparse eigensolves.
+"""OpenBLAS entry points reached by ctypes: a process-wide thread limit
+around small sparse eigensolves and LAPACK's top-k symmetric eigensolver.
 
 ``single_blas_thread`` sets every OpenBLAS loaded in the process to one
 thread and restores the saved counts when the outermost holder exits,
@@ -6,7 +7,16 @@ also on an exception. The counts are process-wide, so other threads'
 BLAS calls run single-threaded meanwhile. Libraries are found once, from
 ``/proc/self/maps``, at the first call: scipy's own OpenBLAS must be
 loaded by then. Where none is found (another OS, MKL, a system BLAS)
-the limit does nothing. ctypes is imported only by the lookup.
+the limit does nothing.
+
+``top_eigh`` solves for the k largest eigenpairs of a dense real
+symmetric matrix by ``dsyevr`` over an index range (bisection and
+inverse iteration; Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 2004)
+through the LAPACKE symbol numpy's ILP64 OpenBLAS exports, so no scipy
+is loaded. Its lookup (``lapacke_dsyevr``) keeps its own cache and
+leaves the thread limit's untouched, so the limit still finds a scipy
+loaded after the first solve. Where the symbol is absent ``top_eigh``
+returns None. ctypes is imported only by the lookups.
 """
 
 from __future__ import annotations
@@ -14,19 +24,28 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
+import numpy as np
+
 # (get, set) names OpenBLAS builds export: plain, scipy's wheel, and
 # numpy's ILP64 wheel
 _SYMBOLS = (("openblas_get_num_threads", "openblas_set_num_threads"),
             ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
             ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
 
+# LAPACKE_dsyevr as numpy's ILP64 OpenBLAS wheel spells it: int64 lapack_int
+_DSYEVR = "scipy_LAPACKE_dsyevr64_"
+_LAPACK_COL_MAJOR = 102
+
 _lock = threading.Lock()
 _libraries = None
+_dsyevr = None
+_dsyevr_looked_up = False
 _depth = 0
 _saved: list[int] = []
 
 
-def _find() -> list[tuple[str, object, object]]:
+def _mapped_openblas():
+    """(path, library) of each OpenBLAS already mapped into the process."""
     import ctypes
     import os
     try:
@@ -34,13 +53,17 @@ def _find() -> list[tuple[str, object, object]]:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
                             if "openblas" in line})
     except OSError:
-        return []
-    found = []
+        return
     for path in paths:
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # never loads a new copy
+            yield path, ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # never loads a new copy
         except OSError:
             continue
+
+
+def _find() -> list[tuple[str, object, object]]:
+    found = []
+    for path, lib in _mapped_openblas():
         for names in _SYMBOLS:
             if all(hasattr(lib, name) for name in names):
                 found.append((path, *(getattr(lib, name) for name in names)))
@@ -55,6 +78,60 @@ def openblas_libraries() -> list[tuple[str, object, object]]:
         if _libraries is None:
             _libraries = _find()
     return _libraries
+
+
+def lapacke_dsyevr():
+    """The loaded OpenBLAS's ``LAPACKE_dsyevr`` (int64 lapack_int), or None."""
+    global _dsyevr, _dsyevr_looked_up
+    with _lock:
+        if not _dsyevr_looked_up:
+            _dsyevr_looked_up = True
+            for _, lib in _mapped_openblas():
+                if hasattr(lib, _DSYEVR):
+                    import ctypes
+                    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+                    _dsyevr = getattr(lib, _DSYEVR)
+                    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu,
+                    # abstol, m, w, z, ldz, isuppz
+                    _dsyevr.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                                        ctypes.c_char, i64, ptr, i64, f64, f64, i64, i64,
+                                        f64, ptr, ptr, ptr, i64, ptr]
+                    _dsyevr.restype = i64
+                    break
+    return _dsyevr
+
+
+def top_eigh(a: np.ndarray, k: int):
+    """Ascending eigenvalues and n x k eigenvectors of the k largest
+    eigenpairs of the C-contiguous real symmetric float64 n x n ``a``, or
+    None where ``LAPACKE_dsyevr`` is absent. LAPACK overwrites ``a``.
+
+    ``a`` goes in as LAPACK_COL_MAJOR, that is as its own transpose, so
+    LAPACKE copies nothing; its upper triangle is read, the triangle of
+    the transpose that ``np.linalg.eigh`` reads by default. A nonzero
+    ``info`` or a count of pairs other than k raises NumericError.
+    """
+    fn = lapacke_dsyevr()
+    if fn is None:
+        return None
+    import ctypes
+    from .spectral import NumericError  # spectral imports this module
+    n = a.shape[0]
+    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.c_contiguous:
+        raise ValueError("top_eigh needs a C-contiguous float64 square matrix")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    w = np.empty(n)
+    z = np.empty((k, n))  # column-major n x k, ldz = n
+    isuppz = np.empty(2 * k, dtype=np.int64)
+    m = ctypes.c_int64(0)
+    info = fn(_LAPACK_COL_MAJOR, b"V", b"I", b"U", n, a.ctypes.data, n, 0.0, 0.0,
+              n - k + 1, n, 0.0, ctypes.byref(m), w.ctypes.data, z.ctypes.data, n,
+              isuppz.ctypes.data)
+    if info != 0 or m.value != k:
+        raise NumericError(f"dsyevr (n={n}, k={k}) returned info={info} "
+                           f"with {m.value} eigenpairs")
+    return w[:k], z.T
 
 
 @contextmanager

@@ -62,7 +62,9 @@ EMBEDDINGS = {
         True, lambda g, q: sp.hermitian_imbalance(g), "largest_abs"),
     "signed_spectral": Embedding(False, features=lambda g, k, tau: (
         signed_spectral_features(g, k, tau=tau).values)),
-    # dense on purpose: the sparse operator would load scipy in link prediction
+    # dense on purpose: the sparse operator would load scipy in link
+    # prediction, while the dense builder solves only its top pairs by
+    # numpy's own LAPACK (dsyevr)
     "hermitian_spectral": Embedding(True, features=lambda g, k, tau: (
         _complex_columns(hermitian_spectral_features(g, k).values))),
     "signed_degree": Embedding(False, features=lambda g, k, tau: (

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
+
 
 @dataclass(frozen=True)
 class SignedDirectedGraph:
@@ -355,6 +357,40 @@ def _skew_adjacency(g: SignedDirectedGraph, k: int) -> np.ndarray:
     return s
 
 
+def _top_eigh(m: np.ndarray, k: int):
+    """The k largest eigenpairs of the real symmetric ``m``, by descending
+    eigenvalue, the vectors as a C-contiguous n x k array: LAPACK's
+    ``dsyevr`` for those k alone (``_blas.top_eigh``), or the top of a
+    full ``np.linalg.eigh`` where that is not found. ``m`` may be
+    overwritten, so callers drop it."""
+    pairs = _blas.top_eigh(m, k)
+    vals, vecs = np.linalg.eigh(m) if pairs is None else pairs
+    return vals[::-1][:k], np.ascontiguousarray(vecs[:, ::-1][:, :k])
+
+
+def _check_residual(residual: np.ndarray, op: np.ndarray, name: str, k: int) -> None:
+    """NumericError unless every eigenpair residual is within
+    1e-10 * max(1, ||op||_inf)."""
+    from .spectral import NumericError  # spectral imports this module
+    bound = 1e-10 * max(1.0, float(np.abs(op).sum(axis=1).max()))
+    if not np.all(residual <= bound):
+        raise NumericError(f"{name} feature eigenpairs (n={op.shape[0]}, k={k}) have "
+                           f"residual {residual.max():.3g} above {bound:.3g}")
+
+
+def _signed_operator(g: SignedDirectedGraph, k: int, tau: float) -> np.ndarray:
+    """A_s + tau * (dbar / n) * J of ``signed_spectral_features`` in one
+    n x n array, with the bits of ``(a + a.T) / 2 + c``: each ordered pair
+    is an edge at most once, so adding the weights at the transposed
+    cells leaves every entry as A[u, v] + A[v, u]."""
+    reg = _feature_adjacency(g, k)
+    reg[g.dst, g.src] += g.weight
+    reg /= 2.0
+    dbar = float(np.abs(reg).sum(axis=1).mean())
+    reg += tau * (dbar / g.num_nodes)  # the J term as a scalar: c * 1.0 == c
+    return reg
+
+
 def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) -> FeatureMatrix:
     """Leading eigenvectors of the regularized symmetrized signed adjacency.
 
@@ -362,20 +398,20 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     dbar is the mean absolute degree and J the all-ones matrix. Columns
     are unit-norm eigenvectors for the k largest eigenvalues, ordered by
     descending eigenvalue, each flipped so its largest-magnitude entry is
-    positive. The operator is formed in place in one n x n array, the
-    only one of its own held while ``np.linalg.eigh`` runs.
+    positive. Only those k pairs are solved (``_top_eigh``), on the one
+    n x n array the operator is formed in; it is built again to check
+    the pairs, and a residual above 1e-10 * max(1, ||operator||_inf)
+    raises NumericError.
     """
-    a = _feature_adjacency(g, k)
-    reg = a + a.T
-    del a
-    reg /= 2.0
-    dbar = float(np.abs(reg).sum(axis=1).mean())
-    reg += tau * (dbar / g.num_nodes)  # the J term as a scalar: c * 1.0 == c
+    reg = _signed_operator(g, k, tau)
     if not reg.any():
         warnings.warn("regularized adjacency is identically zero; "
                       "spectral features are degenerate", RuntimeWarning)
-    vals, vecs = np.linalg.eigh(reg)
-    top = vecs[:, ::-1][:, :k]
+    vals, top = _top_eigh(reg, k)
+    del reg
+    reg = _signed_operator(g, k, tau)
+    _check_residual(np.linalg.norm(reg @ top - top * vals, axis=0), reg,
+                    "signed spectral", k)
     return FeatureMatrix(_fix_sign(top))
 
 
@@ -389,30 +425,25 @@ def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
     i Q^T S Q (Rayleigh-Ritz) gives the p positive sigma and their
     vectors v = Q r. Columns are [v_1, conj v_1, v_2, conj v_2, ...][:k]:
     an odd k keeps the +sigma member of its last pair. S is dropped
-    while ``np.linalg.eigh(S^T S)`` runs and built again for the
-    Rayleigh-Ritz step, so one n x n array of its own is live at a time.
+    while the top 2p pairs of S^T S are solved (``_top_eigh``) and built
+    again for the Rayleigh-Ritz step, so one n x n array of its own is
+    live at a time.
     """
-    from .spectral import NumericError  # spectral imports this module
     s = _skew_adjacency(g, k)
     n = g.num_nodes
     p = (k + 1) // 2
     sts = s.T @ s
     del s
-    _, vecs = np.linalg.eigh(sts)
+    q = _top_eigh(sts, min(2 * p, n))[1]
     del sts
-    q = vecs[:, ::-1][:, :min(2 * p, n)].copy()
-    del vecs
     s = _skew_adjacency(g, k)
     sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
     sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
     keep = sigma > 1e-12 * np.linalg.norm(s)
     kept = v[:, keep]
     s_kept = s @ kept.real + 1j * (s @ kept.imag)  # no complex copy of s
-    residual = np.linalg.norm(1j * s_kept - kept * sigma[keep], axis=0)
-    bound = 1e-10 * max(1.0, float(np.abs(s).sum(axis=1).max()))
-    if not np.all(residual <= bound):
-        raise NumericError(f"Hermitian feature eigenpairs (n={n}, k={k}) have "
-                           f"residual {residual.max():.3g} above {bound:.3g}")
+    _check_residual(np.linalg.norm(1j * s_kept - kept * sigma[keep], axis=0), s,
+                    "Hermitian", k)
     v = _fix_phase(v * keep[np.newaxis, :])
     return np.stack([v, v.conj()], axis=2).reshape(n, 2 * p)[:, :k]
 
@@ -426,9 +457,10 @@ def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix
     -sigma; an odd k keeps v of its last pair. Pairs whose sigma is
     negligible relative to ||A - A^T||_F carry no imbalance information
     and are zeroed. Output is the n x 2k matrix [Re | Im]. The pairs come
-    from one real symmetric eigenproblem (see ``_hermitian_vectors``),
-    beside which one n x n array of its own is held; a residual above
-    1e-10 * max(1, ||A - A^T||_inf) raises NumericError.
+    from the top 2 * ceil(k/2) pairs of one real symmetric eigenproblem
+    (see ``_hermitian_vectors``), solved beside one n x n array of its
+    own; a residual above 1e-10 * max(1, ||A - A^T||_inf) raises
+    NumericError.
     """
     z = _hermitian_vectors(g, k)
     return FeatureMatrix(np.hstack([z.real, z.imag]))

@@ -90,7 +90,7 @@ class SpectralMatrix:
     kind: str
 
     def __post_init__(self):
-        from ._csr import as_csr, hermitian_residual
+        from ._csr import as_csr, frobenius_norm, hermitian_residual
         m = self.entries
         if not hasattr(m, "tocsr"):
             m = np.asarray(m)
@@ -99,7 +99,7 @@ class SpectralMatrix:
         if self.kind not in SPECTRAL_KINDS:
             raise ValueError(f"unknown spectral kind {self.kind!r}")
         m = as_csr(m)
-        scale = max(1.0, float(np.linalg.norm(m.data)))
+        scale = max(1.0, frobenius_norm(m))
         if hermitian_residual(m) > HERMITICITY_RTOL * scale:
             raise NumericError("operator is not Hermitian to tolerance")
         object.__setattr__(self, "entries", m)

@@ -47,6 +47,9 @@ import numpy as np
 from .graph import SignedDirectedGraph, _component_roots, _sorted_pair_codes, index_dtype
 from .rng import stream
 
+# pairs put in (min, max) order per step by ``_order_pairs`` (512 KiB)
+ORDER_BLOCK = 1 << 16
+
 TASK_ALIASES = {
     "sign": "SP",
     "direction": "DP",
@@ -289,6 +292,16 @@ def _in_sorted(codes: np.ndarray, sorted_codes: np.ndarray) -> np.ndarray:
     return found == codes
 
 
+def _order_pairs(u, v):
+    """Put each pair (u[i], v[i]) in (min, max) order in place, ORDER_BLOCK
+    pairs at a time, so no full-size copy of either is made."""
+    for start in range(0, u.size, ORDER_BLOCK):
+        ub, vb = u[start:start + ORDER_BLOCK], v[start:start + ORDER_BLOCK]
+        lo = np.minimum(ub, vb)
+        np.maximum(ub, vb, out=vb)
+        ub[...] = lo
+
+
 def _sample_nonedges(rng, n, count, taken, ordered, out=None):
     """Uniform without-replacement non-edge pairs (ordered or u < v).
 
@@ -303,8 +316,8 @@ def _sample_nonedges(rng, n, count, taken, ordered, out=None):
     batches are kept apart from ``taken``, so ``taken`` is never copied,
     and a batch drops its codes once sorted and scatters the accepted
     ones back into draw order, so it never holds three int64 arrays of
-    its size: at its peak it holds about 27 bytes per needed pair (35
-    for unordered pairs).
+    its size, and unordered pairs are put in (min, max) order in place, a
+    block at a time: at its peak it holds about 27 bytes per needed pair.
     """
     if ordered:
         available = n * (n - 1) - taken.size
@@ -321,9 +334,7 @@ def _sample_nonedges(rng, n, count, taken, ordered, out=None):
         u, v = draw[0::2], draw[1::2]
         pair = u != v
         if not ordered:
-            lo = np.minimum(u, v)
-            np.maximum(u, v, out=v)
-            u = lo
+            _order_pairs(u, v)
         u *= n
         u += v
         codes = u[pair]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import sdnet.cluster as cluster
+import sdnet.graph as graph
+from sdnet import _blas
 from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_roots,
-                         _fix_phase, _fix_sign, _hermitian_vectors, is_directed,
+                         _fix_phase, _fix_sign, _hermitian_vectors, _top_eigh, is_directed,
                          is_signed, largest_weakly_connected_component,
                          separate_positive_negative, signed_degree_counts,
                          signed_degree_features, signed_spectral_features,
@@ -285,8 +287,7 @@ def test_signed_spectral_scalar_shift_keeps_the_bytes():
         a_s = (a + a.T) / 2.0
         dbar = float(np.abs(a_s).sum(axis=1).mean())
         reg = a_s + tau * (dbar / n) * np.ones((n, n))
-        _, vecs = np.linalg.eigh(reg)
-        return _fix_sign(vecs[:, ::-1][:, :k])
+        return _fix_sign(_top_eigh(reg, k)[1])
 
     for g in (ssbm(60, 3, 0.3, 0.1, eta=0.1, seed=2).graph,
               sdsbm(f1_meta(0.1), 120, 0.1, eta=0.1, seed=3).graph):
@@ -405,35 +406,54 @@ def test_hermitian_features_odd_k_keeps_the_positive_member():
 
 def test_hermitian_features_solve_no_complex_problem_above_2p(monkeypatch):
     seen = []
-    real_eigh = np.linalg.eigh
+    real_eigh, real_top = np.linalg.eigh, graph._top_eigh
 
-    def spy(m, *args, **kwargs):
-        seen.append((np.iscomplexobj(m), m.shape))
+    def spy_eigh(m, *args, **kwargs):
+        seen.append(("eigh", np.iscomplexobj(m), m.shape))
         return real_eigh(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    def spy_top(m, k):
+        seen.append(("top", np.iscomplexobj(m), m.shape, k))
+        return real_top(m, k)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(graph, "_top_eigh", spy_top)
     g = _hermitian_graphs()["unsigned_directed"]
     for k in (1, 3, 8):
         seen.clear()
         _hermitian_vectors(g, k)
         p = (k + 1) // 2
-        assert seen == [(False, (120, 120)), (True, (2 * p, 2 * p))], (k, seen)
+        want = [("top", False, (120, 120), 2 * p), ("eigh", True, (2 * p, 2 * p))]
+        if _blas.lapacke_dsyevr() is None:  # the fallback solves all 120 pairs
+            want.insert(1, ("eigh", False, (120, 120)))
+        assert seen == want, (k, seen)
 
 
-def test_hermitian_features_reject_a_perturbed_basis(monkeypatch):
-    real_eigh = np.linalg.eigh
+def _perturbed_top(monkeypatch):
+    """Make ``_top_eigh`` return a basis 1e-6 off its eigenvectors."""
+    real_top = graph._top_eigh
 
-    def perturbed(m, *args, **kwargs):
-        vals, vecs = real_eigh(m, *args, **kwargs)
-        if np.iscomplexobj(m):
-            return vals, vecs
+    def perturbed(m, k):
+        vals, vecs = real_top(m, k)
         noise = np.random.default_rng(0).standard_normal(vecs.shape)
         return vals, np.linalg.qr(vecs + 1e-6 * noise)[0]
 
-    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    monkeypatch.setattr(graph, "_top_eigh", perturbed)
+
+
+def test_hermitian_features_reject_a_perturbed_basis(monkeypatch):
+    _perturbed_top(monkeypatch)
     g = _hermitian_graphs()["unsigned_directed"]
-    with pytest.raises(NumericError, match=r"n=120, k=4"):
+    with pytest.raises(NumericError, match=r"Hermitian .*n=120, k=4"):
         hermitian_spectral_features(g, 4)
+
+
+def test_signed_spectral_features_reject_a_perturbed_basis(monkeypatch):
+    g = _hermitian_graphs()["signed_directed"]
+    signed_spectral_features(g, 4)
+    _perturbed_top(monkeypatch)
+    with pytest.raises(NumericError, match=r"signed spectral .*n=120, k=4"):
+        signed_spectral_features(g, 4)
 
 
 def test_hermitian_features_keep_dp_accuracy(monkeypatch):
@@ -456,25 +476,29 @@ def test_hermitian_features_keep_dp_accuracy(monkeypatch):
 
 # ------------------------------------------- dense feature bytes and footprint
 
-def ref_signed_spectral_features(g, k, tau=0.25):
-    """``signed_spectral_features`` as it was written with three n x n arrays."""
+def eigh_top(m, k):
+    """The k largest eigenpairs by a full ``np.linalg.eigh``, descending."""
+    vals, vecs = np.linalg.eigh(m)
+    return vals[::-1][:k], vecs[:, ::-1][:, :k]
+
+
+def ref_signed_spectral_features(g, k, tau=0.25, top=_top_eigh):
+    """``signed_spectral_features`` as it was written with three n x n arrays,
+    solved by ``top`` (the builders' top-k solve, or ``eigh_top``)."""
     a = g.adjacency()
     a_s = (a + a.T) / 2.0
     dbar = float(np.abs(a_s).sum(axis=1).mean())
     reg = a_s + tau * (dbar / g.num_nodes)
-    vals, vecs = np.linalg.eigh(reg)
-    top = vecs[:, ::-1][:, :k]
-    return _fix_sign(top)
+    return _fix_sign(top(reg, k)[1])
 
 
-def ref_hermitian_vectors(g, k):
+def ref_hermitian_vectors(g, k, top=_top_eigh):
     """``_hermitian_vectors`` as it was written, holding A, S and S^T S."""
     a = g.adjacency()
     n = g.num_nodes
     s = a - a.T
     p = (k + 1) // 2
-    _, vecs = np.linalg.eigh(s.T @ s)
-    q = vecs[:, ::-1][:, :min(2 * p, n)]
+    q = top(s.T @ s, min(2 * p, n))[1]
     sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
     sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
     keep = sigma > 1e-12 * np.linalg.norm(s)
@@ -502,6 +526,69 @@ def test_dense_features_keep_the_reference_bytes(k):
         assert _hermitian_vectors(g, k).tobytes() == ref_hermitian_vectors(g, k).tobytes(), name
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_dense_features_fall_back_to_full_eigh(monkeypatch, k):
+    # where LAPACKE_dsyevr is not found, the features are those of the
+    # top k of a full np.linalg.eigh, byte for byte
+    monkeypatch.setattr(_blas, "lapacke_dsyevr", lambda: None)
+    assert _blas.top_eigh(np.eye(3), 1) is None
+    for name, g in _dense_feature_graphs().items():
+        for tau in (0.0, 0.25):
+            want = ref_signed_spectral_features(g, k, tau, top=eigh_top)
+            assert signed_spectral_features(g, k, tau=tau).values.tobytes() == \
+                want.tobytes(), name
+        want = ref_hermitian_vectors(g, k, top=eigh_top)
+        assert _hermitian_vectors(g, k).tobytes() == want.tobytes(), name
+
+
+def _feature_operators():
+    for name, g in _dense_feature_graphs().items():
+        a = g.adjacency()
+        a_s = (a + a.T) / 2.0
+        s = a - a.T
+        yield name, "signed", a_s + 0.25 * np.abs(a_s).sum(axis=1).mean() / g.num_nodes
+        yield name, "sts", s.T @ s
+
+
+def test_top_eigh_matches_full_eigh():
+    for name, kind, op in _feature_operators():
+        vals, vecs = np.linalg.eigh(op)
+        scale = max(1.0, float(np.linalg.norm(op)))
+        ks = (1, 3, 8) if kind == "signed" else (2, 4, 8)  # S^T S pairs its values
+        for k in ks:
+            got_vals, got = _top_eigh(op.copy(), k)
+            assert got.shape == (op.shape[0], k)
+            assert np.abs(got_vals - vals[::-1][:k]).max() <= 1e-12 * scale, (name, kind, k)
+            assert np.abs(got.T @ got - np.eye(k)).max() <= 1e-12, (name, kind, k)
+            if k < op.shape[0] and vals[-k] - vals[-k - 1] <= 1e-8 * scale:
+                continue  # a tie across the cut: no unique top-k subspace
+            want = vecs[:, ::-1][:, :k]
+            gap = np.abs(got @ got.T - want @ want.T).max()
+            assert gap <= 1e-10, (name, kind, k, gap)
+
+
+def test_top_eigh_is_deterministic():
+    for _, _, op in _feature_operators():
+        runs = [_top_eigh(op.copy(), 8) for _ in range(3)]
+        for vals, vecs in runs[1:]:
+            assert vals.tobytes() == runs[0][0].tobytes()
+            assert vecs.tobytes() == runs[0][1].tobytes()
+
+
+def test_top_eigh_rejects_bad_input_and_failed_solves():
+    if _blas.lapacke_dsyevr() is None:
+        pytest.skip("LAPACKE_dsyevr not found")
+    # LAPACKE rejects a NaN entry with info = -6, which is never ignored
+    a = np.eye(6)
+    a[2, 3] = a[3, 2] = np.nan
+    with pytest.raises(NumericError, match=r"dsyevr \(n=6, k=2\) returned info=-6"):
+        _blas.top_eigh(a, 2)
+    for bad, k in ((np.eye(6)[:, ::2].copy(), 2), (np.eye(6)[::-1], 2),
+                   (np.eye(6, dtype=np.float32), 2), (np.eye(6), 0), (np.eye(6), 7)):
+        with pytest.raises(ValueError):
+            _blas.top_eigh(bad, k)
+
+
 def _traced_peak(fn):
     import tracemalloc
     started = not tracemalloc.is_tracing()
@@ -522,8 +609,8 @@ def _traced_peak(fn):
                          ids=["signed_spectral", "hermitian"])
 def test_dense_feature_builder_holds_one_n_by_n_beside_eigh(model, builder):
     # A, A + A^T and the shifted operator (or A, S and S^T S) once traced
-    # 4.0 n^2 doubles with eigh's eigenvectors; one operator and the
-    # eigenvectors are 2.0
+    # 4.0 n^2 doubles with a full eigh's eigenvectors; the top-k solve
+    # holds one operator, and summing A + A^T holds two
     n = 1000
     g = (sdsbm(f1_meta(0.0), n, 0.1, seed=1) if model == "sdsbm_f1" else
          dsbm(meta_graph("cycle", 3), n, 3, 0.1, seed=0)).graph

@@ -672,6 +672,40 @@ def test_blas_lookup_finds_every_loaded_openblas():
         assert _blas.openblas_libraries()
 
 
+def test_dense_features_before_scipy_leave_the_thread_limit_its_libraries():
+    # the dsyevr lookup of the link features keeps its own cache: the
+    # thread limit's, built at its first use, must still see a scipy
+    # loaded after the features ran, or its ARPACK runs threaded
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = """
+import json
+import sys
+from sdnet import _blas
+from sdnet.generators import f1_meta, sdsbm
+from sdnet.graph import signed_spectral_features
+signed_spectral_features(sdsbm(f1_meta(0.0), 80, 0.2, seed=0).graph, 4)
+assert "scipy" not in sys.modules
+import scipy.sparse.linalg
+with open("/proc/self/maps") as maps:
+    mapped = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+print(json.dumps({"listed": sorted(path for path, _, _ in _blas.openblas_libraries()),
+                  "found": sorted(path for path, _, _ in _blas._find()),
+                  "scipy": sorted(path for path in mapped if "scipy.libs" in path)}))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["listed"] == out["found"]
+    # scipy's own OpenBLAS, where its wheel bundles one
+    assert set(out["scipy"]) <= set(out["listed"]), out
+
+
 def test_blas_thread_counts_restored_after_eigh(monkeypatch, two_blas_threads):
     import scipy.sparse.linalg as spla
     op = signed_magnetic_laplacian(random_graph(30, 1))

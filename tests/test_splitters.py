@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sdnet.splitters as splitters
 from sdnet.generators import f2_meta, sdsbm, ssbm
 from sdnet.graph import SignedDirectedGraph, is_signed
 from sdnet.rng import stream
@@ -177,6 +178,18 @@ def test_sample_nonedges_matches_pair_by_pair_loop(n, ordered):
             assert got_rng.integers(1 << 62) == want_rng.integers(1 << 62)
         with pytest.raises(ValueError, match="insufficient"):
             _sample_nonedges(stream(0), n, available + 1, forbidden, ordered)
+
+
+def test_sample_nonedges_orders_pairs_block_by_block(monkeypatch):
+    # unordered pairs are put in (min, max) order ORDER_BLOCK pairs at a
+    # time; with blocks of 7 every batch spans several of them
+    monkeypatch.setattr(splitters, "ORDER_BLOCK", 7)
+    n = 40
+    forbidden = _dense_forbidden(n, False, seed=n)
+    for count in (1, 100, 295):  # 295 is every pair left
+        got = _sample_nonedges(stream(count), n, count, forbidden, ordered=False)
+        want = pair_by_pair_nonedges(stream(count), n, count, set(forbidden.tolist()), False)
+        assert got.tolist() == [list(p) for p in want]
 
 
 def test_task_aliases():
@@ -359,7 +372,7 @@ def large_sparse_graph():
 # traced peak and kept bytes per edge; with int64 pairs and labels an EP
 # split kept 67 and peaked at 88, and its peak once reached 270
 SPLIT_BYTES_PER_EDGE = {"SP": (40, 29), "DP": (40, 29), "EP": (60, 38),
-                        "3C": (55, 34), "4C": (40, 29), "5C": (46, 31)}
+                        "3C": (49, 34), "4C": (40, 29), "5C": (44, 31)}
 
 
 @pytest.mark.parametrize("task, forest", [("SP", True), ("DP", False), ("EP", False),
@@ -384,6 +397,30 @@ def test_link_split_peak_memory_per_edge(large_sparse_graph, task, forest):
     assert m > 190_000
     assert peak <= peak_max * m, f"peak {peak / m:.1f} bytes per edge"
     assert kept <= kept_max * m, f"kept {kept / m:.1f} bytes per edge"
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_nonedge_sampler_peak_bytes_per_pair(large_sparse_graph, ordered):
+    # beside its output a batch holds the 16-byte draw, the pair mask and
+    # the 8-byte codes; unordered pairs also held a full-size
+    # np.minimum(u, v) copy, 35 bytes per pair against 27 for ordered ones
+    g = large_sparse_graph
+    n, count = g.num_nodes, g.num_edges
+    lo, hi = np.minimum(g.src, g.dst), np.maximum(g.src, g.dst)
+    taken = np.sort(g.src * n + g.dst) if ordered else np.unique(lo * n + hi)
+    out = np.empty((count, 2), dtype=np.int64)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _sample_nonedges(stream(0), n, count, taken, ordered, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 28 * count, f"peak {peak / count:.1f} bytes per pair"
 
 
 def test_link_task_split_dtypes():

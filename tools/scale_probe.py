@@ -20,7 +20,9 @@ stages a little.
 A last stage builds the dense link features (``signed_spectral_features``
 and ``hermitian_spectral_features``, k = 8) on an sdsbm f1 graph of
 n_f = min(n, 2000) nodes and prints each builder's wall time, its traced
-peak and its RSS growth in n_f^2 doubles. Each builder runs in a fresh
+peak, its RSS growth in n_f^2 doubles and the solver that ran: LAPACK's
+``dsyevr`` for the top pairs alone, or the full ``eigh`` fallback where
+numpy's OpenBLAS does not export it. Each builder runs in a fresh
 process, whose peak RSS (Linux's ``VmHWM``) starts below the builder;
 ``ru_maxrss`` would not, as it keeps the RSS of the process it was
 started from.
@@ -70,9 +72,9 @@ def _status_bytes(field: str) -> int:
     raise KeyError(field)
 
 
-def _dense_stage(name: str, n: int) -> tuple[float, int, int]:
-    """Seconds, traced peak and RSS growth (bytes) of one dense feature
-    builder, run in the calling process."""
+def _dense_stage(name: str, n: int) -> tuple[float, int, int, str]:
+    """Seconds, traced peak, RSS growth (bytes) and solver of one dense
+    feature builder, run in the calling process."""
     g = sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph
     before = _status_bytes("VmRSS")
     tracemalloc.start()
@@ -81,7 +83,8 @@ def _dense_stage(name: str, n: int) -> tuple[float, int, int]:
     seconds = perf_counter() - t
     traced = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return seconds, traced, _status_bytes("VmHWM") - before
+    solver = "dsyevr" if _blas.lapacke_dsyevr() is not None else "eigh fallback"
+    return seconds, traced, _status_bytes("VmHWM") - before, solver
 
 
 def main(argv=None) -> None:
@@ -141,10 +144,10 @@ def main(argv=None) -> None:
           f"(units of n_f^2 doubles, {8 * n_f * n_f / 2**20:.1f} MB)")
     for name in DENSE_BUILDERS:
         with multiprocessing.get_context("spawn").Pool(1) as pool:
-            seconds, traced, grown = pool.apply(_dense_stage, (name, n_f))
+            seconds, traced, grown, solver = pool.apply(_dense_stage, (name, n_f))
         unit = 8.0 * n_f * n_f
         print(f"{name:<34} {seconds:8.2f} s   traced peak {traced / unit:4.1f} n^2   "
-              f"RSS growth {grown / unit:4.1f} n^2", flush=True)
+              f"RSS growth {grown / unit:4.1f} n^2   solver {solver}", flush=True)
 
 
 if __name__ == "__main__":
