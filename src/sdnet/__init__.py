@@ -5,15 +5,13 @@ Hermitian-imbalance Laplacians), node/link splitters, clustering and
 link-prediction metrics, and deterministic experiment pipelines.
 """
 
-from .cluster import (cluster_embedding, kmeans, spectral_cluster,
-                      spectral_embedding)
+from .cluster import cluster_embedding, spectral_cluster, spectral_embedding
 from .generators import (BlockSizes, GeneratedInstance, MetaGraph, block_sizes,
                          custom_meta, dsbm, erdos_renyi, f1_meta, f2_meta,
                          meta_graph, pol_ssbm, sdsbm, ssbm)
-from .graph import (FeatureMatrix, SignedDirectedGraph, SignedPair,
+from .graph import (FeatureMatrix, SignedDirectedGraph,
                     hermitian_spectral_features, is_directed, is_signed,
-                    largest_weakly_connected_component,
-                    separate_positive_negative, signed_degree_features,
+                    largest_weakly_connected_component, signed_degree_features,
                     signed_spectral_features)
 from .logistic import LogisticModel, logistic_train
 from .metrics import (MetricReport, SoftAssignment, accuracy, ari, auc,
@@ -34,16 +32,16 @@ __all__ = [
     "BlockSizes", "EigenPairs", "FeatureMatrix", "GeneratedInstance",
     "LinkTaskSplit", "LogisticModel", "MetaGraph", "MetricReport", "NodeSplit",
     "NumericError", "RunRecord", "RunResult", "SignedDirectedGraph",
-    "SignedPair", "SoftAssignment", "SpectralMatrix", "accuracy", "ari", "auc",
+    "SoftAssignment", "SpectralMatrix", "accuracy", "ari", "auc",
     "balanced_triangle_ratio", "block_sizes", "cluster_embedding",
     "cluster_sweep", "custom_meta", "dsbm", "eigh", "erdos_renyi", "f1_meta",
     "f2_meta", "generate_from_params", "hermitian_imbalance",
-    "hermitian_spectral_features", "is_directed", "is_signed", "kmeans",
+    "hermitian_spectral_features", "is_directed", "is_signed",
     "largest_weakly_connected_component", "link_class_split", "linkpred_run",
     "logistic_train", "macro_f1", "magnetic_laplacian", "meta_graph",
     "node_split", "normalized_laplacian", "pbnc_loss", "pol_ssbm",
-    "prob_imbalance", "sdsbm", "separate_positive_negative",
-    "signed_degree_features", "signed_laplacian", "signed_magnetic_laplacian",
+    "prob_imbalance", "sdsbm", "signed_degree_features", "signed_laplacian",
+    "signed_magnetic_laplacian",
     "signed_spectral_features", "spanning_forest", "spectral_cluster",
     "spectral_embedding", "ssbm", "unhappy_ratio",
 ]

@@ -1,5 +1,13 @@
-"""OpenBLAS entry points reached by ctypes: a process-wide thread limit
-around small sparse eigensolves and LAPACK's top-k symmetric eigensolver.
+"""OpenBLAS entry points reached by ctypes (a process-wide thread limit
+around small sparse eigensolves and LAPACK's top-k symmetric eigensolver),
+and the one check every computed eigenpair passes.
+
+``NumericError`` and ``check_residual`` live here, in the leaf module
+that ``graph`` and ``spectral`` both import. Each solver, the Lanczos
+one and both dense feature builders, checks its pairs against the
+operator it solved: a residual ||M v - lambda v|| above
+``RESIDUAL_RTOL * max(1, ||M||_inf)`` (1e-10 times the Gershgorin
+row-sum bound), or a NaN residual, raises NumericError.
 
 ``single_blas_thread`` sets every OpenBLAS loaded in the process to one
 thread and restores the saved counts when the outermost holder exits,
@@ -36,12 +44,29 @@ _SYMBOLS = (("openblas_get_num_threads", "openblas_set_num_threads"),
 _DSYEVR = "scipy_LAPACKE_dsyevr64_"
 _LAPACK_COL_MAJOR = 102
 
+# an eigenpair residual above RESIDUAL_RTOL * max(1, ||M||_inf) fails
+RESIDUAL_RTOL = 1e-10
+
 _lock = threading.Lock()
 _libraries = None
 _dsyevr = None
 _dsyevr_looked_up = False
 _depth = 0
 _saved: list[int] = []
+
+
+class NumericError(RuntimeError):
+    """Numerical failure (non-convergence, invalid operator)."""
+
+
+def check_residual(residual, norm_inf: float, where: str) -> None:
+    """NumericError "<where> have residual r above bound" unless every
+    eigenpair residual in ``residual`` is within RESIDUAL_RTOL *
+    max(1, norm_inf); a NaN residual fails, no residuals pass."""
+    worst = np.max(residual, initial=0.0)
+    bound = RESIDUAL_RTOL * max(1.0, norm_inf)
+    if not worst <= bound:
+        raise NumericError(f"{where} have residual {worst:.3g} above {bound:.3g}")
 
 
 def _mapped_openblas():
@@ -115,7 +140,6 @@ def top_eigh(a: np.ndarray, k: int):
     if fn is None:
         return None
     import ctypes
-    from .spectral import NumericError  # spectral imports this module
     n = a.shape[0]
     if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.c_contiguous:
         raise ValueError("top_eigh needs a C-contiguous float64 square matrix")

@@ -150,16 +150,10 @@ def _reseed_empty(x: np.ndarray, centers: np.ndarray, labels: np.ndarray,
             mind2[far] = 0.0
 
 
-def kmeans(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
-           seed: int = 0) -> np.ndarray:
-    """Lowest-inertia labeling over k-means++ restarts (deterministic)."""
-    labels, _, _ = kmeans_full(x, k, restarts=restarts, max_iter=max_iter, seed=seed)
-    return labels
-
-
 def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
                 seed: int = 0):
-    """Like :func:`kmeans` but also returns centroids and inertia.
+    """Lowest-inertia labels, centroids and inertia over k-means++
+    restarts (deterministic).
 
     All restarts are seeded first, in order, then run Lloyd's steps
     together on an (r, k, d) centre array; a restart leaves the batch once

@@ -92,26 +92,6 @@ class SignedDirectedGraph:
 
 
 @dataclass(frozen=True)
-class SignedPair:
-    """Positive/negative split of a signed graph.
-
-    ``negative_part`` stores absolute weights; ``recombine`` restores the
-    original signs.
-    """
-
-    positive_part: SignedDirectedGraph
-    negative_part: SignedDirectedGraph
-
-    def recombine(self) -> SignedDirectedGraph:
-        pos, neg = self.positive_part, self.negative_part
-        src = np.concatenate([pos.src, neg.src])
-        dst = np.concatenate([pos.dst, neg.dst])
-        w = np.concatenate([pos.weight, -neg.weight])
-        order = np.lexsort((dst, src))
-        return SignedDirectedGraph(pos.num_nodes, src[order], dst[order], w[order])
-
-
-@dataclass(frozen=True)
 class FeatureMatrix:
     """Dense, finite n x d node-feature matrix."""
 
@@ -135,15 +115,6 @@ def is_directed(g: SignedDirectedGraph) -> bool:
     """True iff some edge lacks a reciprocal edge of equal weight."""
     _, _, a_lh, a_hl = symmetric_pairs(g)
     return bool(np.any(a_lh != a_hl))
-
-
-def separate_positive_negative(g: SignedDirectedGraph) -> SignedPair:
-    """Split edges by sign; negative weights are stored as magnitudes."""
-    pos_mask = g.weight > 0
-    neg_mask = ~pos_mask
-    pos = g.replace_edges(g.src[pos_mask], g.dst[pos_mask], g.weight[pos_mask])
-    neg = g.replace_edges(g.src[neg_mask], g.dst[neg_mask], -g.weight[neg_mask])
-    return SignedPair(pos, neg)
 
 
 def _jump_to_roots(parent: np.ndarray) -> np.ndarray:
@@ -362,20 +333,10 @@ def _top_eigh(m: np.ndarray, k: int):
     eigenvalue, the vectors as a C-contiguous n x k array: LAPACK's
     ``dsyevr`` for those k alone (``_blas.top_eigh``), or the top of a
     full ``np.linalg.eigh`` where that is not found. ``m`` may be
-    overwritten, so callers drop it."""
+    overwritten."""
     pairs = _blas.top_eigh(m, k)
     vals, vecs = np.linalg.eigh(m) if pairs is None else pairs
     return vals[::-1][:k], np.ascontiguousarray(vecs[:, ::-1][:, :k])
-
-
-def _check_residual(residual: np.ndarray, op: np.ndarray, name: str, k: int) -> None:
-    """NumericError unless every eigenpair residual is within
-    1e-10 * max(1, ||op||_inf)."""
-    from .spectral import NumericError  # spectral imports this module
-    bound = 1e-10 * max(1.0, float(np.abs(op).sum(axis=1).max()))
-    if not np.all(residual <= bound):
-        raise NumericError(f"{name} feature eigenpairs (n={op.shape[0]}, k={k}) have "
-                           f"residual {residual.max():.3g} above {bound:.3g}")
 
 
 def _signed_operator(g: SignedDirectedGraph, k: int, tau: float) -> np.ndarray:
@@ -398,20 +359,19 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     dbar is the mean absolute degree and J the all-ones matrix. Columns
     are unit-norm eigenvectors for the k largest eigenvalues, ordered by
     descending eigenvalue, each flipped so its largest-magnitude entry is
-    positive. Only those k pairs are solved (``_top_eigh``), on the one
-    n x n array the operator is formed in; it is built again to check
-    the pairs, and a residual above 1e-10 * max(1, ||operator||_inf)
-    raises NumericError.
+    positive. The operator is built once; only those k pairs are solved
+    (``_top_eigh``), on a copy of it, and checked against it by the rule
+    every eigensolve shares (``_blas.check_residual``): a residual above
+    1e-10 * max(1, ||operator||_inf) raises NumericError.
     """
     reg = _signed_operator(g, k, tau)
     if not reg.any():
         warnings.warn("regularized adjacency is identically zero; "
                       "spectral features are degenerate", RuntimeWarning)
-    vals, top = _top_eigh(reg, k)
-    del reg
-    reg = _signed_operator(g, k, tau)
-    _check_residual(np.linalg.norm(reg @ top - top * vals, axis=0), reg,
-                    "signed spectral", k)
+    vals, top = _top_eigh(reg.copy(), k)
+    _blas.check_residual(np.linalg.norm(reg @ top - top * vals, axis=0),
+                         float(np.abs(reg).sum(axis=1).max()),
+                         f"signed spectral feature eigenpairs (n={g.num_nodes}, k={k})")
     return FeatureMatrix(_fix_sign(top))
 
 
@@ -424,26 +384,23 @@ def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
     2p eigenvectors Q of S^T S span them, and the 2p x 2p Hermitian
     i Q^T S Q (Rayleigh-Ritz) gives the p positive sigma and their
     vectors v = Q r. Columns are [v_1, conj v_1, v_2, conj v_2, ...][:k]:
-    an odd k keeps the +sigma member of its last pair. S is dropped
-    while the top 2p pairs of S^T S are solved (``_top_eigh``) and built
-    again for the Rayleigh-Ritz step, so one n x n array of its own is
-    live at a time.
+    an odd k keeps the +sigma member of its last pair. S is built once
+    and kept beside S^T S while its top 2p pairs are solved
+    (``_top_eigh``), for the Rayleigh-Ritz step and the residual check
+    (``_blas.check_residual``).
     """
     s = _skew_adjacency(g, k)
     n = g.num_nodes
     p = (k + 1) // 2
-    sts = s.T @ s
-    del s
-    q = _top_eigh(sts, min(2 * p, n))[1]
-    del sts
-    s = _skew_adjacency(g, k)
+    q = _top_eigh(s.T @ s, min(2 * p, n))[1]
     sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
     sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
     keep = sigma > 1e-12 * np.linalg.norm(s)
     kept = v[:, keep]
     s_kept = s @ kept.real + 1j * (s @ kept.imag)  # no complex copy of s
-    _check_residual(np.linalg.norm(1j * s_kept - kept * sigma[keep], axis=0), s,
-                    "Hermitian", k)
+    _blas.check_residual(np.linalg.norm(1j * s_kept - kept * sigma[keep], axis=0),
+                         float(np.abs(s).sum(axis=1).max()),
+                         f"Hermitian feature eigenpairs (n={n}, k={k})")
     v = _fix_phase(v * keep[np.newaxis, :])
     return np.stack([v, v.conj()], axis=2).reshape(n, 2 * p)[:, :k]
 
@@ -458,9 +415,8 @@ def hermitian_spectral_features(g: SignedDirectedGraph, k: int) -> FeatureMatrix
     negligible relative to ||A - A^T||_F carry no imbalance information
     and are zeroed. Output is the n x 2k matrix [Re | Im]. The pairs come
     from the top 2 * ceil(k/2) pairs of one real symmetric eigenproblem
-    (see ``_hermitian_vectors``), solved beside one n x n array of its
-    own; a residual above 1e-10 * max(1, ||A - A^T||_inf) raises
-    NumericError.
+    (see ``_hermitian_vectors``), solved beside A - A^T; a residual
+    above 1e-10 * max(1, ||A - A^T||_inf) raises NumericError.
     """
     z = _hermitian_vectors(g, k)
     return FeatureMatrix(np.hstack([z.real, z.imag]))

@@ -289,7 +289,8 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     and score ARI on the test mask only. Records equal those of calling
     ``spectral_cluster`` per seed. An unknown ``param`` or ``method``, an
     empty ``values`` or ``seeds``, or ``instances`` below 1 raises
-    ValueError before anything is generated.
+    ValueError, and a value ``float`` rejects raises its error, before
+    anything is generated.
     """
     if param in ("model", "seed"):
         raise ValueError(f"cannot sweep {param!r}")
@@ -298,6 +299,7 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     for name, count in (("value", len(values)), ("seed", len(seeds)), ("instance", instances)):
         if count < 1:
             raise ValueError(f"need at least one {name}")
+    swept = [float(value) for value in values]  # each record's sweep_value
     base_seed = int(graph_params.get("seed", 0))
     records = []
     for vi, value in enumerate(values):
@@ -313,7 +315,7 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
                                    seed=derive(base_seed, vi, inst, s, 1))
                 _, pred = cluster_embedding(emb, k, seed=derive(base_seed, vi, inst, s, 2))
                 mask = split.test[:, 0]
-                records.append(RunRecord(float(value), inst, int(s), "ari",
+                records.append(RunRecord(swept[vi], inst, int(s), "ari",
                                          ari(labels[mask], pred[mask])))
     return RunResult(tuple(records))
 

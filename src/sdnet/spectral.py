@@ -22,9 +22,9 @@ LAPACK decomposition. The smallest eigenpairs of L are the largest of
 c I - L, which ARPACK sees only as the product x -> c x - L x, so a
 solve stores no shifted copy of L. ARPACK stops at relative accuracy
 ``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
-returned pair is then checked: a residual ||A v - lambda v|| above
-``LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf)`` (1e-10 times the
-Gershgorin row-sum bound) raises NumericError. Below
+returned pair is then checked by the rule every eigensolve here shares
+(``_blas.check_residual``): a residual ||A v - lambda v|| above
+1e-10 * max(1, ||A||_inf) raises NumericError. Below
 ``LANCZOS_THREADED_MIN_N`` (10,000) rows the whole sparse solve runs
 with every loaded OpenBLAS limited to one thread (``_blas``): ARPACK's
 small panel products lose more to thread handoff than they gain. The
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_blas_thread
+from ._blas import NumericError, check_residual, single_blas_thread
 from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 from .rng import stream
 
@@ -59,18 +59,13 @@ HERMITICITY_RTOL = 1e-12
 # Philox key of the fixed Lanczos start vector
 LANCZOS_V0_KEY = 0x1A2C
 # ARPACK's relative stopping tolerance; the Ritz pairs are then checked
-# against LANCZOS_RESIDUAL_RTOL * max(1, ||A||_inf) column by column
+# column by column (``_blas.check_residual``)
 LANCZOS_TOL = 1e-12
-LANCZOS_RESIDUAL_RTOL = 1e-10
 # sparse solves below this many rows run on one BLAS thread; measured on
 # 2 cores (tools/scale_probe.py N), one thread solves n = 1000 3x faster,
 # ties at n = 10,000, and is ~13% slower at n = 30,000 and ~17% slower
 # at n = 100,000
 LANCZOS_THREADED_MIN_N = 10_000
-
-
-class NumericError(RuntimeError):
-    """Numerical failure (non-convergence, invalid operator)."""
 
 
 @dataclass(frozen=True)
@@ -306,7 +301,7 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     vectors, so the basis is orthonormalized (QR) and the k x k
     projection Q^H L Q diagonalized, giving orthonormal vectors and
     ascending values. A pair whose residual ||L v - lambda v|| exceeds
-    LANCZOS_RESIDUAL_RTOL * max(1, ||L||_inf) raises NumericError.
+    1e-10 * max(1, ||L||_inf) raises NumericError (``check_residual``).
     Below LANCZOS_THREADED_MIN_N rows all of it runs on one BLAS thread.
     A complex operator goes to ``eigs`` itself, as ``eigsh`` would pass it
     on without the fixed ``rng`` stream that ARPACK's restarts draw from.
@@ -347,11 +342,8 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
         proj = basis.conj().T @ (a @ basis)
         vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
         vecs = basis @ small
-        residual = float(np.linalg.norm(a @ vecs - vecs * vals, axis=0).max())
-        bound = LANCZOS_RESIDUAL_RTOL * max(1.0, norm_inf)
-        if not residual <= bound:
-            raise NumericError(f"Lanczos eigenpairs of {where} have residual "
-                               f"{residual:.3g} above {bound:.3g}")
+        check_residual(np.linalg.norm(a @ vecs - vecs * vals, axis=0), norm_inf,
+                       f"Lanczos eigenpairs of {where}")
         return EigenPairs(vals, vecs)
 
 

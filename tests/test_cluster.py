@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdnet.cluster import kmeans, kmeans_full, spectral_cluster
+from sdnet.cluster import kmeans_full, spectral_cluster
 from sdnet.generators import dsbm, meta_graph, pol_ssbm, sdsbm, f1_meta, ssbm
 from sdnet.metrics import ari
 from sdnet.rng import stream
@@ -12,7 +12,7 @@ def test_kmeans_separated_clouds():
     a = rng.normal(size=(40, 2)) * 0.1
     b = rng.normal(size=(40, 2)) * 0.1 + 10.0
     x = np.vstack([a, b])
-    labels = kmeans(x, 2, seed=0)
+    labels = kmeans_full(x, 2, seed=0)[0]
     truth = np.repeat([0, 1], 40)
     assert ari(truth, labels) == 1.0
 
@@ -27,20 +27,20 @@ def test_kmeans_k_equals_n_zero_inertia():
 def test_kmeans_deterministic():
     rng = stream(2)
     x = rng.normal(size=(50, 4))
-    a = kmeans(x, 3, seed=5)
-    b = kmeans(x, 3, seed=5)
+    a = kmeans_full(x, 3, seed=5)[0]
+    b = kmeans_full(x, 3, seed=5)[0]
     assert np.array_equal(a, b)
 
 
 def test_kmeans_validation():
     with pytest.raises(ValueError):
-        kmeans(np.zeros((3, 2)), 4)
+        kmeans_full(np.zeros((3, 2)), 4)
 
 
 def test_kmeans_handles_duplicate_points():
     x = np.zeros((10, 2))
     x[5:] = 1.0
-    labels = kmeans(x, 2, seed=0)
+    labels = kmeans_full(x, 2, seed=0)[0]
     assert len(set(labels[:5].tolist())) == 1
     assert len(set(labels[5:].tolist())) == 1
     assert labels[0] != labels[5]

@@ -7,12 +7,12 @@ from sdnet import _blas
 from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_roots,
                          _fix_phase, _fix_sign, _hermitian_vectors, _top_eigh, is_directed,
                          is_signed, largest_weakly_connected_component,
-                         separate_positive_negative, signed_degree_counts,
-                         signed_degree_features, signed_spectral_features,
+                         signed_degree_counts, signed_degree_features,
+                         signed_spectral_features,
                          hermitian_spectral_features, standardize_columns,
                          symmetric_pairs)
 from sdnet.generators import f1_meta, f2_meta, sdsbm, ssbm, dsbm, meta_graph, erdos_renyi
-from sdnet.cluster import kmeans
+from sdnet.cluster import kmeans_full
 from sdnet.pipeline import linkpred_run
 from sdnet.rng import stream
 from sdnet.spectral import NumericError
@@ -100,24 +100,6 @@ def test_standardize_columns_uses_reference_statistics():
                           [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     assert np.array_equal(standardize_columns(x),
                           [[-1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])
-
-
-def test_separate_positive_negative():
-    g = G(3, [(0, 1, 1.0), (1, 2, -2.0)])
-    pair = separate_positive_negative(g)
-    assert pair.positive_part.edge_list() == [(0, 1, 1.0)]
-    assert pair.negative_part.edge_list() == [(1, 2, 2.0)]
-    allpos = G(3, [(0, 1, 1.0), (1, 2, 2.0)])
-    assert separate_positive_negative(allpos).negative_part.num_edges == 0
-    allneg = G(3, [(0, 1, -1.0)])
-    assert separate_positive_negative(allneg).positive_part.num_edges == 0
-
-
-def test_separate_recombine_identity():
-    inst = ssbm(40, 3, 0.4, 0.4, eta=0.2, seed=3)
-    g = inst.graph
-    back = separate_positive_negative(g).recombine()
-    assert sorted(back.edge_list()) == sorted(g.edge_list())
 
 
 # ------------------------------------------------- weakly connected component
@@ -261,7 +243,7 @@ def test_signed_spectral_full_orthonormal_basis():
 def test_signed_spectral_recovers_two_blocks():
     inst = ssbm(20, 2, 1.0, 1.0, seed=0)
     feats = signed_spectral_features(inst.graph, 2).values
-    pred = kmeans(feats, 2, seed=0)
+    pred = kmeans_full(feats, 2, seed=0)[0]
     from sdnet.metrics import ari
     assert ari(inst.labels, pred) == 1.0
 
@@ -331,7 +313,7 @@ def test_hermitian_features_separate_cyclic_clusters():
     from sdnet.metrics import ari
     inst = dsbm(meta_graph("cycle", 3), 150, 3, 0.2, seed=1)
     feats = hermitian_spectral_features(inst.graph, 2).values
-    pred = kmeans(feats, 3, seed=0)
+    pred = kmeans_full(feats, 3, seed=0)[0]
     assert ari(inst.labels, pred) == 1.0
 
 
@@ -454,6 +436,23 @@ def test_signed_spectral_features_reject_a_perturbed_basis(monkeypatch):
     _perturbed_top(monkeypatch)
     with pytest.raises(NumericError, match=r"signed spectral .*n=120, k=4"):
         signed_spectral_features(g, 4)
+
+
+@pytest.mark.parametrize("builder, operator",
+                         [(signed_spectral_features, "_signed_operator"),
+                          (_hermitian_vectors, "_skew_adjacency")],
+                         ids=["signed_spectral", "hermitian"])
+def test_dense_feature_builder_forms_its_operator_once(monkeypatch, builder, operator):
+    # the solve and the residual check share one build of the operator
+    calls, real = [], getattr(graph, operator)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph, operator, spy)
+    builder(_hermitian_graphs()["signed_directed"], 4)
+    assert len(calls) == 1
 
 
 def test_hermitian_features_keep_dp_accuracy(monkeypatch):

@@ -71,7 +71,7 @@ def _kmeans_once(x: np.ndarray, k: int, max_iter: int, rng):
 
 def ref_kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
                     seed: int = 0):
-    """Like :func:`kmeans` but also returns centroids and inertia."""
+    """Lowest-inertia labels, centroids and inertia over k-means++ restarts."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("data must be an n x d matrix")

@@ -239,6 +239,21 @@ def test_cluster_sweep_takes_any_bound_key_uncast(monkeypatch):
     assert all(type(r.sweep_value) is float for r in res.records)
 
 
+def test_cluster_sweep_checks_every_value_before_generating(monkeypatch):
+    import sdnet.pipeline as pipeline
+    calls, generate = [], pipeline.generate_from_params
+
+    def spy(params, seed=None):
+        calls.append(params)
+        return generate(params, seed=seed)
+
+    monkeypatch.setattr(pipeline, "generate_from_params", spy)
+    with pytest.raises(ValueError, match="'f1'"):
+        cluster_sweep({"model": "sdsbm", "n": 60, "p": 0.2}, "meta", ["f1", "f2"],
+                      "signed_laplacian_sym", 3)
+    assert calls == []
+
+
 @pytest.mark.parametrize("param", ["seed", "model"])
 def test_cluster_sweep_rejects_seed_and_model(param):
     # each instance derives its own seed, so a swept one would be ignored

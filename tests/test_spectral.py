@@ -616,6 +616,27 @@ def test_lanczos_residual_guard_raises_numeric_error(monkeypatch):
         eigh(signed_magnetic_laplacian(g), 3)
 
 
+def test_check_residual_passes_at_the_bound_and_fails_above_it_or_on_nan():
+    from sdnet._blas import RESIDUAL_RTOL, check_residual
+    # the bound is RESIDUAL_RTOL * max(1, ||M||_inf), so a norm below 1 keeps 1e-10
+    for norm_inf in (0.0, 0.5, 1.0, 40.0):
+        bound = RESIDUAL_RTOL * max(1.0, norm_inf)
+        check_residual(np.array([0.0, bound]), norm_inf, "pairs")
+        with pytest.raises(NumericError, match=r"^pairs have residual .* above "):
+            check_residual(np.array([0.0, np.nextafter(bound, 1.0)]), norm_inf, "pairs")
+    with pytest.raises(NumericError, match="residual nan"):
+        check_residual(np.array([0.0, np.nan]), 1.0, "pairs")
+    check_residual(np.zeros(0), 1.0, "pairs")  # no pairs to check
+
+
+def test_numeric_error_is_one_class():
+    # the CLI's exit code 3 catches one class for every layer's failures
+    import sdnet
+    from sdnet import _blas, cli, logistic, spectral
+    assert sdnet.NumericError is spectral.NumericError is _blas.NumericError
+    assert cli.NumericError is logistic.NumericError is _blas.NumericError
+
+
 def test_lanczos_clusters_like_dense_eigh(monkeypatch):
     from sdnet import spectral
     from sdnet.cluster import spectral_cluster
