@@ -1,6 +1,11 @@
 """OpenBLAS entry points reached by ctypes (a process-wide thread limit
 around small sparse eigensolves and LAPACK's top-k symmetric eigensolver),
-and the one check every computed eigenpair passes.
+the one check every computed eigenpair passes, and ``sum_squares``.
+
+An array whose length grows with n or m is summed by ``np.einsum``, never
+by a BLAS level-1 call (``np.linalg.norm`` without ``axis``, a vector
+``@``): OpenBLAS threads ``ddot`` above 10,000 entries, which on 2 cores
+costs about 8 ms a call and moves its last bits with the thread count.
 
 ``NumericError`` and ``check_residual`` live here, in the leaf module
 that ``graph`` and ``spectral`` both import. Each solver, the Lanczos
@@ -67,6 +72,13 @@ def check_residual(residual, norm_inf: float, where: str) -> None:
     bound = RESIDUAL_RTOL * max(1.0, norm_inf)
     if not worst <= bound:
         raise NumericError(f"{where} have residual {worst:.3g} above {bound:.3g}")
+
+
+def sum_squares(a: np.ndarray) -> float:
+    """sum |a_i|^2 over the float64 view of a C-contiguous real or complex
+    array, by einsum: the same bits at any thread count, no temporary."""
+    parts = a.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", parts, parts))
 
 
 def _mapped_openblas():

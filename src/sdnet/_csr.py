@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from ._blas import sum_squares
 from .graph import index_dtype
 
 # entries written or compared per step, which bounds each step's
@@ -115,26 +116,14 @@ def hermitian_residual(m: CSRMatrix) -> float:
     mirror = _transposed_order(n, m.indices, m.indptr)
     if not (np.array_equal(mirror.indptr, m.indptr)
             and np.array_equal(mirror.indices, m.indices)):
-        return float(np.linalg.norm((m - m.conj().T).data))
+        return float(np.sqrt(sum_squares((m - m.conj().T).data)))
     mirror = mirror.data  # each entry's mirror; the CSC pattern goes
     total = 0.0
     for s in range(0, nnz, BLOCK):
         diff = m.data[mirror[s:s + BLOCK]]
         np.conjugate(diff, out=diff)
         np.subtract(m.data[s:s + BLOCK], diff, out=diff)
-        parts = diff.view(np.float64)  # real and imaginary parts
-        total += float(np.square(parts, out=parts).sum())  # no threaded BLAS call
-    return float(np.sqrt(total))
-
-
-def frobenius_norm(m: CSRMatrix) -> float:
-    """||m||_F from the squares of the float64 view of its stored values,
-    BLOCK values at a time: no threaded BLAS call (``np.linalg.norm``'s
-    ddot is threaded above 10,000 entries) and one block of temporaries."""
-    parts = m.data.view(np.float64)  # real and imaginary parts
-    total = 0.0
-    for s in range(0, parts.size, BLOCK):
-        total += float(np.square(parts[s:s + BLOCK]).sum())
+        total += sum_squares(diff)
     return float(np.sqrt(total))
 
 

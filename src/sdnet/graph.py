@@ -395,7 +395,7 @@ def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
     q = _top_eigh(s.T @ s, min(2 * p, n))[1]
     sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
     sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
-    keep = sigma > 1e-12 * np.linalg.norm(s)
+    keep = sigma > 1e-12 * np.sqrt(_blas.sum_squares(s))
     kept = v[:, keep]
     s_kept = s @ kept.real + 1j * (s @ kept.imag)  # no complex copy of s
     _blas.check_residual(np.linalg.norm(1j * s_kept - kept * sigma[keep], axis=0),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import NumericError
+from ._blas import NumericError, sum_squares
 
 _MAX_ITER = 100
 _ARMIJO = 1e-4
@@ -178,7 +178,7 @@ def logistic_train(x, y, classes=None, l2: float = 1e-4,
         if decrement <= _EPS * loss:
             return LogisticModel(np.ascontiguousarray(theta[:, :-1].T),
                                  theta[:, -1].copy(), classes, losses,
-                                 float(np.linalg.norm(g)))
+                                 float(np.sqrt(sum_squares(g))))
         step = step.reshape(k, d + 1)
         t = 1.0
         while True:
@@ -188,7 +188,7 @@ def logistic_train(x, y, classes=None, l2: float = 1e-4,
                 break
             # near the optimum the loss cannot see the step; the gradient can
             if (abs(loss_t - loss) <= _ROUNDOFF * loss
-                    and np.linalg.norm(grad_t) < np.linalg.norm(grad)):
+                    and sum_squares(grad_t) < sum_squares(grad)):
                 break
             t *= 0.5
             if t < _MIN_STEP:

@@ -107,8 +107,12 @@ def macro_f1(pred, true, classes=None) -> float:
     true = np.asarray(true).ravel()
     if pred.shape != true.shape:
         raise ValueError("prediction and truth must have equal length")
+    if pred.size == 0:
+        raise ValueError("need at least one sample")
     if classes is None:
         classes = np.unique(np.concatenate([pred, true]))
+    if len(classes) == 0:
+        raise ValueError("need at least one class")
     scores = []
     for c in classes:
         tp = float(np.sum((pred == c) & (true == c)))
@@ -161,31 +165,27 @@ def pbnc_loss(g: SignedDirectedGraph, assignment) -> float:
     With A_s = (A + A^T)/2 split into positive/negative parts and
     Dbar = D_pos + D_neg, sums over clusters
     [x^T (D_pos - A_pos) x + x^T A_neg x] / (x^T Dbar x) for x = P[:, k];
-    clusters with zero probabilistic volume contribute 0.
+    clusters with zero probabilistic volume contribute 0. The numerator
+    is x^T D_pos x - x^T A_s x (A_pos - A_neg = A_s); each sum is an
+    einsum, over the cells one column of P at a time.
     """
     soft = _as_soft(assignment)
     if soft.P.shape[0] != g.num_nodes:
         raise ValueError("assignment rows must equal node count")
     lo, hi, a_lh, a_hl = symmetric_pairs(g)
     a_s = (a_lh + a_hl) / 2.0
-    a_pos = np.where(a_s > 0, a_s, 0.0)
-    a_neg = np.where(a_s < 0, -a_s, 0.0)
-    n = g.num_nodes
-    d_pos = pair_row_sums(n, lo, hi, a_pos)
-    d_bar = d_pos + pair_row_sums(n, lo, hi, a_neg)
-    # x^T B x for a symmetric B stored per cell: off-diagonal cells twice
-    twice = np.where(lo == hi, 1.0, 2.0)
+    del a_lh, a_hl
+    n, p = g.num_nodes, soft.P
+    d_pos = pair_row_sums(n, lo, hi, np.where(a_s > 0, a_s, 0.0))
+    d_bar = d_pos + pair_row_sums(n, lo, hi, np.where(a_s < 0, -a_s, 0.0))
+    vol = np.einsum("i,ik,ik->k", d_bar, p, p)
+    cut = np.einsum("i,ik,ik->k", d_pos, p, p)
+    # x^T A_s x over cells: off-diagonal cells count twice
+    np.multiply(a_s, 2.0, out=a_s, where=lo != hi)
     total = 0.0
-    for k in range(soft.num_clusters):
-        x = soft.P[:, k]
-        vol = float(x @ (d_bar * x))
-        if vol == 0.0:
-            continue
-        xx = twice * x[lo] * x[hi]
-        cut_pos = float(x @ (d_pos * x) - xx @ a_pos)
-        within_neg = float(xx @ a_neg)
-        total += (cut_pos + within_neg) / vol
-    return total
+    for k in np.flatnonzero(vol):
+        total += (cut[k] - np.einsum("c,c,c->", a_s, p[lo, k], p[hi, k])) / vol[k]
+    return float(total)
 
 
 def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
@@ -193,7 +193,8 @@ def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
 
     W = P^T |A| P; pairwise imbalance |W_kl - W_lk| / (W_kl + W_lk)
     (0/0 -> 0) averaged over unordered cluster pairs. Training maximizes
-    this score, i.e. the objective is its negation.
+    this score, i.e. the objective is its negation. W is one BLAS
+    product, whose entries do not change with its thread split.
     """
     soft = _as_soft(assignment)
     k = soft.num_clusters
@@ -203,13 +204,11 @@ def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
         raise ValueError("assignment rows must equal node count")
     p = soft.P
     w = (p[g.src] * np.abs(g.weight)[:, None]).T @ p[g.dst]
-    total = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            denom = w[i, j] + w[j, i]
-            if denom > 0:
-                total += abs(w[i, j] - w[j, i]) / denom
-    return float(2.0 * total / (k * (k - 1)))
+    i, j = np.triu_indices(k, 1)
+    denom = w[i, j] + w[j, i]
+    ratio = np.abs(w[i, j] - w[j, i]) / np.where(denom > 0, denom, 1.0)  # 0/0 -> 0
+    # pair by pair in row order: np.sum rounds differently from 8 pairs (K = 5) on
+    return float(2.0 * np.cumsum(ratio)[-1] / (k * (k - 1)))
 
 
 def balanced_triangle_ratio(g: SignedDirectedGraph) -> float:
@@ -226,10 +225,9 @@ def balanced_triangle_ratio(g: SignedDirectedGraph) -> float:
     one run's wedges are held.
     """
     n = g.num_nodes
-    lo, hi, a_s, a_hl = symmetric_pairs(g)
-    a_s += a_hl
-    del a_hl
-    a_s /= 2.0
+    lo, hi, a_lh, a_hl = symmetric_pairs(g)
+    a_s = (a_lh + a_hl) / 2.0
+    del a_lh, a_hl
     cut = (lo != hi) & (a_s != 0.0)
     lo, hi, neg = lo[cut], hi[cut], (a_s[cut] < 0).astype(np.int8)
     del a_s, cut

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import NumericError, check_residual, single_blas_thread
+from ._blas import NumericError, check_residual, single_blas_thread, sum_squares
 from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 from .rng import stream
 
@@ -85,7 +85,7 @@ class SpectralMatrix:
     kind: str
 
     def __post_init__(self):
-        from ._csr import as_csr, frobenius_norm, hermitian_residual
+        from ._csr import as_csr, hermitian_residual
         m = self.entries
         if not hasattr(m, "tocsr"):
             m = np.asarray(m)
@@ -94,7 +94,7 @@ class SpectralMatrix:
         if self.kind not in SPECTRAL_KINDS:
             raise ValueError(f"unknown spectral kind {self.kind!r}")
         m = as_csr(m)
-        scale = max(1.0, frobenius_norm(m))
+        scale = max(1.0, np.sqrt(sum_squares(m.data)))
         if hermitian_residual(m) > HERMITICITY_RTOL * scale:
             raise NumericError("operator is not Hermitian to tolerance")
         object.__setattr__(self, "entries", m)
@@ -365,8 +365,8 @@ def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        scale = max(1.0, float(np.linalg.norm(m)))
-        if np.linalg.norm(m - m.conj().T) > HERMITICITY_RTOL * scale:
+        scale = max(1.0, np.sqrt(sum_squares(m)))
+        if np.sqrt(sum_squares(m - m.conj().T)) > HERMITICITY_RTOL * scale:
             raise NumericError("matrix is not Hermitian to tolerance")
         n = m.shape[0]
     if k is None:

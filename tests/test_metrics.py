@@ -139,6 +139,15 @@ def test_macro_f1_empty_class_contributes_zero():
         (2 / 3 + 2 / 3 + 0.0) / 3)
 
 
+def test_macro_f1_needs_a_sample_and_a_class():
+    # both once returned nan with "Mean of empty slice" warnings
+    for classes in (None, [0, 1], []):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            macro_f1([], [], classes=classes)
+    with pytest.raises(ValueError, match="need at least one class"):
+        macro_f1([0, 1], [0, 1], classes=[])
+
+
 # -------------------------------------------------------------- unhappy ratio
 
 def test_unhappy_ratio_cases():

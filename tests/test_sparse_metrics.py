@@ -1,10 +1,11 @@
 """The edge-list forms of pbnc_loss and prob_imbalance against the dense
-n x n formulas they replace."""
+n x n formulas they replace, their bits at any BLAS thread count, and
+pbnc_loss's memory."""
 
 import numpy as np
 
 from sdnet.generators import dsbm, meta_graph, sdsbm, f1_meta
-from sdnet.graph import SignedDirectedGraph
+from sdnet.graph import SignedDirectedGraph, symmetric_pairs
 from sdnet.metrics import SoftAssignment, pbnc_loss, prob_imbalance
 from sdnet.rng import stream
 
@@ -66,3 +67,39 @@ def test_prob_imbalance_matches_dense_formula():
         for k in (2, 3, 4):
             p = soft(g.num_nodes, k, 10 * i + k)
             assert abs(prob_imbalance(g, p) - dense_prob_imbalance(g, p.P)) <= 1e-12
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count(two_blas_threads):
+    # BLAS dot products once moved pbnc_loss's last bits between 1 and 2
+    # threads on these cluster-workload graphs
+    from sdnet import _blas
+    from sdnet.pipeline import generate_from_params
+    for seed in range(4):
+        g = generate_from_params({"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1,
+                                  "rho": 1.5, "eta": 0.1, "gamma": 0.1}, seed=seed).graph
+        p = soft(g.num_nodes, 3, seed)
+        threaded = [repr(pbnc_loss(g, p)), repr(prob_imbalance(g, p))]
+        with _blas.single_blas_thread():
+            assert [repr(pbnc_loss(g, p)), repr(prob_imbalance(g, p))] == threaded, seed
+
+
+def test_pbnc_loss_traced_bytes_per_cell():
+    # a cells x K gather and BLAS dot products once traced 82 bytes per cell
+    import tracemalloc
+    n = 20_000
+    g = sdsbm(f1_meta(0.2), n, 20.0 / n, eta=0.2, seed=1).graph
+    cells = symmetric_pairs(g)[0].size
+    p = soft(n, 3, 0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loss = pbnc_loss(g, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert loss > 0.0 and cells > 190_000
+    assert peak <= 60 * cells, f"{peak / cells:.1f} bytes per cell"

@@ -666,20 +666,6 @@ def _blas_thread_counts():
     return [get() for _, get, _ in _blas.openblas_libraries()]
 
 
-@pytest.fixture
-def two_blas_threads():
-    """Every OpenBLAS found set to 2 threads for the test, then put back."""
-    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
-    from sdnet import _blas
-    libraries = _blas.openblas_libraries()
-    saved = _blas_thread_counts()
-    for _, _, set_ in libraries:
-        set_(2)
-    yield _blas_thread_counts()
-    for (_, _, set_), count in zip(libraries, saved):
-        set_(count)
-
-
 def test_blas_lookup_finds_every_loaded_openblas():
     import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
     from sdnet import _blas
@@ -1003,6 +989,28 @@ def test_hermitian_residual_is_frobenius_norm_of_difference():
         m = as_csr(sps.csr_array(dense))
         want = np.linalg.norm(dense - dense.conj().T)
         assert hermitian_residual(m) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def test_sum_squares_is_squared_frobenius_norm():
+    from sdnet._blas import sum_squares
+    rng = stream(13)
+    for shape in [(1,), (50,), (7, 9)]:
+        real = rng.normal(size=shape)
+        for a in (real, real + 1j * rng.normal(size=shape)):
+            assert sum_squares(a) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-15)
+    assert sum_squares(np.empty(0)) == 0.0
+    assert sum_squares(np.empty((0, 3), dtype=np.complex128)) == 0.0
+
+
+def test_sum_squares_holds_no_copy():
+    # einsum's iterator and the views trace a fixed 1.3-1.4 KiB at any
+    # size; one float64 copy of these 10^6 entries would be 16 MB
+    from sdnet._blas import sum_squares
+    a = stream(14).normal(size=(10**6, 2)).view(np.complex128)
+    sum_squares(a)
+    peak, total = _traced_peak(lambda: sum_squares(a))
+    assert total > 0.0
+    assert peak < 2048, f"{peak} bytes"
 
 
 # ------------------------------------------------------------------ memory

@@ -5,13 +5,15 @@ writes it to an edge TSV in a temporary directory and reads it back,
 takes the largest weakly connected component of the read-back graph
 and its spanning forest (the two callers of one Borůvka routine),
 splits its links for 4C with ``maintain_connectedness`` and for EP,
-builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs and
-clusters the row-normalized [Re | Im] embedding, printing after each
+builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs,
+clusters the row-normalized [Re | Im] embedding and scores the soft
+assignment (``pbnc_loss``, then ``prob_imbalance``), printing after each
 stage its wall time, its own traced peak (tracemalloc, in bytes per
 edge above what was held when the stage began), the process's peak
 RSS so far (``ru_maxrss``) and its current RSS (Linux's ``VmRSS``);
 under the build stage it prints the bytes per edge the operator keeps
-and the build's traced peak as a multiple of them. ``ru_maxrss`` only
+and the build's traced peak as a multiple of them, and under each score
+its traced peak per cell of the symmetrized support. ``ru_maxrss`` only
 grows, so a stage that peaks below an earlier one shows no rise there;
 the traced peak does, and the current RSS shows how much of the heap
 the stage left mapped for the next one.
@@ -46,7 +48,7 @@ from time import perf_counter
 
 import numpy as np
 
-from sdnet import _blas, graph, spectral
+from sdnet import _blas, graph, metrics, spectral
 from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
@@ -137,7 +139,12 @@ def main(argv=None) -> None:
     pairs = stage("eigh(k=3)", spectral.eigh, op, K)
     emb = real_columns(pairs.vectors)
     emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-300)
-    stage("cluster_embedding", cluster_embedding, emb, K)
+    soft, _ = stage("cluster_embedding", cluster_embedding, emb, K)
+    cells = graph.symmetric_pairs(g)[0].size
+    print(f"  {cells} cells in the symmetrized support")
+    for name in ("pbnc_loss", "prob_imbalance"):
+        stage(name, getattr(metrics, name), g, soft)
+        print(f"  traced peak {traced * m / cells:.1f} B/cell")
 
     n_f = min(n, DENSE_N)
     print(f"dense features, sdsbm f1, n_f={n_f}, k={DENSE_K}, each in a fresh process "
