@@ -27,7 +27,7 @@ import numpy as np
 
 from . import generators as gen
 # spectral_cluster is bound here for the CLI, which looks it up in this module
-from .cluster import (_embedding, cluster_embedding, is_complex, real_columns,
+from .cluster import (_embedding, is_complex, kmeans_full, real_columns,
                       spectral_cluster, spectral_embedding)
 from .graph import (SignedDirectedGraph, signed_degree_features,
                     standardize_columns)
@@ -285,12 +285,12 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     For each (value, instance): generate an instance (seed derived from
     the base seed, sweep index and instance index) and embed it once
     (``spectral_embedding``, one eigensolve). For each seed: draw one
-    node split, run k-means on that embedding (``cluster_embedding``)
-    and score ARI on the test mask only. Records equal those of calling
-    ``spectral_cluster`` per seed. An unknown ``param`` or ``method``, an
-    empty ``values`` or ``seeds``, or ``instances`` below 1 raises
-    ValueError, and a value ``float`` rejects raises its error, before
-    anything is generated.
+    node split, take k-means labels on that embedding (``kmeans_full``;
+    no soft assignment is formed) and score ARI on the test mask only.
+    Records equal those of calling ``spectral_cluster`` per seed. An
+    unknown ``param`` or ``method``, an empty ``values`` or ``seeds``, or
+    ``instances`` below 1 raises ValueError, and a value ``float``
+    rejects raises its error, before anything is generated.
     """
     if param in ("model", "seed"):
         raise ValueError(f"cannot sweep {param!r}")
@@ -313,7 +313,7 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
                 split = node_split(labels, train_frac=train_frac, val_frac=val_frac,
                                    test_frac=test_frac, num_splits=1,
                                    seed=derive(base_seed, vi, inst, s, 1))
-                _, pred = cluster_embedding(emb, k, seed=derive(base_seed, vi, inst, s, 2))
+                pred = kmeans_full(emb, k, seed=derive(base_seed, vi, inst, s, 2))[0]
                 mask = split.test[:, 0]
                 records.append(RunRecord(swept[vi], inst, int(s), "ari",
                                          ari(labels[mask], pred[mask])))

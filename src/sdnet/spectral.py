@@ -24,24 +24,18 @@ solve stores no shifted copy of L. ARPACK stops at relative accuracy
 ``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
 returned pair is then checked by the rule every eigensolve here shares
 (``_blas.check_residual``): a residual ||A v - lambda v|| above
-1e-10 * max(1, ||A||_inf) raises NumericError. Below
-``LANCZOS_THREADED_MIN_N`` (10,000) rows the whole sparse solve runs
-with every loaded OpenBLAS limited to one thread (``_blas``): ARPACK's
-small panel products lose more to thread handoff than they gain. The
-limit is process-wide for the solve's duration and the counts are
-restored after. scipy is imported inside the functions that need it,
-so ``import sdnet`` loads none.
+1e-10 * max(1, ||A||_inf) raises NumericError. scipy is imported inside
+the functions that need it, so ``import sdnet`` loads none.
 """
 
 from __future__ import annotations
 
 import inspect
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import NumericError, check_residual, single_blas_thread, sum_squares
+from ._blas import NumericError, check_residual, sum_squares
 from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 from .rng import stream
 
@@ -61,11 +55,6 @@ LANCZOS_V0_KEY = 0x1A2C
 # ARPACK's relative stopping tolerance; the Ritz pairs are then checked
 # column by column (``_blas.check_residual``)
 LANCZOS_TOL = 1e-12
-# sparse solves below this many rows run on one BLAS thread; measured on
-# 2 cores (tools/scale_probe.py N), one thread solves n = 1000 3x faster,
-# ties at n = 10,000, and is ~13% slower at n = 30,000 and ~17% slower
-# at n = 100,000
-LANCZOS_THREADED_MIN_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -302,49 +291,45 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     projection Q^H L Q diagonalized, giving orthonormal vectors and
     ascending values. A pair whose residual ||L v - lambda v|| exceeds
     1e-10 * max(1, ||L||_inf) raises NumericError (``check_residual``).
-    Below LANCZOS_THREADED_MIN_N rows all of it runs on one BLAS thread.
     A complex operator goes to ``eigs`` itself, as ``eigsh`` would pass it
     on without the fixed ``rng`` stream that ARPACK's restarts draw from.
     """
     from scipy.sparse import linalg as spla
     a = op.entries
     n = op.num_nodes
-    # scipy's BLAS is loaded by now, so the library lookup finds it
-    limit = single_blas_thread if n < LANCZOS_THREADED_MIN_N else nullcontext
-    with limit():
-        z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
-        v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
-        norm_inf = _norm_inf(a)
-        shift = 0.0
-        if which == "smallest":
-            shift = norm_inf
-            target, mode = spla.LinearOperator(
-                a.shape, matvec=lambda x: shift * x - a @ x, dtype=a.dtype), "LA"
-        else:
-            target, mode = a, ("LA" if which == "largest" else "LM")
-        if not np.any(target @ v0):
-            # the operator is shift * I (c v0 - L v0 rounds to exactly 0 when
-            # L = c I): every vector is an eigenvector, and ARPACK would stop
-            # on a zero Krylov vector
-            return EigenPairs(np.full(k, shift), np.eye(n, k))
-        where = f"{op.kind} (n={n}, k={k}, which={which!r})"
-        solve = spla.eigsh
-        if a.dtype.kind == "c":
-            solve, mode = spla.eigs, mode.replace("LA", "LR")
-        # older scipy takes no rng
-        rng = ({"rng": stream(LANCZOS_V0_KEY, 1)}
-               if "rng" in inspect.signature(solve).parameters else {})
-        try:
-            _, basis = solve(target, k, which=mode, v0=v0, tol=LANCZOS_TOL, **rng)
-        except spla.ArpackError as exc:  # ArpackNoConvergence among them
-            raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
-        basis, _ = np.linalg.qr(basis)
-        proj = basis.conj().T @ (a @ basis)
-        vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-        vecs = basis @ small
-        check_residual(np.linalg.norm(a @ vecs - vecs * vals, axis=0), norm_inf,
-                       f"Lanczos eigenpairs of {where}")
-        return EigenPairs(vals, vecs)
+    z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
+    v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
+    norm_inf = _norm_inf(a)
+    shift = 0.0
+    if which == "smallest":
+        shift = norm_inf
+        target, mode = spla.LinearOperator(
+            a.shape, matvec=lambda x: shift * x - a @ x, dtype=a.dtype), "LA"
+    else:
+        target, mode = a, ("LA" if which == "largest" else "LM")
+    if not np.any(target @ v0):
+        # the operator is shift * I (c v0 - L v0 rounds to exactly 0 when
+        # L = c I): every vector is an eigenvector, and ARPACK would stop
+        # on a zero Krylov vector
+        return EigenPairs(np.full(k, shift), np.eye(n, k))
+    where = f"{op.kind} (n={n}, k={k}, which={which!r})"
+    solve = spla.eigsh
+    if a.dtype.kind == "c":
+        solve, mode = spla.eigs, mode.replace("LA", "LR")
+    # older scipy takes no rng
+    rng = ({"rng": stream(LANCZOS_V0_KEY, 1)}
+           if "rng" in inspect.signature(solve).parameters else {})
+    try:
+        _, basis = solve(target, k, which=mode, v0=v0, tol=LANCZOS_TOL, **rng)
+    except spla.ArpackError as exc:  # ArpackNoConvergence among them
+        raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
+    basis, _ = np.linalg.qr(basis)
+    proj = basis.conj().T @ (a @ basis)
+    vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+    vecs = basis @ small
+    check_residual(np.linalg.norm(a @ vecs - vecs * vals, axis=0), norm_inf,
+                   f"Lanczos eigenpairs of {where}")
+    return EigenPairs(vals, vecs)
 
 
 def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:

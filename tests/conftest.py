@@ -1,18 +1,24 @@
 """Fixtures shared by the test modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
-def two_blas_threads():
-    """Every OpenBLAS found set to 2 threads for the test, then put back;
-    yields the counts read back."""
-    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
-    from sdnet import _blas
-    libraries = _blas.openblas_libraries()
-    saved = [get() for _, get, _ in libraries]
-    for _, _, set_ in libraries:
-        set_(2)
-    yield [get() for _, get, _ in libraries]
-    for (_, _, set_), count in zip(libraries, saved):
-        set_(count)
+def run_at_blas_threads():
+    """run(script, threads): run ``script`` in a fresh Python with sdnet on
+    its path and ``OPENBLAS_NUM_THREADS=threads`` set before numpy loads;
+    returns its stdout and fails the test on a nonzero exit."""
+    def run(script: str, threads: int) -> str:
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": str(threads)}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+    return run

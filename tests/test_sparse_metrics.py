@@ -69,18 +69,24 @@ def test_prob_imbalance_matches_dense_formula():
             assert abs(prob_imbalance(g, p) - dense_prob_imbalance(g, p.P)) <= 1e-12
 
 
-def test_scores_do_not_depend_on_the_blas_thread_count(two_blas_threads):
+def test_scores_do_not_depend_on_the_blas_thread_count(run_at_blas_threads):
     # BLAS dot products once moved pbnc_loss's last bits between 1 and 2
     # threads on these cluster-workload graphs
-    from sdnet import _blas
-    from sdnet.pipeline import generate_from_params
-    for seed in range(4):
-        g = generate_from_params({"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1,
-                                  "rho": 1.5, "eta": 0.1, "gamma": 0.1}, seed=seed).graph
-        p = soft(g.num_nodes, 3, seed)
-        threaded = [repr(pbnc_loss(g, p)), repr(prob_imbalance(g, p))]
-        with _blas.single_blas_thread():
-            assert [repr(pbnc_loss(g, p)), repr(prob_imbalance(g, p))] == threaded, seed
+    from pathlib import Path
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from test_sparse_metrics import pbnc_loss, prob_imbalance, soft
+from sdnet.pipeline import generate_from_params
+for seed in range(4):
+    g = generate_from_params({{"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1,
+                              "rho": 1.5, "eta": 0.1, "gamma": 0.1}}, seed=seed).graph
+    p = soft(g.num_nodes, 3, seed)
+    print(repr(pbnc_loss(g, p)), repr(prob_imbalance(g, p)))
+"""
+    single, two = (run_at_blas_threads(script, threads).splitlines() for threads in (1, 2))
+    assert len(single) == 4
+    assert single == two
 
 
 def test_pbnc_loss_traced_bytes_per_cell():

@@ -659,182 +659,96 @@ def test_lanczos_clusters_like_dense_eigh(monkeypatch):
             assert np.array_equal(got, want), (method, k)
 
 
-# ------------------------------------------------- one BLAS thread per solve
+# ----------------------------------------------------- BLAS thread count
 
-def _blas_thread_counts():
-    from sdnet import _blas
-    return [get() for _, get, _ in _blas.openblas_libraries()]
+def test_lanczos_runs_at_the_process_blas_thread_count(run_at_blas_threads):
+    # sdnet sets no BLAS thread count: inside ARPACK every loaded OpenBLAS,
+    # scipy's own among them, still runs on the two threads the process
+    # started with
+    import json
+    script = """
+import ctypes
+import json
+import os
+import scipy.sparse.linalg as spla
+from sdnet.pipeline import generate_from_params
+from sdnet.spectral import eigh, signed_magnetic_laplacian
+
+GETS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
+        "scipy_openblas_get_num_threads64_")
 
 
-def test_blas_lookup_finds_every_loaded_openblas():
-    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
-    from sdnet import _blas
+def counts():
     try:
         with open("/proc/self/maps") as maps:
-            mapped = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line})
     except OSError:
-        mapped = set()
-    assert {path for path, _, _ in _blas.openblas_libraries()} <= mapped
-    if mapped:
-        assert _blas.openblas_libraries()
+        return {}
+    out = {}
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for name in GETS:
+            if hasattr(lib, name):
+                out[path] = getattr(lib, name)()
+                break
+    return out
 
 
-def test_dense_features_before_scipy_leave_the_thread_limit_its_libraries():
-    # the dsyevr lookup of the link features keeps its own cache: the
-    # thread limit's, built at its first use, must still see a scipy
-    # loaded after the features ran, or its ARPACK runs threaded
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    script = """
-import json
-import sys
-from sdnet import _blas
-from sdnet.generators import f1_meta, sdsbm
-from sdnet.graph import signed_spectral_features
-signed_spectral_features(sdsbm(f1_meta(0.0), 80, 0.2, seed=0).graph, 4)
-assert "scipy" not in sys.modules
-import scipy.sparse.linalg
-with open("/proc/self/maps") as maps:
-    mapped = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
-print(json.dumps({"listed": sorted(path for path, _, _ in _blas.openblas_libraries()),
-                  "found": sorted(path for path, _, _ in _blas._find()),
-                  "scipy": sorted(path for path in mapped if "scipy.libs" in path)}))
+real_eigs, inside = spla.eigs, []
+
+
+def spy(*args, **kwargs):
+    inside.append(counts())
+    return real_eigs(*args, **kwargs)
+
+
+spla.eigs = spy
+g = generate_from_params({"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1, "rho": 1.5,
+                          "eta": 0.1, "gamma": 0.1}, seed=11).graph
+before = counts()
+eigh(signed_magnetic_laplacian(g), 3)
+print(json.dumps({"before": before, "inside": inside}))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["listed"] == out["found"]
-    # scipy's own OpenBLAS, where its wheel bundles one
-    assert set(out["scipy"]) <= set(out["listed"]), out
-
-
-def test_blas_thread_counts_restored_after_eigh(monkeypatch, two_blas_threads):
-    import scipy.sparse.linalg as spla
-    op = signed_magnetic_laplacian(random_graph(30, 1))
-    before = two_blas_threads
-    real_eigs, inside = spla.eigs, []
-
-    def spy(*args, **kwargs):
-        inside.append(_blas_thread_counts())
-        return real_eigs(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "eigs", spy)
-    eigh(op, 3)
-    assert inside == [[1] * len(before)]
-    assert _blas_thread_counts() == before
-
-    def stalled(*args, **kwargs):
-        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-    monkeypatch.setattr(spla, "eigs", stalled)
-    with pytest.raises(NumericError, match="Lanczos eigensolver failed"):
-        eigh(op, 3)
-    assert _blas_thread_counts() == before
-
-
-def test_blas_limit_nested_restores_once(two_blas_threads):
-    from sdnet._blas import single_blas_thread
-    before = two_blas_threads
-    with single_blas_thread():
-        with pytest.raises(RuntimeError):
-            with single_blas_thread():
-                raise RuntimeError("inner solve failed")
-        assert _blas_thread_counts() == [1] * len(before)
-    assert _blas_thread_counts() == before
-
-
-def test_blas_limit_concurrent_holders(two_blas_threads):
-    import sys
-    import threading
-    from sdnet._blas import single_blas_thread
-    before = two_blas_threads
-    wrong = []
-
-    def hold():
-        for _ in range(200):
-            with single_blas_thread():
-                counts = _blas_thread_counts()
-                if counts != [1] * len(before):
-                    wrong.append(counts)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hold) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert _blas_thread_counts() == before
-
-
-def test_eigh_same_bytes_without_blas_libraries(monkeypatch):
-    from sdnet import _blas
-    _, g = _workload_graphs()
-    op = signed_magnetic_laplacian(g)
-    want = eigh(op, 3)
-    monkeypatch.setattr(_blas, "openblas_libraries", lambda: [])
-    got = eigh(op, 3)
-    assert got.values.tobytes() == want.values.tobytes()
-    assert got.vectors.tobytes() == want.vectors.tobytes()
-
-
-def test_blas_limit_entered_only_below_threshold(monkeypatch):
-    from contextlib import nullcontext
-    import scipy.sparse as sps
-    import scipy.sparse.linalg as spla
-    from sdnet import spectral
-    entered = []
-
-    def spy():
-        entered.append(True)
-        return nullcontext()
-
-    # diag(0, 1, ..., n-1): the k smallest pairs are the first unit vectors
-    monkeypatch.setattr(spla, "eigsh", lambda target, k, **kw: (None, np.eye(target.shape[0], k)))
-    monkeypatch.setattr(spectral, "single_blas_thread", spy)
-    limit = spectral.LANCZOS_THREADED_MIN_N
-    for n, limited in ((limit - 1, True), (limit, False), (limit + 1, False)):
-        entered.clear()
-        op = SpectralMatrix(sps.diags(np.arange(n, dtype=np.float64)), "normalized_laplacian")
-        got = eigh(op, 3)
-        assert np.array_equal(got.values, [0.0, 1.0, 2.0])
-        assert entered == [True] * limited, n
+    out = json.loads(run_at_blas_threads(script, 2))
+    if not out["before"]:
+        pytest.skip("no OpenBLAS mapped")
+    if set(out["before"].values()) != {2}:
+        pytest.skip(f"OpenBLAS did not start on 2 threads: {out['before']}")
+    assert out["inside"] == [out["before"]]
 
 
 @pytest.mark.parametrize("params, method, which", [
     ({"model": "dsbm", "meta": "cycle", "n": 1000, "k": 3, "p": 0.02, "rho": 1.5, "eta": 0.1},
-     hermitian_imbalance, "largest_abs"),
+     "hermitian_imbalance", "largest_abs"),
     ({"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1, "rho": 1.5, "eta": 0.1,
-      "gamma": 0.1}, signed_magnetic_laplacian, "smallest"),
+      "gamma": 0.1}, "signed_magnetic_laplacian", "smallest"),
 ])
-def test_single_thread_solve_matches_two_thread_solve(monkeypatch, two_blas_threads, params,
+def test_single_thread_solve_matches_two_thread_solve(run_at_blas_threads, tmp_path, params,
                                                      method, which):
-    # the two operators of the cluster sweeps, solved on one BLAS thread and,
-    # with the limit made a no-op, on the fixture's two. Bytes may differ: how
-    # OpenBLAS splits ARPACK's panel products between threads depends on its
-    # build and the CPU kernel it picks, and a threaded solve can return a Ritz
-    # vector with another phase. Values and the eigenspace must agree.
+    # the two operators of the cluster sweeps, solved in a process on one
+    # BLAS thread and in one on two. Bytes may differ: how OpenBLAS splits
+    # ARPACK's panel products between threads depends on its build and the
+    # CPU kernel it picks, and a threaded solve can return a Ritz vector
+    # with another phase. Values and the eigenspace must agree.
     # largest_abs with odd k picks one of a +-lambda pair; a flip moves a value
     # by 2|lambda| and fails the values check.
-    from contextlib import nullcontext
-    from sdnet import spectral
-    from sdnet.pipeline import generate_from_params
-    op = method(generate_from_params(params, seed=11).graph)
-    limited = eigh(op, 3, which)
-    monkeypatch.setattr(spectral, "single_blas_thread", nullcontext)
-    threaded = eigh(op, 3, which)
-    assert np.allclose(limited.values, threaded.values, rtol=0, atol=1e-9)
-    assert np.max(np.abs(_projector(limited.vectors) - _projector(threaded.vectors))) <= 1e-9
+    solved = []
+    for threads in (1, 2):
+        path = tmp_path / f"{threads}.npz"
+        run_at_blas_threads(f"""
+import numpy as np
+from sdnet import spectral
+from sdnet.pipeline import generate_from_params
+op = spectral.{method}(generate_from_params({params!r}, seed=11).graph)
+pairs = spectral.eigh(op, 3, {which!r})
+np.savez({str(path)!r}, values=pairs.values, vectors=pairs.vectors)
+""", threads)
+        with np.load(path) as pairs:
+            solved.append((pairs["values"], pairs["vectors"]))
+    (single_vals, single_vecs), (two_vals, two_vecs) = solved
+    assert np.allclose(single_vals, two_vals, rtol=0, atol=1e-9)
+    assert np.max(np.abs(_projector(single_vecs) - _projector(two_vecs))) <= 1e-9
 
 
 # ------------------------------------- byte oracles for assembly and bound

@@ -28,8 +28,8 @@ numpy's OpenBLAS does not export it. Each builder runs in a fresh
 process, whose peak RSS (Linux's ``VmHWM``) starts below the builder;
 ``ru_maxrss`` would not, as it keeps the RSS of the process it was
 started from.
-The header names each OpenBLAS loaded and its thread count; solves below
-``spectral.LANCZOS_THREADED_MIN_N`` rows run on one of them. Not part of
+The header prints ``OPENBLAS_NUM_THREADS``, the BLAS thread count every
+stage runs at ("unset": OpenBLAS's default). Not part of
 the pytest suite; the CI workflow runs it at n = 20,000 (a few seconds),
 which keeps it working. Run it from the root of a source checkout:
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing
+import os
 import resource
 import tempfile
 import tracemalloc
@@ -111,11 +112,9 @@ def main(argv=None) -> None:
               flush=True)
         return out
 
-    import scipy.sparse.linalg  # noqa: F401  (loads scipy's BLAS before the lookup)
-    for path, get, _ in _blas.openblas_libraries():
-        print(f"OpenBLAS {path}: {get()} threads")
-    limited = "one BLAS thread" if n < spectral.LANCZOS_THREADED_MIN_N else "all BLAS threads"
-    print(f"sdsbm f1, n={n}, p={DEGREE:g}/n, k={K} (eigh on {limited}); "
+    import scipy.sparse.linalg  # noqa: F401  (so no stage's time includes the import)
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"sdsbm f1, n={n}, p={DEGREE:g}/n, k={K}, OPENBLAS_NUM_THREADS={threads}; "
           f"peak RSS at start {_peak_mb():.1f} MB")
     tracemalloc.start()
     g = stage("generate", lambda: sdsbm(f1_meta(0.0), n, DEGREE / n, seed=1).graph)
