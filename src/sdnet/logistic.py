@@ -11,9 +11,14 @@ loss unchanged, so the Hessian is singular along that direction; the
 gradient is orthogonal to it, and the direction is solved with
 H + n n^T, n the normalized all-bias direction. The solve stops once
 the Newton decrement g^T H^-1 g, twice the predicted remaining loss
-decrease, is at most eps * loss. Not getting there within a fixed
-iteration cap, or a line search that finds no acceptable step, raises
-``NumericError``.
+decrease, is at most eps * loss. From the second iteration on, the
+decrement is first taken with the previous iteration's Hessian, and at
+most eps * loss / 4 stops the solve without forming a fresh one; near the
+optimum the two differ by a relative O(||step||), so the factor 4 lets
+through only stops the fresh test allows too. Otherwise the fresh Hessian
+is formed, tested against eps * loss and solved for the step. Not getting
+there within a fixed iteration cap, or a line search that finds no
+acceptable step, raises ``NumericError``.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ def _loss_grad(x1t, yi, theta, l2):
     z_y is the maximum.
     """
     k, m = theta.shape[0], x1t.shape[1]
-    rows = np.arange(m)
+    at_y = np.ravel_multi_index((yi, np.arange(m)), (k, m))  # each (y, row) entry
     logits = theta @ x1t
     logits -= logits.max(axis=0)
     e = np.exp(logits)
@@ -84,26 +89,26 @@ def _loss_grad(x1t, yi, theta, l2):
     s = (e * below).sum(axis=0) + ((k - 1) - below.sum(axis=0))
     norm = 1.0 + s
     p = e / norm
-    zy = logits[yi, rows]
+    zy = logits.take(at_y)
     w = theta[:, :-1]
     loss = (float(np.sum(np.log1p(s)) - np.sum(zy)) / m
             + 0.5 * l2 * float((w * w).sum()))
     diff = p.copy()
-    diff[yi, rows] -= 1.0
-    hit = zy == 0.0
-    diff[yi[hit], rows[hit]] = -s[hit] / norm[hit]
+    diff.put(at_y, np.where(zy == 0.0, -s / norm, p.take(at_y) - 1.0))
     grad = diff @ x1t.T / m
     grad[:, :-1] += l2 * w
     return loss, grad, p
 
 
-def _hessian(x1t: np.ndarray, p: np.ndarray, l2: float) -> np.ndarray:
+def _hessian(x1t: np.ndarray, p: np.ndarray, l2: float,
+             buf: np.ndarray) -> np.ndarray:
     """Hessian in class-major order, plus n n^T on the all-bias direction.
 
     Block (i, j) is x1^T diag(p_i (delta_ij - p_j)) x1 / m. Columns of p
     sum to one, so a diagonal block is minus the sum of its row's
     off-diagonal blocks and only the K(K - 1)/2 blocks i < j need a
-    product.
+    product. Each weighted row block is written into ``buf``
+    (d+1 x min(m, _BLOCK)).
     """
     d1, m = x1t.shape
     k = p.shape[0]
@@ -114,7 +119,8 @@ def _hessian(x1t: np.ndarray, p: np.ndarray, l2: float) -> np.ndarray:
             c = np.zeros((d1, d1))
             for lo in range(0, m, _BLOCK):
                 xb = x1t[:, lo:lo + _BLOCK]
-                c += (xb * w[lo:lo + _BLOCK]) @ xb.T
+                wx = np.multiply(xb, w[lo:lo + _BLOCK], out=buf[:, :xb.shape[1]])
+                c += wx @ xb.T
             h[i, :, j, :] = h[j, :, i, :] = -c
             h[i, :, i, :] += c
             h[j, :, j, :] += c
@@ -167,18 +173,23 @@ def logistic_train(x, y, classes=None, l2: float = 1e-4,
         if start.weights.shape != (d, k) or not np.array_equal(start.classes, classes):
             raise ValueError("the warm start's classes or feature count differ")
         theta = np.hstack([start.weights.T, start.bias[:, None]])
+    buf = np.empty((d + 1, min(m, _BLOCK)))
     loss, grad, p = _loss_grad(x1t, yi, theta, l2)
     losses = []
+    h = None  # the previous iteration's Hessian
     for _ in range(_MAX_ITER):
         losses.append(loss)
         g = grad.ravel()
-        step = -np.linalg.solve(_hessian(x1t, p, l2), g)
+        # the predicted decrease, decrement / 2, is below half an ulp of the
+        # loss: by the previous Hessian with a margin of 4, else by a fresh one
+        if (h is not None
+                and float(g @ np.linalg.solve(h, g)) <= 0.25 * _EPS * loss):
+            break
+        h = _hessian(x1t, p, l2, buf)
+        step = -np.linalg.solve(h, g)
         decrement = -float(g @ step)
-        # the predicted decrease, decrement / 2, is below half an ulp of the loss
         if decrement <= _EPS * loss:
-            return LogisticModel(np.ascontiguousarray(theta[:, :-1].T),
-                                 theta[:, -1].copy(), classes, losses,
-                                 float(np.sqrt(sum_squares(g))))
+            break
         step = step.reshape(k, d + 1)
         t = 1.0
         while True:
@@ -195,4 +206,7 @@ def logistic_train(x, y, classes=None, l2: float = 1e-4,
                 raise NumericError(f"Newton line search failed at decrement "
                                    f"{decrement:.3g}")
         theta, loss, grad, p = trial, loss_t, grad_t, p_t
-    raise NumericError(f"Newton solve did not converge in {_MAX_ITER} iterations")
+    else:
+        raise NumericError(f"Newton solve did not converge in {_MAX_ITER} iterations")
+    return LogisticModel(np.ascontiguousarray(theta[:, :-1].T), theta[:, -1].copy(),
+                         classes, losses, float(np.sqrt(sum_squares(g))))

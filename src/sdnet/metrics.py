@@ -18,6 +18,9 @@ from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
 # wedges searched per step of balanced_triangle_ratio, which bounds the
 # step's temporaries (about 3 MB)
 WEDGES = 1 << 16
+# edges per product of prob_imbalance's flow matrix, which bounds its
+# gathered rows (2 x 1.5 MB at K = 3)
+EDGE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,10 @@ def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
 
     W = P^T |A| P; pairwise imbalance |W_kl - W_lk| / (W_kl + W_lk)
     (0/0 -> 0) averaged over unordered cluster pairs. Training maximizes
-    this score, i.e. the objective is its negation. W is one BLAS
-    product, whose entries do not change with its thread split.
+    this score, i.e. the objective is its negation. W sums one BLAS
+    product per EDGE_BLOCK edges in edge order (a graph with at most
+    EDGE_BLOCK edges takes one product); a product's entries do not
+    change with its thread split.
     """
     soft = _as_soft(assignment)
     k = soft.num_clusters
@@ -203,7 +208,12 @@ def prob_imbalance(g: SignedDirectedGraph, assignment) -> float:
     if soft.P.shape[0] != g.num_nodes:
         raise ValueError("assignment rows must equal node count")
     p = soft.P
-    w = (p[g.src] * np.abs(g.weight)[:, None]).T @ p[g.dst]
+    w = np.zeros((k, k))
+    for lo in range(0, g.num_edges, EDGE_BLOCK):
+        hi = lo + EDGE_BLOCK
+        src_p = p[g.src[lo:hi]]
+        src_p *= np.abs(g.weight[lo:hi])[:, None]
+        w += src_p.T @ p[g.dst[lo:hi]]
     i, j = np.triu_indices(k, 1)
     denom = w[i, j] + w[j, i]
     ratio = np.abs(w[i, j] - w[j, i]) / np.where(denom > 0, denom, 1.0)  # 0/0 -> 0

@@ -177,19 +177,33 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
                    embed_dim: int, combine: str, q: float, tau: float) -> list:
     """Edge features for each pair set from one embedding of ``g``.
 
-    ``phase`` takes the complex embedding z as it is, stacks the
-    phase-difference block with both endpoints' signed degrees and
-    standardizes every column with the statistics of the first pair set
-    (the training fold).
+    ``phase`` takes the complex embedding z as it is, writes each pair
+    set's [Re | Im] phase-difference block (``edge_feature_matrix``) and
+    both endpoints' signed degrees into one array and standardizes every
+    column in place with the statistics of the first pair set (the
+    training fold), as ``standardize_columns`` would.
     """
     if combine != "phase":
         node_x = link_node_embedding(g, embed_method, embed_dim, q=q, tau=tau)
         return [edge_feature_matrix(node_x, p, combine) for p in pair_sets]
     z = _embedding(g, embed_method, embed_dim, q, tau)
     deg = signed_degree_features(g).values
-    xs = [np.hstack([edge_feature_matrix(z, p, "phase"),
-                     edge_feature_matrix(deg, p, "concat")]) for p in pair_sets]
-    return [standardize_columns(x, ref=xs[0]) for x in xs]
+    r, c = z.shape[1], 2 * deg.shape[1]
+    xs = []
+    for p in pair_sets:
+        x = np.empty((len(p), 2 * r + c))
+        prod = np.conj(z[p[:, 0]]) * z[p[:, 1]]
+        x[:, :r] = prod.real
+        x[:, r:2 * r] = prod.imag
+        x[:, 2 * r:] = deg[p].reshape(len(p), c)
+        xs.append(x)
+    mean, std = xs[0].mean(axis=0), xs[0].std(axis=0)
+    nz = std > 0
+    for x in xs:
+        x -= mean
+        np.divide(x, std, out=x, where=nz)
+        x[:, ~nz] = 0.0
+    return xs
 
 
 def resolve_combiner(embed_method: str, combine: str | None = None) -> str:

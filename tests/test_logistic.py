@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sdnet.logistic as logistic
+from sdnet._blas import sum_squares
 from sdnet.logistic import logistic_train, _loss_grad
 from sdnet.rng import stream
 from sdnet.spectral import NumericError
@@ -35,6 +36,91 @@ def ref_gradient_descent(x, y, k, l2=1e-4, lr=0.1, epochs=500):
         w -= lr * gw
         b -= lr * gb
     return w, b
+
+
+# Reference: the Newton solve as it ran before its stop test reused the
+# previous iteration's Hessian, with its 2-D gathers and a fresh weighted
+# copy per Hessian block; it forms a fresh Hessian every iteration.
+def ref_newton_loss_grad(x1t, yi, theta, l2):
+    k, m = theta.shape[0], x1t.shape[1]
+    rows = np.arange(m)
+    logits = theta @ x1t
+    logits -= logits.max(axis=0)
+    e = np.exp(logits)
+    below = logits < 0.0
+    s = (e * below).sum(axis=0) + ((k - 1) - below.sum(axis=0))
+    norm = 1.0 + s
+    p = e / norm
+    zy = logits[yi, rows]
+    w = theta[:, :-1]
+    loss = (float(np.sum(np.log1p(s)) - np.sum(zy)) / m
+            + 0.5 * l2 * float((w * w).sum()))
+    diff = p.copy()
+    diff[yi, rows] -= 1.0
+    hit = zy == 0.0
+    diff[yi[hit], rows[hit]] = -s[hit] / norm[hit]
+    grad = diff @ x1t.T / m
+    grad[:, :-1] += l2 * w
+    return loss, grad, p
+
+
+def ref_newton_hessian(x1t, p, l2):
+    d1, m = x1t.shape
+    k = p.shape[0]
+    h = np.zeros((k, d1, k, d1))
+    for i in range(k):
+        for j in range(i + 1, k):
+            w = p[i] * p[j] / m
+            c = np.zeros((d1, d1))
+            for lo in range(0, m, logistic._BLOCK):
+                xb = x1t[:, lo:lo + logistic._BLOCK]
+                c += (xb * w[lo:lo + logistic._BLOCK]) @ xb.T
+            h[i, :, j, :] = h[j, :, i, :] = -c
+            h[i, :, i, :] += c
+            h[j, :, j, :] += c
+    h = h.reshape(k * d1, k * d1)
+    reg = np.full(d1, l2)
+    reg[-1] = 0.0
+    h[np.diag_indices_from(h)] += np.tile(reg, k)
+    bias = np.arange(k) * d1 + d1 - 1
+    h[np.ix_(bias, bias)] += 1.0 / k
+    return h
+
+
+def ref_newton(x, y, k, l2, start=None):
+    """Fit with classes 0..k-1 from zero or from ``start`` (W, b); returns
+    (W, b, losses, grad_norm, Hessians formed)."""
+    eps, roundoff = np.finfo(np.float64).eps, 64 * np.finfo(np.float64).eps
+    m, d = x.shape
+    x1t = np.empty((d + 1, m))  # C order, as BLAS's rounding depends on it
+    x1t[:d] = x.T
+    x1t[d] = 1.0
+    theta = (np.zeros((k, d + 1)) if start is None
+             else np.hstack([start[0].T, start[1][:, None]]))
+    loss, grad, p = ref_newton_loss_grad(x1t, y, theta, l2)
+    losses = []
+    for hessians in range(1, logistic._MAX_ITER + 1):
+        losses.append(loss)
+        g = grad.ravel()
+        step = -np.linalg.solve(ref_newton_hessian(x1t, p, l2), g)
+        decrement = -float(g @ step)
+        if decrement <= eps * loss:
+            return (np.ascontiguousarray(theta[:, :-1].T), theta[:, -1].copy(),
+                    losses, float(np.sqrt(sum_squares(g))), hessians)
+        step = step.reshape(k, d + 1)
+        t = 1.0
+        while True:
+            trial = theta + t * step
+            loss_t, grad_t, p_t = ref_newton_loss_grad(x1t, y, trial, l2)
+            if loss_t <= loss - 1e-4 * t * decrement:
+                break
+            if (abs(loss_t - loss) <= roundoff * loss
+                    and sum_squares(grad_t) < sum_squares(grad)):
+                break
+            t *= 0.5
+            assert t >= 2.0 ** -30, "line search failed"
+        theta, loss, grad, p = trial, loss_t, grad_t, p_t
+    raise AssertionError("no convergence")
 
 
 def _onehot(y, k):
@@ -146,6 +232,66 @@ def test_warm_start_reaches_the_same_optimum():
                                atol=1e-8)
     with pytest.raises(ValueError):
         logistic_train(x[:, :3], y, start=cold)
+
+
+def _battery_problem(seed):
+    """K = 2-5 classes, m = 40-1500 rows, d = 1-30 features scaled 0.5-20."""
+    rng = stream(seed)
+    k, m, d = int(rng.integers(2, 6)), int(rng.integers(40, 1500)), int(rng.integers(1, 31))
+    scale = float(rng.uniform(0.5, 20))
+    y = np.arange(m) % k
+    x = (rng.normal(size=(k, d))[y] + rng.normal(size=(m, d))) * scale
+    return x, y, k
+
+
+def _count_hessians(monkeypatch):
+    calls = [0]
+    real = logistic._hessian
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(logistic, "_hessian", counted)
+    return calls
+
+
+def _assert_fits_as_oracle(fit, ref):
+    w, b, losses, grad_norm, _ = ref
+    assert fit.weights.tobytes() == w.tobytes()
+    assert fit.bias.tobytes() == b.tobytes()
+    assert fit.losses == losses
+    assert fit.grad_norm.hex() == grad_norm.hex()
+
+
+def test_warm_started_chains_match_the_fresh_hessian_oracle(monkeypatch):
+    # the stop test by the previous Hessian forms fewer Hessians and moves
+    # no bit of any fit along the l2 chains linkpred_run takes
+    from sdnet.pipeline import L2_GRID
+    calls = _count_hessians(monkeypatch)
+    ref_hessians = 0
+    for seed in range(40):
+        x, y, k = _battery_problem(seed)
+        fit, start = None, None
+        for l2 in L2_GRID:
+            fit = logistic_train(x, y, classes=np.arange(k), l2=l2, start=fit)
+            ref = ref_newton(x, y, k, l2, start)
+            _assert_fits_as_oracle(fit, ref)
+            start = ref[:2]
+            ref_hessians += ref[4]
+    assert calls[0] < ref_hessians
+
+
+def test_stale_decrement_above_its_bound_forms_a_fresh_hessian(monkeypatch):
+    # this fit's last iterate fails the previous Hessian's test at
+    # eps * loss / 4 and stops on a fresh Hessian, one per iterate
+    x, y, k = _battery_problem(1)
+    calls = _count_hessians(monkeypatch)
+    fit = logistic_train(x, y, classes=np.arange(k), l2=1.0)
+    ref = ref_newton(x, y, k, 1.0)
+    _assert_fits_as_oracle(fit, ref)
+    assert len(fit.losses) >= 2
+    assert calls[0] == len(fit.losses) == ref[4]
 
 
 def test_iteration_cap_raises_numeric_error(monkeypatch):

@@ -146,6 +146,31 @@ def test_linkpred_chooses_l2_on_the_validation_fold(task, embed):
     assert got["auc"] == auc(chosen.predict_proba(x_test)[:, 1], split.test_labels)
 
 
+@pytest.mark.parametrize("embed", ["hermitian_spectral", "magnetic_laplacian"])
+def test_phase_features_equal_the_stacked_standardized_composition(embed):
+    # reference: hstack each fold's phase and degree blocks, then
+    # standardize every fold by the training fold's statistics; the dsbm
+    # graph has no negative edges, so its negative-degree columns are
+    # constant and take the std = 0 branch
+    from sdnet.graph import signed_degree_features, standardize_columns
+    from sdnet.pipeline import _embedding, _link_features
+    from sdnet.splitters import link_class_split
+    g = generate_from_params({"model": "dsbm", "meta": "cycle", "n": 150, "k": 3,
+                              "p": 0.2}, seed=4).graph
+    split = link_class_split(g, "DP", seed=3)
+    obs = split.observed_graph
+    folds = (split.train_pairs, split.val_pairs, split.test_pairs)
+    z = _embedding(obs, embed, 6, 0.25, 0.25)
+    deg = signed_degree_features(obs).values
+    xs = [np.hstack([edge_feature_matrix(z, p, "phase"),
+                     edge_feature_matrix(deg, p, "concat")]) for p in folds]
+    ref = [standardize_columns(x, ref=xs[0]) for x in xs]
+    got = _link_features(obs, folds, embed, 6, "phase", 0.25, 0.25)
+    assert (xs[0].std(axis=0) == 0).any()
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_linkpred_needs_a_validation_fold():
     inst = generate_from_params({"model": "sdsbm", "n": 60, "p": 0.3,
                                  "meta": "f1", "gamma": 0.0}, seed=0)

@@ -1,6 +1,6 @@
 """The edge-list forms of pbnc_loss and prob_imbalance against the dense
 n x n formulas they replace, their bits at any BLAS thread count, and
-pbnc_loss's memory."""
+their memory."""
 
 import numpy as np
 
@@ -36,6 +36,16 @@ def dense_prob_imbalance(g, p):
             if w[i, j] + w[j, i] > 0:
                 total += abs(w[i, j] - w[j, i]) / (w[i, j] + w[j, i])
     return 2.0 * total / (k * (k - 1))
+
+
+def one_product_prob_imbalance(g, p):
+    """prob_imbalance with W formed by one product over every edge."""
+    k = p.shape[1]
+    w = (p[g.src] * np.abs(g.weight)[:, None]).T @ p[g.dst]
+    i, j = np.triu_indices(k, 1)
+    denom = w[i, j] + w[j, i]
+    ratio = np.abs(w[i, j] - w[j, i]) / np.where(denom > 0, denom, 1.0)
+    return float(2.0 * np.cumsum(ratio)[-1] / (k * (k - 1)))
 
 
 def graphs():
@@ -109,3 +119,39 @@ def test_pbnc_loss_traced_bytes_per_cell():
             tracemalloc.stop()
     assert loss > 0.0 and cells > 190_000
     assert peak <= 60 * cells, f"{peak / cells:.1f} bytes per cell"
+
+
+def test_prob_imbalance_in_one_edge_block_keeps_the_one_product_bits():
+    from sdnet.metrics import EDGE_BLOCK
+    from sdnet.pipeline import generate_from_params
+    cases = graphs() + [generate_from_params(
+        {"model": "sdsbm", "meta": "f1", "n": 1000, "p": 0.1, "rho": 1.5,
+         "eta": 0.1, "gamma": 0.1}, seed=0).graph]
+    assert 40_000 < cases[-1].num_edges <= EDGE_BLOCK
+    for i, g in enumerate(cases):
+        for k in (2, 3, 5):
+            p = soft(g.num_nodes, k, 10 * i + k)
+            assert repr(prob_imbalance(g, p)) == repr(one_product_prob_imbalance(g, p.P))
+
+
+def test_prob_imbalance_traced_bytes_per_edge():
+    # two m x K gathers over every edge once traced 56 bytes per edge
+    import tracemalloc
+    n = 20_000
+    g = sdsbm(f1_meta(0.2), n, 20.0 / n, eta=0.2, seed=1).graph
+    p = soft(n, 3, 0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        score = prob_imbalance(g, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert g.num_edges > 190_000
+    assert peak < 25 * g.num_edges, f"{peak / g.num_edges:.1f} bytes per edge"
+    # the blocks sum in another order than one product: the last bits move
+    assert abs(score - one_product_prob_imbalance(g, p.P)) <= 1e-12

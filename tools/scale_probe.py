@@ -7,13 +7,17 @@ and its spanning forest (the two callers of one Borůvka routine),
 splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs,
 clusters the row-normalized [Re | Im] embedding and scores the soft
-assignment (``pbnc_loss``, then ``prob_imbalance``), printing after each
-stage its wall time, its own traced peak (tracemalloc, in bytes per
-edge above what was held when the stage began), the process's peak
-RSS so far (``ru_maxrss``) and its current RSS (Linux's ``VmRSS``);
+assignment (``pbnc_loss``, then ``prob_imbalance``), splits its links
+for 5C and fits the link classifier's ``L2_GRID`` warm-started chain on
+the training fold's signed-degree ``concat`` features (K = 5), printing
+after each stage its wall time, its own traced peak (tracemalloc, in
+bytes per edge above what was held when the stage began), the process's
+peak RSS so far (``ru_maxrss``) and its current RSS (Linux's ``VmRSS``);
 under the build stage it prints the bytes per edge the operator keeps
-and the build's traced peak as a multiple of them, and under each score
-its traced peak per cell of the symmetrized support. ``ru_maxrss`` only
+and the build's traced peak as a multiple of them, under each score its
+traced peak per cell of the symmetrized support, and under the fit its
+rows, the Newton iterations of each fit and its traced peak per row.
+``ru_maxrss`` only
 grows, so a stage that peaks below an earlier one shows no rise there;
 the traced peak does, and the current RSS shows how much of the heap
 the stage left mapped for the next one.
@@ -53,6 +57,8 @@ from sdnet import _blas, graph, metrics, spectral
 from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import f1_meta, sdsbm
+from sdnet.logistic import logistic_train
+from sdnet.pipeline import L2_GRID, edge_feature_matrix
 from sdnet.splitters import link_class_split, spanning_forest
 
 N = 100_000
@@ -144,6 +150,24 @@ def main(argv=None) -> None:
     for name in ("pbnc_loss", "prob_imbalance"):
         stage(name, getattr(metrics, name), g, soft)
         print(f"  traced peak {traced * m / cells:.1f} B/cell")
+
+    split = stage("link_class_split(5C)", link_class_split, g, "5C")
+    deg = graph.signed_degree_features(split.observed_graph).values
+    x = edge_feature_matrix(deg, split.train_pairs, "concat")
+    classes = np.arange(len(split.label_names))
+    iterations = []
+
+    def fit_chain():
+        fit = None
+        for l2 in L2_GRID:
+            fit = logistic_train(x, split.train_labels, classes=classes, l2=l2, start=fit)
+            iterations.append(len(fit.losses))
+
+    stage(f"logistic_train(5C, {len(L2_GRID)} l2 fits)", fit_chain)
+    rows = x.shape[0]
+    print(f"  {rows} rows x {x.shape[1]} columns, K = {classes.size}; Newton iterations "
+          f"per fit {iterations}; traced peak {traced * m / rows:.1f} B/row")
+    del split, deg, x
 
     n_f = min(n, DENSE_N)
     print(f"dense features, sdsbm f1, n_f={n_f}, k={DENSE_K}, each in a fresh process "
