@@ -19,7 +19,12 @@ together, and a restart drops out of the batch once its labels stop
 changing. Each step fills one (restarts, k, n) buffer with distances,
 takes the nearest centres, then overwrites the buffer with the labels'
 one-hot: one matrix product of it with x gives every cluster's sum in
-every restart, and its row sums the member counts.
+every restart, and its row sums the member counts. ``kmeans_seeds``
+runs the restarts of as many seeds as fit ``KMEANS_BATCH_CELLS``
+(2**21 float64 distance cells, 16 MB; at least one seed, whose restarts
+are never split) as one such batch and gives each seed
+``kmeans_full``'s result bit for bit; ``cluster_sweep`` clusters all
+seeds of an instance this way.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ from .graph import (SignedDirectedGraph, _fix_phase, _fix_sign,
                     signed_spectral_features)
 from .metrics import SoftAssignment
 from .rng import stream
+
+# float64 cells of the (restarts, k, n) distance buffer that one k-means
+# batch may hold: 2**21, 16 MB
+KMEANS_BATCH_CELLS = 1 << 21
 
 
 class Embedding(NamedTuple):
@@ -111,16 +120,25 @@ def _kmeanspp(x: np.ndarray, sq: np.ndarray, k: int, rng) -> np.ndarray:
 
 
 def _dist2(xt: np.ndarray, sq: np.ndarray, centers: np.ndarray,
-           out: np.ndarray) -> np.ndarray:
+           out: np.ndarray, spans) -> np.ndarray:
     """Squared distances from each restart's centres (r, k, d) to every
     column of xt (d, n), written into ``out`` (r, k, n) without other
-    temporaries."""
+    temporaries; the product takes each (lo, hi) restart span of
+    ``spans`` on its own (``_per_span``)."""
     r, k, d = centers.shape
     # scaling by -2 is exact, so (-2 c) . x has the bits of -2 (c . x)
-    np.matmul(centers.reshape(r * k, d) * -2.0, xt, out=out.reshape(r * k, -1))
+    _per_span(centers.reshape(r * k, d) * -2.0, xt, out.reshape(r * k, -1), k, spans)
     out += sq
     out += (centers * centers).sum(axis=2)[:, :, None]
     return np.maximum(out, 0.0, out=out)
+
+
+def _per_span(a: np.ndarray, b: np.ndarray, out: np.ndarray, k: int, spans) -> None:
+    """a @ b into ``out``, k rows per restart, one product per (lo, hi)
+    restart span: a seed's products keep the shapes, and so the bits,
+    they have when it runs alone, which one wider product does not."""
+    for lo, hi in spans:
+        np.matmul(a[lo * k:hi * k], b, out=out[lo * k:hi * k])
 
 
 def _nearest(d2: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -159,7 +177,21 @@ def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     together on an (r, k, d) centre array; a restart leaves the batch once
     its labels stop changing, and the lowest inertia wins (the first
     restart on ties). The centroid sums come from a BLAS product, so
-    centres may differ from a sequential sum in their last bits.
+    centres may differ from a sequential sum in their last bits. The
+    one-seed case of ``kmeans_seeds``.
+    """
+    return kmeans_seeds(x, k, (seed,), restarts=restarts, max_iter=max_iter)[0]
+
+
+def kmeans_seeds(x: np.ndarray, k: int, seeds, restarts: int = 10,
+                 max_iter: int = 100) -> list:
+    """``kmeans_full(x, k, restarts, max_iter, seed)`` for each of ``seeds``,
+    in order, as (labels, centroids, inertia) triples.
+
+    Each seed's restarts are seeded from its own stream, in seed order,
+    and the restarts of as many seeds as ``KMEANS_BATCH_CELLS`` allows
+    run Lloyd's steps as one batch (``_lloyd``); a seed whose buffer
+    alone exceeds the budget runs by itself.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -170,45 +202,70 @@ def kmeans_full(x: np.ndarray, k: int, restarts: int = 10, max_iter: int = 100,
     if not np.isfinite(x).all():
         raise ValueError("k-means data must be finite (found NaN or inf)")
     sq = (x * x).sum(axis=1)
-    rng = stream(seed)
+    seeds = tuple(seeds)
     restarts = max(restarts, 1)
-    centers = np.stack([_kmeanspp(x, sq, k, rng) for _ in range(restarts)])
+    batch = max(KMEANS_BATCH_CELLS // (restarts * k * n), 1)
+    out = []
+    for first in range(0, len(seeds), batch):
+        centers = []
+        for seed in seeds[first:first + batch]:
+            rng = stream(seed)
+            centers += [_kmeanspp(x, sq, k, rng) for _ in range(restarts)]
+        out += _lloyd(x, sq, np.stack(centers), restarts, max_iter)
+    return out
+
+
+def _lloyd(x: np.ndarray, sq: np.ndarray, centers: np.ndarray, restarts: int,
+           max_iter: int) -> list:
+    """Lloyd's steps on every restart of the (r, k, d) ``centers``, whose
+    consecutive blocks of ``restarts`` belong to one seed each; the
+    lowest-inertia restart of each block, the first on ties."""
+    r, k, _ = centers.shape
+    n = x.shape[0]
     # the live temporaries: x^T, d2 (r, k, n) and two (r, n) label arrays;
     # labels take the smallest type that also holds k, the "none yet" mark
     xt = np.ascontiguousarray(x.T)
-    d2 = np.empty((restarts, k, n))
+    d2 = np.empty((r, k, n))
     label = np.min_scalar_type(k)
-    labels = np.empty((restarts, n), dtype=label)
-    prev = np.full((restarts, n), k, dtype=label)  # rows follow ``active``
+    labels = np.empty((r, n), dtype=label)
+    prev = np.full((r, n), k, dtype=label)  # rows follow ``active``
     ids = np.arange(k, dtype=label)[:, None]
-    active = np.arange(restarts)
+    active = np.arange(r)
+    seed_ends = np.arange(0, r + 1, restarts)
     for _ in range(max_iter):
         a = active.size
         if not a:
             break
         c, new = centers[active], labels[:a]
-        mind2 = _nearest(_dist2(xt, sq, c, d2[:a]), new)
+        # each seed's live restarts, a run of ``active``
+        ends = np.searchsorted(active, seed_ends)
+        spans = [(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]) if lo < hi]
+        mind2 = _nearest(_dist2(xt, sq, c, d2[:a], spans), new)
         for i in np.flatnonzero(_has_empty(new, ids)):
             _reseed_empty(x, c[i], new[i], mind2[i])
         # d2 is spent: it takes the labels' one-hot, whose product with x
         # sums each cluster's members and whose row sums count them
         onehot = d2[:a]
         np.equal(new[:, None, :], ids, out=onehot)
-        sums = np.matmul(onehot.reshape(a * k, n), x).reshape(a, k, -1)
+        sums = np.empty((a * k, x.shape[1]))
+        _per_span(onehot.reshape(a * k, n), x, sums, k, spans)
+        sums = sums.reshape(a, k, -1)
         counts = onehot.sum(axis=2)
         moved = (new != prev[:a]).any(axis=1)
         update = moved[:, None] & (counts > 0)
         c[update] = sums[update] / counts[update][:, None]
         centers[active] = c
         labels, prev = prev, labels  # this step's labels are the next one's prev
-        for row, i in enumerate(np.flatnonzero(moved)):
-            if row != i:
-                prev[row] = prev[i]
-        active = active[moved]
-    mind2 = _nearest(_dist2(xt, sq, centers, d2), labels)
+        kept = np.flatnonzero(moved)
+        prev[:kept.size] = prev[kept]
+        active = active[kept]
+    mind2 = _nearest(_dist2(xt, sq, centers, d2, zip(seed_ends[:-1], seed_ends[1:])),
+                     labels)
     inertia = mind2.sum(axis=1)
-    best = int(np.argmin(inertia))
-    return labels[best].astype(np.int64), centers[best].copy(), float(inertia[best])
+    best = np.argmin(inertia.reshape(-1, restarts), axis=1)
+    best += np.arange(0, r, restarts)
+    return [(labels[b].astype(np.int64), centers[b].copy(), float(inertia[b]))
+            for b in best]
 
 
 def _has_empty(labels: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -112,9 +112,26 @@ def is_signed(g: SignedDirectedGraph) -> bool:
 
 
 def is_directed(g: SignedDirectedGraph) -> bool:
-    """True iff some edge lacks a reciprocal edge of equal weight."""
-    _, _, a_lh, a_hl = symmetric_pairs(g)
-    return bool(np.any(a_lh != a_hl))
+    """True iff some edge lacks a reciprocal edge of equal weight.
+
+    A node whose out- and in-degree counts differ settles it at once.
+    Otherwise the graph is undirected exactly when its reversed edges are
+    its edges: the reversed codes v * n + u, sorted, must equal the codes
+    u * n + v in ascending order (sorted only when stored out of order),
+    each with the same weight. No cell of ``symmetric_pairs`` is formed.
+    """
+    n = g.num_nodes
+    if not np.array_equal(np.bincount(g.src, minlength=n),
+                          np.bincount(g.dst, minlength=n)):
+        return True
+    codes, weight = g.src * n + g.dst, g.weight
+    if not np.all(codes[1:] > codes[:-1]):
+        order = np.argsort(codes)
+        codes, weight = codes[order], weight[order]
+    reverse = g.dst * n + g.src
+    order = np.argsort(reverse)
+    return not (np.array_equal(reverse[order], codes)
+                and np.array_equal(g.weight[order], weight))
 
 
 def _jump_to_roots(parent: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import generators as gen
 # spectral_cluster is bound here for the CLI, which looks it up in this module
-from .cluster import (_embedding, is_complex, kmeans_full, real_columns,
+from .cluster import (_embedding, is_complex, kmeans_seeds, real_columns,
                       spectral_cluster, spectral_embedding)
 from .graph import (SignedDirectedGraph, signed_degree_features,
                     standardize_columns)
@@ -298,9 +298,10 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
     each value reaches the generator as given and its record as a float.
     For each (value, instance): generate an instance (seed derived from
     the base seed, sweep index and instance index) and embed it once
-    (``spectral_embedding``, one eigensolve). For each seed: draw one
-    node split, take k-means labels on that embedding (``kmeans_full``;
-    no soft assignment is formed) and score ARI on the test mask only.
+    (``spectral_embedding``, one eigensolve), and take every seed's
+    k-means labels on it in one call (``kmeans_seeds``, each seed's
+    ``kmeans_full``; no soft assignment is formed). For each seed: draw
+    one node split and score ARI on the test mask only.
     Records equal those of calling ``spectral_cluster`` per seed. An
     unknown ``param`` or ``method``, an empty ``values`` or ``seeds``, or
     ``instances`` below 1 raises ValueError, and a value ``float``
@@ -323,11 +324,11 @@ def cluster_sweep(graph_params: dict, param: str, values, method: str, k: int,
             instance = generate_from_params(gp, seed=derive(base_seed, vi, inst))
             labels = instance.labels
             emb = spectral_embedding(instance.graph, method, k, q=q, tau=tau)
-            for s in seeds:
+            runs = kmeans_seeds(emb, k, [derive(base_seed, vi, inst, s, 2) for s in seeds])
+            for s, (pred, _, _) in zip(seeds, runs):
                 split = node_split(labels, train_frac=train_frac, val_frac=val_frac,
                                    test_frac=test_frac, num_splits=1,
                                    seed=derive(base_seed, vi, inst, s, 1))
-                pred = kmeans_full(emb, k, seed=derive(base_seed, vi, inst, s, 2))[0]
                 mask = split.test[:, 0]
                 records.append(RunRecord(swept[vi], inst, int(s), "ari",
                                          ari(labels[mask], pred[mask])))

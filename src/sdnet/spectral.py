@@ -18,9 +18,14 @@ bytes the operator keeps.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
 restarted Lanczos method (scipy's ``eigsh``, or ``eigs`` when complex)
 and a Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
-LAPACK decomposition. The smallest eigenpairs of L are the largest of
-c I - L, which ARPACK sees only as the product x -> c x - L x, so a
-solve stores no shifted copy of L. ARPACK stops at relative accuracy
+LAPACK decomposition. The largest-|value| pairs of i S, S real
+antisymmetric (every ``hermitian_imbalance`` operator), are found in
+real arithmetic: ``eigs`` solves a float64 copy of S for its 2 ceil(k/2)
+eigenvalues +-i sigma and the Rayleigh-Ritz step on i S finishes, an
+odd k keeping the +sigma member of its last pair. The smallest
+eigenpairs of L are the largest of c I - L, which ARPACK sees only as
+the product x -> c x - L x, so a solve stores no shifted copy of L.
+ARPACK stops at relative accuracy
 ``LANCZOS_TOL`` (1e-12) rather than machine precision, and every
 returned pair is then checked by the rule every eigensolve here shares
 (``_blas.check_residual``): a residual ||A v - lambda v|| above
@@ -276,6 +281,15 @@ def _norm_inf(a) -> float:
     return float(np.add.reduceat(np.abs(a.data), a.indptr[rows]).max(initial=0.0))
 
 
+def _skew_route(a, k: int, which: str) -> bool:
+    """Whether ``eigh`` solves the CSR operator ``a`` = i S through the real
+    antisymmetric S: ``largest_abs`` on a complex operator whose stored
+    values are all purely imaginary, with 2 ceil(k/2) < n - 1, the real
+    ARPACK solver's limit."""
+    return (which == "largest_abs" and a.dtype.kind == "c"
+            and k + k % 2 < a.shape[0] - 1 and not np.any(a.data.real))
+
+
 def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     """k eigenpairs of a sparse operator by ARPACK, then Rayleigh-Ritz.
 
@@ -285,28 +299,43 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     from |L.data| with the bits scipy's ``abs(L).sum(axis=1)`` gives, and
     the shift is applied inside ARPACK's operator, x -> c x - L x, so no
     shifted copy of L is stored. A float64 operator runs in real
-    arithmetic. ARPACK stops at relative accuracy
-    LANCZOS_TOL. Its complex driver does not return orthonormal Ritz
-    vectors, so the basis is orthonormalized (QR) and the k x k
-    projection Q^H L Q diagonalized, giving orthonormal vectors and
-    ascending values. A pair whose residual ||L v - lambda v|| exceeds
+    arithmetic, and so does ``largest_abs`` on i S with S real
+    antisymmetric (every stored value purely imaginary, as
+    ``hermitian_imbalance`` builds it): ARPACK's real ``eigs`` finds the
+    top 2p = 2 ceil(k/2) eigenvalues +-i sigma of a float64 copy of S,
+    which shares the operator's pattern and is dropped after the solve.
+    That needs 2p < n - 1; otherwise i S goes to the complex solver like
+    every other complex operator. ARPACK stops at relative accuracy
+    LANCZOS_TOL. Its non-symmetric solvers do not return orthonormal Ritz
+    vectors, so the basis is orthonormalized (QR) and the projection
+    Q^H L Q diagonalized, giving orthonormal vectors and ascending values.
+    Those of i S come as -sigma_1 <= ... <= -sigma_p <= sigma_p <= ... <=
+    sigma_1, and an odd k drops -sigma_p, the p-th of them: it keeps the
+    +sigma member of the last pair, as ``hermitian_spectral_features``
+    does, by position rather than by which of two equal magnitudes
+    rounds larger. A pair whose residual ||L v - lambda v|| exceeds
     1e-10 * max(1, ||L||_inf) raises NumericError (``check_residual``).
     A complex operator goes to ``eigs`` itself, as ``eigsh`` would pass it
     on without the fixed ``rng`` stream that ARPACK's restarts draw from.
     """
+    from scipy import sparse
     from scipy.sparse import linalg as spla
     a = op.entries
     n = op.num_nodes
     z = stream(LANCZOS_V0_KEY).standard_normal((2, n))
-    v0 = z[0] if a.dtype.kind == "f" else z[0] + 1j * z[1]
     norm_inf = _norm_inf(a)
-    shift = 0.0
+    shift, count = 0.0, k
     if which == "smallest":
         shift = norm_inf
         target, mode = spla.LinearOperator(
             a.shape, matvec=lambda x: shift * x - a @ x, dtype=a.dtype), "LA"
+    elif _skew_route(a, k, which):
+        target = sparse.csr_array((a.data.imag.copy(), a.indices, a.indptr),
+                                  shape=a.shape)
+        mode, count = "LM", k + k % 2
     else:
         target, mode = a, ("LA" if which == "largest" else "LM")
+    v0 = z[0] if target.dtype.kind == "f" else z[0] + 1j * z[1]
     if not np.any(target @ v0):
         # the operator is shift * I (c v0 - L v0 rounds to exactly 0 when
         # L = c I): every vector is an eigenvector, and ARPACK would stop
@@ -320,12 +349,15 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     rng = ({"rng": stream(LANCZOS_V0_KEY, 1)}
            if "rng" in inspect.signature(solve).parameters else {})
     try:
-        _, basis = solve(target, k, which=mode, v0=v0, tol=LANCZOS_TOL, **rng)
+        _, basis = solve(target, count, which=mode, v0=v0, tol=LANCZOS_TOL, **rng)
     except spla.ArpackError as exc:  # ArpackNoConvergence among them
         raise NumericError(f"Lanczos eigensolver failed on {where}: {exc}") from exc
+    del target
     basis, _ = np.linalg.qr(basis)
     proj = basis.conj().T @ (a @ basis)
     vals, small = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+    if count > k:  # drop -sigma_p
+        vals, small = np.delete(vals, k // 2), np.delete(small, k // 2, axis=1)
     vecs = basis @ small
     check_residual(np.linalg.norm(a @ vecs - vecs * vals, axis=0), norm_inf,
                    f"Lanczos eigenpairs of {where}")

@@ -76,21 +76,43 @@ def test_is_directed():
     assert not is_directed(G(2, []))
 
 
+def ref_is_directed(g):
+    """The previous definition, by the cells of ``symmetric_pairs``."""
+    _, _, a_lh, a_hl = symmetric_pairs(g)
+    return bool(np.any(a_lh != a_hl))
+
+
 def test_is_directed_matches_dense_oracle():
+    from sdnet.pipeline import generate_from_params
     rng = np.random.default_rng(11)
-    for trial in range(60):
-        n = int(rng.integers(1, 12))
+    for trial in range(160):
+        n = int(rng.integers(1, 12 if trial < 60 else 60))
         a = np.zeros((n, n))
-        mask = rng.random((n, n)) < 0.3  # self-loops included
+        mask = rng.random((n, n)) < rng.uniform(0.02, 0.4)  # self-loops included
         a[mask] = rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=int(mask.sum()))
-        if trial % 3 == 0:
+        kind = trial % 4
+        if kind:
             a = np.triu(a) + np.triu(a, 1).T  # symmetric, keeps loops
-        if trial % 3 == 1 and n > 1:
-            # reciprocal pairs with equal, unequal and cancelling weights
-            a[0, 1], a[1, 0] = 1.5, 1.5 if trial % 2 else -1.5
+        # on a symmetric graph every in-degree equals the out-degree, and
+        # stays so under both changes below
+        if kind == 2 and n > 1:
+            # a reciprocal pair with equal, unequal or cancelling weights
+            a[0, 1], a[1, 0] = 1.5, (1.5, 2.0, -1.5)[trial % 3]
+        if kind == 3 and n > 2:
+            # a directed cycle in place of both directions of its cells
+            ring, back = np.arange(n), np.roll(np.arange(n), 1)
+            a[ring, back] = a[back, ring] = 0.0
+            a[ring, back] = 3.0
         src, dst = np.nonzero(a)
-        g = SignedDirectedGraph(n, src, dst, a[src, dst])
-        assert is_directed(g) == bool(np.any(a != a.T)), trial
+        order = rng.permutation(src.size) if trial % 3 == 0 else np.arange(src.size)
+        g = SignedDirectedGraph(n, src[order], dst[order], a[src, dst][order])
+        want = bool(np.any(a != a.T))
+        assert is_directed(g) == ref_is_directed(g) == want, trial
+    for params in ({"model": "sdsbm", "meta": "f1", "n": 300, "p": 0.1},
+                   {"model": "dsbm", "meta": "cycle", "n": 300, "k": 3, "p": 0.05},
+                   {"model": "ssbm", "n": 300, "k": 3, "p_in": 0.1, "p_out": 0.05}):
+        g = generate_from_params(params, seed=3).graph
+        assert is_directed(g) == ref_is_directed(g) == (params["model"] != "ssbm")
 
 
 def test_standardize_columns_uses_reference_statistics():

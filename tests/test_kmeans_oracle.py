@@ -3,7 +3,9 @@
 ``_kmeans_once`` and ``ref_kmeans_full`` below are the previous
 implementation, kept verbatim as the oracle: the batched
 ``kmeans_full`` must draw the same seeds, take the same Lloyd steps and
-pick the same restart.
+pick the same restart. ``kmeans_seeds``, which runs several seeds'
+restarts as one batch, must give each seed ``kmeans_full``'s result bit
+for bit (``assert_seeds_match``).
 """
 
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from sdnet import cluster
-from sdnet.cluster import kmeans_full, spectral_embedding
+from sdnet.cluster import kmeans_full, kmeans_seeds, spectral_embedding
 from sdnet.config import load
 from sdnet.metrics import ari
 from sdnet.pipeline import generate_from_params
@@ -98,6 +100,18 @@ def assert_same(x, k, rtol=1e-12, **kw):
     return labels
 
 
+def assert_seeds_match(x, k, seeds, **kw):
+    """``kmeans_seeds`` gives each seed ``kmeans_full``'s labels, centres
+    and inertia bit for bit."""
+    got = kmeans_seeds(x, k, seeds, **kw)
+    assert len(got) == len(seeds)
+    for seed, (labels, centers, inertia) in zip(seeds, got):
+        want_labels, want_centers, want_inertia = kmeans_full(x, k, seed=seed, **kw)
+        assert labels.dtype == want_labels.dtype and np.array_equal(labels, want_labels)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert inertia == want_inertia
+
+
 def _sweep_embeddings(name: str, n: int = 300):
     cfg = load(CONFIGS / name)
     sweep = cfg["sweep"]
@@ -112,9 +126,18 @@ def test_matches_oracle_on_cluster_config_embeddings(name):
     for emb, k in _sweep_embeddings(name):
         for seed in range(3):
             assert_same(emb, k, seed=seed)
+        assert_seeds_match(emb, k, range(5))
 
 
-def test_matches_oracle_on_random_inputs():
+def test_matches_oracle_on_random_inputs(monkeypatch):
+    batches = []
+    lloyd = cluster._lloyd
+
+    def counted(x, sq, centers, restarts, max_iter):
+        batches.append(centers.shape[0] // restarts)
+        return lloyd(x, sq, centers, restarts, max_iter)
+
+    monkeypatch.setattr(cluster, "_lloyd", counted)
     for case in range(200):
         rng = stream(9000 + case)
         n = int(rng.integers(4, 120))
@@ -129,6 +152,17 @@ def test_matches_oracle_on_random_inputs():
         want_labels, _, want_inertia = ref_kmeans_full(x, k, **kw)
         assert ari(want_labels, labels) == 1.0, case
         assert abs(inertia - want_inertia) <= 1e-12 * max(want_inertia, 1e-300), case
+        # up to 6 seeds under a budget of two seeds' buffers, of less than
+        # one (each seed alone) or of the default (one batch)
+        seeds = list(range(case, case + int(rng.integers(1, 7))))
+        per_batch = (2, 1, len(seeds))[case % 3]
+        budget = (2 * max(kw["restarts"], 1) * k * n, 1, 1 << 21)[case % 3]
+        monkeypatch.setattr(cluster, "KMEANS_BATCH_CELLS", budget)
+        batches.clear()
+        assert_seeds_match(x, k, seeds, restarts=kw["restarts"], max_iter=kw["max_iter"])
+        # the batched call's batches, then each seed's kmeans_full alone
+        want = [len(seeds[i:i + per_batch]) for i in range(0, len(seeds), per_batch)]
+        assert batches == want + [1] * len(seeds), case
 
 
 def test_edge_cases_match_oracle():
@@ -158,4 +192,7 @@ def test_empty_cluster_reseed_matches_oracle(monkeypatch):
     monkeypatch.setattr(cluster, "_reseed_empty", counted)
     x = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
     assert_same(x, 3, restarts=4)
+    assert calls
+    calls.clear()
+    assert_seeds_match(x, 3, [0, 1, 2], restarts=4)
     assert calls

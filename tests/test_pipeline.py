@@ -353,6 +353,29 @@ def test_cluster_sweep_equals_per_seed_spectral_cluster(gp, method):
     assert list(res.records) == want
 
 
+def test_cluster_sweep_runs_each_instances_seeds_as_one_kmeans_batch(monkeypatch):
+    # one Lloyd batch per (value, instance) holds all its seeds' restarts;
+    # a budget below one seed's buffer runs each seed alone, with the
+    # same records
+    import sdnet.cluster as cluster
+    batches = []
+    lloyd = cluster._lloyd
+
+    def counted(x, sq, centers, restarts, max_iter):
+        batches.append(centers.shape[0] // restarts)
+        return lloyd(x, sq, centers, restarts, max_iter)
+
+    monkeypatch.setattr(cluster, "_lloyd", counted)
+    gp = {"model": "dsbm", "meta": "cycle", "n": 60, "k": 3, "p": 0.3, "seed": 0}
+    args = (gp, "eta", [0.0, 0.4], "hermitian_imbalance", 3)
+    batched = cluster_sweep(*args, instances=2, seeds=[0, 1, 2])
+    assert batches == [3] * 4
+    batches.clear()
+    monkeypatch.setattr(cluster, "KMEANS_BATCH_CELLS", 1)
+    assert cluster_sweep(*args, instances=2, seeds=[0, 1, 2]).records == batched.records
+    assert batches == [1] * 12
+
+
 def test_pipelines_without_operators_load_no_scipy():
     import os
     import subprocess

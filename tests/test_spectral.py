@@ -537,7 +537,7 @@ def test_lanczos_without_rng_parameter(monkeypatch):
 
         def solve(*args, **kwargs):
             assert "rng" not in kwargs
-            calls.append(fn.__name__)
+            calls.append((fn.__name__, args[0].dtype.kind))
             return fn(*args, **kwargs)
         solve.__signature__ = sig.replace(
             parameters=[p for p in sig.parameters.values() if p.name != "rng"])
@@ -545,30 +545,97 @@ def test_lanczos_without_rng_parameter(monkeypatch):
 
     dsbm_g, sdsbm_g = _workload_graphs()
     ssbm_g = ssbm(300, 3, 0.1, 0.05, eta=0.1, seed=4).graph
-    cases = [(signed_magnetic_laplacian(sdsbm_g), "smallest"),
-             (hermitian_imbalance(dsbm_g), "largest_abs"),
-             (signed_laplacian(ssbm_g, normalized=True), "smallest")]
-    want = [eigh(op, 3, which) for op, which in cases]
+    # i(A - A^T) goes to the real solver as its float64 S; an odd k keeps
+    # +sigma of the pair it splits, an even one takes whole pairs
+    cases = [(signed_magnetic_laplacian(sdsbm_g), "smallest", 3),
+             (hermitian_imbalance(dsbm_g), "largest_abs", 3),
+             (hermitian_imbalance(sdsbm_g), "largest_abs", 4),
+             (signed_laplacian(ssbm_g, normalized=True), "smallest", 3)]
+    want = [eigh(op, k, which) for op, which, k in cases]
     monkeypatch.setattr(spla, "eigs", without_rng(spla.eigs))
     monkeypatch.setattr(spla, "eigsh", without_rng(spla.eigsh))
-    for (op, which), w in zip(cases, want):
-        got = eigh(op, 3, which)
+    for (op, which, k), w in zip(cases, want):
+        got = eigh(op, k, which)
         assert got.values.tobytes() == w.values.tobytes(), op.kind
         assert got.vectors.tobytes() == w.vectors.tobytes(), op.kind
-    assert calls == ["eigs", "eigs", "eigsh"]
+    assert calls == [("eigs", "c"), ("eigs", "f"), ("eigs", "f"), ("eigsh", "f")]
+
+
+def _solver_dtypes(monkeypatch):
+    """The dtype kind of each operator handed to ARPACK's ``eigs``."""
+    import scipy.sparse.linalg as spla
+    seen, eigs = [], spla.eigs
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.dtype.kind)
+        return eigs(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigs", recorded)
+    return seen
+
+
+def _imbalance_oracle(op, k):
+    """The k largest-|value| eigenvalues of i S by the dense oracle, ascending:
+    each +-sigma pair whole, and +sigma alone of the pair an odd k splits."""
+    vals = np.linalg.eigvalsh(op.toarray())
+    sigma = vals[::-1][:(k + 1) // 2]
+    want = np.concatenate([sigma, -sigma[:k // 2]])
+    return np.sort(want)
+
+
+@pytest.mark.parametrize("family", [0, 1])
+def test_largest_abs_through_real_skew_part_matches_dense_oracle(monkeypatch, family):
+    g = _workload_graphs()[family]  # dsbm cycle, then signed sdsbm f1
+    op = hermitian_imbalance(g)
+    seen = _solver_dtypes(monkeypatch)
+    for k in range(1, 7):
+        got = eigh(op, k, "largest_abs")
+        want = _imbalance_oracle(op, k)
+        assert np.allclose(got.values, want, rtol=0, atol=1e-9), k
+        # an odd k keeps the +sigma member of its last pair
+        assert (got.values > 0).sum() == (k + 1) // 2, k
+        gram = got.vectors.conj().T @ got.vectors
+        assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
+        res = op.entries @ got.vectors - got.vectors * got.values[None, :]
+        assert np.linalg.norm(res, axis=0).max() <= 1e-9
+    assert seen == ["f"] * 6
+
+
+def test_largest_abs_at_the_real_solver_limit_takes_the_complex_solver(monkeypatch):
+    # the real solver needs 2 ceil(k/2) < n - 1: at n = 5, k = 3 asks for 4
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.0), (4, 0, 1.0), (1, 3, 1.0)]
+    seen = _solver_dtypes(monkeypatch)
+    ops = [hermitian_imbalance(G(5, edges)),
+           hermitian_imbalance(G(6, edges + [(4, 5, 1.0), (5, 1, 1.0)]))]
+    for op in ops:
+        got = eigh(op, 3, "largest_abs")
+        vals = np.linalg.eigvalsh(op.toarray())
+        order = np.sort(np.argsort(-np.abs(vals), kind="stable")[:3])
+        assert np.allclose(np.sort(np.abs(got.values)), np.sort(np.abs(vals[order])),
+                           rtol=0, atol=1e-9)
+        res = op.entries @ got.vectors - got.vectors * got.values[None, :]
+        assert np.linalg.norm(res, axis=0).max() <= 1e-9
+    assert seen == ["c", "f"]  # n = 5 complex, n = 6 real
 
 
 def test_lanczos_non_convergence_raises_numeric_error(monkeypatch):
     import scipy.sparse.linalg as spla
 
-    def stalled(*args, **kwargs):
+    seen = []
+
+    def stalled(a, *args, **kwargs):
+        seen.append(a.dtype.kind)
         raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    # a complex operator goes to eigs
+    # a complex operator goes to eigs, and so does i(A - A^T) as its real S
     monkeypatch.setattr(spla, "eigs", stalled)
     op = signed_magnetic_laplacian(random_graph(20, 1))
     with pytest.raises(NumericError, match=r"signed_magnetic_laplacian.*n=20, k=3"):
         eigh(op, 3)
+    op = hermitian_imbalance(random_graph(20, 1))
+    with pytest.raises(NumericError, match=r"hermitian_imbalance.*n=20, k=3.*largest_abs"):
+        eigh(op, 3, "largest_abs")
+    assert seen == ["c", "f"]
 
 
 @pytest.mark.parametrize("which", ["smallest", "largest", "largest_abs"])

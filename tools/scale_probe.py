@@ -17,6 +17,10 @@ under the build stage it prints the bytes per edge the operator keeps
 and the build's traced peak as a multiple of them, under each score its
 traced peak per cell of the symmetrized support, and under the fit its
 rows, the Newton iterations of each fit and its traced peak per row.
+A stage after the fit solves ``hermitian_imbalance`` of a dsbm cycle
+graph (eta = 0.1) of the same n and p for its k = 3 largest-|value|
+pairs and prints the route ``eigh`` took (ARPACK's real solver on the
+antisymmetric S, or the complex one) and the largest residual.
 ``ru_maxrss`` only
 grows, so a stage that peaks below an earlier one shows no rise there;
 the traced peak does, and the current RSS shows how much of the heap
@@ -56,7 +60,7 @@ import numpy as np
 from sdnet import _blas, graph, metrics, spectral
 from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
-from sdnet.generators import f1_meta, sdsbm
+from sdnet.generators import dsbm, f1_meta, meta_graph, sdsbm
 from sdnet.logistic import logistic_train
 from sdnet.pipeline import L2_GRID, edge_feature_matrix
 from sdnet.splitters import link_class_split, spanning_forest
@@ -167,7 +171,18 @@ def main(argv=None) -> None:
     rows = x.shape[0]
     print(f"  {rows} rows x {x.shape[1]} columns, K = {classes.size}; Newton iterations "
           f"per fit {iterations}; traced peak {traced * m / rows:.1f} B/row")
-    del split, deg, x
+    del split, deg, x, op, pairs, emb, soft
+
+    dg = dsbm(meta_graph("cycle", K, eta=0.1), n, K, DEGREE / n, seed=1).graph
+    skew = spectral.hermitian_imbalance(dg)
+    route = "real S" if spectral._skew_route(skew.entries, K, "largest_abs") else "complex"
+    print(f"dsbm cycle, n={n}, p={DEGREE:g}/n, m = {dg.num_edges}")
+    pairs = stage("eigh(hermitian_imbalance, k=3)", spectral.eigh, skew, K, "largest_abs")
+    residual = np.linalg.norm(skew.entries @ pairs.vectors - pairs.vectors * pairs.values,
+                              axis=0).max()
+    print(f"  route {route}; values {np.array2string(pairs.values, precision=4)}; "
+          f"residual {residual:.2g}")
+    del dg, skew, pairs
 
     n_f = min(n, DENSE_N)
     print(f"dense features, sdsbm f1, n_f={n_f}, k={DENSE_K}, each in a fresh process "
