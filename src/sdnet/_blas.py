@@ -15,13 +15,15 @@ operator it solved: a residual ||M v - lambda v|| above
 ``RESIDUAL_RTOL * max(1, ||M||_inf)`` (1e-10 times the Gershgorin
 row-sum bound), or a NaN residual, raises NumericError.
 
-``top_eigh`` solves for the k largest eigenpairs of a dense real
-symmetric matrix by ``dsyevr`` over an index range (bisection and
-inverse iteration; Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 2004)
-through the LAPACKE symbol numpy's ILP64 OpenBLAS exports, so no scipy
-is loaded. Its lookup (``lapacke_dsyevr``) reads ``/proc/self/maps``
-once; where the symbol is absent (another OS, MKL, a system BLAS)
-``top_eigh`` returns None. ctypes is imported only by the lookup.
+``top_eigh`` is sdnet's one dense top-k eigensolver: the k largest
+eigenpairs of a real symmetric matrix, descending, by ``dsyevr`` over an
+index range (bisection and inverse iteration; Dhillon & Parlett, SIAM J.
+Matrix Anal. Appl. 2004) through the LAPACKE symbol numpy's ILP64
+OpenBLAS exports, so no scipy is loaded. Its lookup (``lapacke_dsyevr``)
+asks the handle of numpy's own LAPACK extension for the symbol, once per
+process; where it is absent (MKL, a system BLAS) ``top_eigh`` takes the
+top of a full ``np.linalg.eigh``. ctypes is imported only when the
+symbol is looked up or called.
 """
 
 from __future__ import annotations
@@ -59,67 +61,61 @@ def sum_squares(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", parts, parts))
 
 
-def _mapped_openblas():
-    """Each OpenBLAS already mapped into the process."""
-    import ctypes
-    import os
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
-                            if "openblas" in line})
-    except OSError:
-        return
-    for path in paths:
-        try:
-            yield ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # never loads a new copy
-        except OSError:
-            continue
-
-
 @cache
 def lapacke_dsyevr():
-    """The loaded OpenBLAS's ``LAPACKE_dsyevr`` (int64 lapack_int), or None."""
-    for lib in _mapped_openblas():
-        if hasattr(lib, _DSYEVR):
-            import ctypes
-            i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-            fn = getattr(lib, _DSYEVR)
-            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-            # m, w, z, ldz, isuppz
-            fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
-                           i64, ptr, i64, f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
-            fn.restype = i64
-            return fn
-    return None
+    """``LAPACKE_dsyevr`` (int64 lapack_int) of the OpenBLAS that numpy's
+    own LAPACK extension links, or None. A symbol lookup on the handle of
+    ``numpy.linalg._umath_linalg``, which RTLD_NOLOAD never loads anew,
+    searches that extension's libraries."""
+    import ctypes
+    import os
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__, mode=getattr(os, "RTLD_NOLOAD", 0))
+    except OSError:
+        return None
+    fn = getattr(lib, _DSYEVR, None)
+    if fn is not None:
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
+        # m, w, z, ldz, isuppz
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,
+                       i64, ptr, i64, f64, f64, i64, i64, f64, ptr, ptr, ptr, i64, ptr]
+        fn.restype = i64
+    return fn
 
 
 def top_eigh(a: np.ndarray, k: int):
-    """Ascending eigenvalues and n x k eigenvectors of the k largest
-    eigenpairs of the C-contiguous real symmetric float64 n x n ``a``, or
-    None where ``LAPACKE_dsyevr`` is absent. LAPACK overwrites ``a``.
+    """The k largest eigenpairs of the C-contiguous real symmetric float64
+    n x n ``a``, by descending eigenvalue, the vectors as a C-contiguous
+    n x k array: ``dsyevr`` for those k alone, or the top of a full
+    ``np.linalg.eigh`` where ``LAPACKE_dsyevr`` is absent. LAPACK may
+    overwrite ``a``.
 
-    ``a`` goes in as LAPACK_COL_MAJOR, that is as its own transpose, so
-    LAPACKE copies nothing; its upper triangle is read, the triangle of
-    the transpose that ``np.linalg.eigh`` reads by default. A nonzero
-    ``info`` or a count of pairs other than k raises NumericError.
+    ``a`` goes to ``dsyevr`` as LAPACK_COL_MAJOR, that is as its own
+    transpose, so LAPACKE copies nothing; its upper triangle is read, the
+    triangle of the transpose that ``np.linalg.eigh`` reads by default. A
+    nonzero ``info`` or a count of pairs other than k raises NumericError.
     """
-    fn = lapacke_dsyevr()
-    if fn is None:
-        return None
-    import ctypes
     n = a.shape[0]
     if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.c_contiguous:
         raise ValueError("top_eigh needs a C-contiguous float64 square matrix")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    w = np.empty(n)
-    z = np.empty((k, n))  # column-major n x k, ldz = n
-    isuppz = np.empty(2 * k, dtype=np.int64)
-    m = ctypes.c_int64(0)
-    info = fn(_LAPACK_COL_MAJOR, b"V", b"I", b"U", n, a.ctypes.data, n, 0.0, 0.0,
-              n - k + 1, n, 0.0, ctypes.byref(m), w.ctypes.data, z.ctypes.data, n,
-              isuppz.ctypes.data)
-    if info != 0 or m.value != k:
-        raise NumericError(f"dsyevr (n={n}, k={k}) returned info={info} "
-                           f"with {m.value} eigenpairs")
-    return w[:k], z.T
+    fn = lapacke_dsyevr()
+    if fn is None:
+        vals, vecs = np.linalg.eigh(a)
+    else:
+        import ctypes
+        vals = np.empty(n)
+        z = np.empty((k, n))  # column-major n x k, ldz = n
+        isuppz = np.empty(2 * k, dtype=np.int64)
+        m = ctypes.c_int64(0)
+        info = fn(_LAPACK_COL_MAJOR, b"V", b"I", b"U", n, a.ctypes.data, n, 0.0, 0.0,
+                  n - k + 1, n, 0.0, ctypes.byref(m), vals.ctypes.data, z.ctypes.data, n,
+                  isuppz.ctypes.data)
+        if info != 0 or m.value != k:
+            raise NumericError(f"dsyevr (n={n}, k={k}) returned info={info} "
+                               f"with {m.value} eigenpairs")
+        vals, vecs = vals[:k], z.T
+    return vals[::-1][:k], np.ascontiguousarray(vecs[:, ::-1][:, :k])

@@ -301,26 +301,19 @@ def pair_row_sums(num_nodes: int, lo: np.ndarray, hi: np.ndarray,
 
 def _fix_sign(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            out[:, j] = -col
-    return out
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(lead < 0, -vectors, vectors)
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero entry is real positive."""
+    """Rotate each column so its first nonzero entry is real positive; an
+    all-zero column is left as it is."""
+    mags = np.abs(vectors)
+    top = mags.max(axis=0)
+    cols = np.flatnonzero(top)
+    rows = np.argmax(mags[:, cols] > 1e-12 * top[cols], axis=0)
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        i = int(np.argmax(mags > 1e-12 * top))
-        out[:, j] = col * (np.conj(col[i]) / mags[i])
+    out[:, cols] *= np.conj(vectors[rows, cols]) / mags[rows, cols]
     return out
 
 
@@ -345,17 +338,6 @@ def _skew_adjacency(g: SignedDirectedGraph, k: int) -> np.ndarray:
     return s
 
 
-def _top_eigh(m: np.ndarray, k: int):
-    """The k largest eigenpairs of the real symmetric ``m``, by descending
-    eigenvalue, the vectors as a C-contiguous n x k array: LAPACK's
-    ``dsyevr`` for those k alone (``_blas.top_eigh``), or the top of a
-    full ``np.linalg.eigh`` where that is not found. ``m`` may be
-    overwritten."""
-    pairs = _blas.top_eigh(m, k)
-    vals, vecs = np.linalg.eigh(m) if pairs is None else pairs
-    return vals[::-1][:k], np.ascontiguousarray(vecs[:, ::-1][:, :k])
-
-
 def _signed_operator(g: SignedDirectedGraph, k: int, tau: float) -> np.ndarray:
     """A_s + tau * (dbar / n) * J of ``signed_spectral_features`` in one
     n x n array, with the bits of ``(a + a.T) / 2 + c``: each ordered pair
@@ -377,7 +359,7 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     are unit-norm eigenvectors for the k largest eigenvalues, ordered by
     descending eigenvalue, each flipped so its largest-magnitude entry is
     positive. The operator is built once; only those k pairs are solved
-    (``_top_eigh``), on a copy of it, and checked against it by the rule
+    (``_blas.top_eigh``), on a copy of it, and checked against it by the rule
     every eigensolve shares (``_blas.check_residual``): a residual above
     1e-10 * max(1, ||operator||_inf) raises NumericError.
     """
@@ -385,7 +367,7 @@ def signed_spectral_features(g: SignedDirectedGraph, k: int, tau: float = 0.25) 
     if not reg.any():
         warnings.warn("regularized adjacency is identically zero; "
                       "spectral features are degenerate", RuntimeWarning)
-    vals, top = _top_eigh(reg.copy(), k)
+    vals, top = _blas.top_eigh(reg.copy(), k)
     _blas.check_residual(np.linalg.norm(reg @ top - top * vals, axis=0),
                          float(np.abs(reg).sum(axis=1).max()),
                          f"signed spectral feature eigenpairs (n={g.num_nodes}, k={k})")
@@ -403,13 +385,13 @@ def _hermitian_vectors(g: SignedDirectedGraph, k: int) -> np.ndarray:
     vectors v = Q r. Columns are [v_1, conj v_1, v_2, conj v_2, ...][:k]:
     an odd k keeps the +sigma member of its last pair. S is built once
     and kept beside S^T S while its top 2p pairs are solved
-    (``_top_eigh``), for the Rayleigh-Ritz step and the residual check
+    (``_blas.top_eigh``), for the Rayleigh-Ritz step and the residual check
     (``_blas.check_residual``).
     """
     s = _skew_adjacency(g, k)
     n = g.num_nodes
     p = (k + 1) // 2
-    q = _top_eigh(s.T @ s, min(2 * p, n))[1]
+    q = _blas.top_eigh(s.T @ s, min(2 * p, n))[1]
     sigma, r = np.linalg.eigh(1j * (q.T @ s @ q))
     sigma, v = sigma[::-1][:p], q @ r[:, ::-1][:, :p]
     keep = sigma > 1e-12 * np.sqrt(_blas.sum_squares(s))

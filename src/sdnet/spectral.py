@@ -17,12 +17,13 @@ M - M^H. A build, its check included, holds at most about twice the
 bytes the operator keeps.
 ``eigh`` finds the k requested eigenpairs with ARPACK's implicitly
 restarted Lanczos method (scipy's ``eigsh``, or ``eigs`` when complex)
-and a Rayleigh-Ritz step; raw ndarray inputs and k >= n - 1 take a dense
-LAPACK decomposition. The largest-|value| pairs of i S, S real
-antisymmetric (every ``hermitian_imbalance`` operator), are found in
-real arithmetic: ``eigs`` solves a float64 copy of S for its 2 ceil(k/2)
-eigenvalues +-i sigma and the Rayleigh-Ritz step on i S finishes, an
-odd k keeping the +sigma member of its last pair. The smallest
+and a Rayleigh-Ritz step; raw ndarray inputs, k >= n - 1 and a
+``largest_abs`` k with 2 ceil(k/2) >= n - 1 take a dense LAPACK
+decomposition. The largest-|value| pairs of i S, S real antisymmetric
+(every ``hermitian_imbalance`` operator), are found in real arithmetic:
+``eigs`` solves a float64 copy of S for its 2 ceil(k/2) eigenvalues
++-i sigma and the Rayleigh-Ritz step on i S finishes. On either route
+an odd k keeps the +sigma member of its last pair. The smallest
 eigenpairs of L are the largest of c I - L, which ARPACK sees only as
 the product x -> c x - L x, so a solve stores no shifted copy of L.
 ARPACK stops at relative accuracy
@@ -263,11 +264,18 @@ def _select(vals: np.ndarray, k: int, which: str) -> np.ndarray:
 
 
 def _dense_eigh(m: np.ndarray, k: int, which: str) -> EigenPairs:
+    """The k selected eigenpairs of a full decomposition of ``m``. The
+    largest-|value| pairs of i S, S real antisymmetric (``m`` purely
+    imaginary), are the floor(k/2) lowest and ceil(k/2) highest values:
+    an odd k keeps +sigma of the pair it splits, by position."""
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
-    idx = _select(vals, k, which)
+    if which == "largest_abs" and not np.any(m.real):
+        idx = np.r_[:k // 2, vals.size - (k + 1) // 2:vals.size]
+    else:
+        idx = _select(vals, k, which)
     return EigenPairs(vals[idx], vecs[:, idx])
 
 
@@ -281,13 +289,11 @@ def _norm_inf(a) -> float:
     return float(np.add.reduceat(np.abs(a.data), a.indptr[rows]).max(initial=0.0))
 
 
-def _skew_route(a, k: int, which: str) -> bool:
-    """Whether ``eigh`` solves the CSR operator ``a`` = i S through the real
-    antisymmetric S: ``largest_abs`` on a complex operator whose stored
-    values are all purely imaginary, with 2 ceil(k/2) < n - 1, the real
-    ARPACK solver's limit."""
-    return (which == "largest_abs" and a.dtype.kind == "c"
-            and k + k % 2 < a.shape[0] - 1 and not np.any(a.data.real))
+def _skew_route(a, which: str) -> bool:
+    """Whether the Lanczos solve takes the CSR operator ``a`` = i S through
+    the real antisymmetric S: ``largest_abs`` on a complex operator whose
+    stored values are all purely imaginary."""
+    return which == "largest_abs" and a.dtype.kind == "c" and not np.any(a.data.real)
 
 
 def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
@@ -303,9 +309,9 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
     antisymmetric (every stored value purely imaginary, as
     ``hermitian_imbalance`` builds it): ARPACK's real ``eigs`` finds the
     top 2p = 2 ceil(k/2) eigenvalues +-i sigma of a float64 copy of S,
-    which shares the operator's pattern and is dropped after the solve.
-    That needs 2p < n - 1; otherwise i S goes to the complex solver like
-    every other complex operator. ARPACK stops at relative accuracy
+    which shares the operator's pattern and is dropped after the solve
+    (``eigh`` sends 2p >= n - 1, the real solver's limit, to the dense
+    decomposition). ARPACK stops at relative accuracy
     LANCZOS_TOL. Its non-symmetric solvers do not return orthonormal Ritz
     vectors, so the basis is orthonormalized (QR) and the projection
     Q^H L Q diagonalized, giving orthonormal vectors and ascending values.
@@ -329,7 +335,7 @@ def _lanczos_eigh(op: SpectralMatrix, k: int, which: str) -> EigenPairs:
         shift = norm_inf
         target, mode = spla.LinearOperator(
             a.shape, matvec=lambda x: shift * x - a @ x, dtype=a.dtype), "LA"
-    elif _skew_route(a, k, which):
+    elif _skew_route(a, which):
         target = sparse.csr_array((a.data.imag.copy(), a.indices, a.indptr),
                                   shape=a.shape)
         mode, count = "LM", k + k % 2
@@ -370,8 +376,9 @@ def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:
     ``which`` selects the k smallest, largest, or largest-|value|
     eigenpairs (k defaults to all n). A SpectralMatrix is solved by
     Lanczos (ARPACK) from a fixed start vector; a raw Hermitian ndarray,
-    and any k >= n - 1 (beyond ARPACK's limit), by a dense LAPACK
-    decomposition. Non-convergence raises NumericError.
+    any k >= n - 1 and a ``largest_abs`` k with 2 ceil(k/2) >= n - 1
+    (beyond ARPACK's limit), by a dense LAPACK decomposition.
+    Non-convergence raises NumericError.
     """
     if which not in ("smallest", "largest", "largest_abs"):
         raise ValueError(f"unknown selection {which!r}")
@@ -391,7 +398,8 @@ def eigh(matrix, k: int | None = None, which: str = "smallest") -> EigenPairs:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if sparse:
-        if k < n - 1:
+        # largest_abs on i S asks ARPACK for 2 ceil(k/2) values
+        if k + (k % 2 if which == "largest_abs" else 0) < n - 1:
             return _lanczos_eigh(matrix, k, which)
         m = matrix.toarray().astype(np.complex128)  # solved like a raw array
     return _dense_eigh(m, k, which)

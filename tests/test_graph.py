@@ -5,7 +5,7 @@ import sdnet.cluster as cluster
 import sdnet.graph as graph
 from sdnet import _blas
 from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_roots,
-                         _fix_phase, _fix_sign, _hermitian_vectors, _top_eigh, is_directed,
+                         _fix_phase, _fix_sign, _hermitian_vectors, is_directed,
                          is_signed, largest_weakly_connected_component,
                          signed_degree_counts, signed_degree_features,
                          signed_spectral_features,
@@ -291,7 +291,7 @@ def test_signed_spectral_scalar_shift_keeps_the_bytes():
         a_s = (a + a.T) / 2.0
         dbar = float(np.abs(a_s).sum(axis=1).mean())
         reg = a_s + tau * (dbar / n) * np.ones((n, n))
-        return _fix_sign(_top_eigh(reg, k)[1])
+        return _fix_sign(_blas.top_eigh(reg, k)[1])
 
     for g in (ssbm(60, 3, 0.3, 0.1, eta=0.1, seed=2).graph,
               sdsbm(f1_meta(0.1), 120, 0.1, eta=0.1, seed=3).graph):
@@ -306,6 +306,37 @@ def test_signed_spectral_errors():
         signed_spectral_features(G(3, []), 4)
     with pytest.raises(ValueError):
         signed_spectral_features(G(0, []), 1)
+
+
+def test_sign_and_phase_fixes_match_a_column_loop():
+    def loop_sign(vectors):
+        out = vectors.copy()
+        for j in range(out.shape[1]):
+            if out[np.argmax(np.abs(out[:, j])), j] < 0:
+                out[:, j] = -out[:, j]
+        return out
+
+    def loop_phase(vectors):
+        out = vectors.copy()
+        for j in range(out.shape[1]):
+            col = out[:, j]
+            mags = np.abs(col)
+            if mags.max() > 0.0:
+                i = int(np.argmax(mags > 1e-12 * mags.max()))
+                out[:, j] = col * (np.conj(col[i]) / mags[i])
+        return out
+
+    rng = stream(5)
+    for t in range(60):
+        n, k = int(rng.integers(1, 400)), int(rng.integers(1, 9))
+        z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        z[:, rng.integers(k)] = 0.0  # a zero column
+        z[:n // 2, rng.integers(k)] = 0.0  # a column whose first half is zero
+        z[:, rng.integers(k)] *= 1e-14
+        for fix, loop, x in ((_fix_sign, loop_sign, z.real), (_fix_sign, loop_sign, z.imag.copy()),
+                             (_fix_phase, loop_phase, z)):
+            got = fix(x)
+            assert got.tobytes() == loop(x).tobytes() and got.flags.c_contiguous, (t, fix)
 
 
 def test_hermitian_features_zero_for_undirected():
@@ -410,7 +441,7 @@ def test_hermitian_features_odd_k_keeps_the_positive_member():
 
 def test_hermitian_features_solve_no_complex_problem_above_2p(monkeypatch):
     seen = []
-    real_eigh, real_top = np.linalg.eigh, graph._top_eigh
+    real_eigh, real_top = np.linalg.eigh, _blas.top_eigh
 
     def spy_eigh(m, *args, **kwargs):
         seen.append(("eigh", np.iscomplexobj(m), m.shape))
@@ -421,7 +452,7 @@ def test_hermitian_features_solve_no_complex_problem_above_2p(monkeypatch):
         return real_top(m, k)
 
     monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
-    monkeypatch.setattr(graph, "_top_eigh", spy_top)
+    monkeypatch.setattr(_blas, "top_eigh", spy_top)
     g = _hermitian_graphs()["unsigned_directed"]
     for k in (1, 3, 8):
         seen.clear()
@@ -434,15 +465,15 @@ def test_hermitian_features_solve_no_complex_problem_above_2p(monkeypatch):
 
 
 def _perturbed_top(monkeypatch):
-    """Make ``_top_eigh`` return a basis 1e-6 off its eigenvectors."""
-    real_top = graph._top_eigh
+    """Make ``_blas.top_eigh`` return a basis 1e-6 off its eigenvectors."""
+    real_top = _blas.top_eigh
 
     def perturbed(m, k):
         vals, vecs = real_top(m, k)
         noise = np.random.default_rng(0).standard_normal(vecs.shape)
         return vals, np.linalg.qr(vecs + 1e-6 * noise)[0]
 
-    monkeypatch.setattr(graph, "_top_eigh", perturbed)
+    monkeypatch.setattr(_blas, "top_eigh", perturbed)
 
 
 def test_hermitian_features_reject_a_perturbed_basis(monkeypatch):
@@ -503,7 +534,7 @@ def eigh_top(m, k):
     return vals[::-1][:k], vecs[:, ::-1][:, :k]
 
 
-def ref_signed_spectral_features(g, k, tau=0.25, top=_top_eigh):
+def ref_signed_spectral_features(g, k, tau=0.25, top=_blas.top_eigh):
     """``signed_spectral_features`` as it was written with three n x n arrays,
     solved by ``top`` (the builders' top-k solve, or ``eigh_top``)."""
     a = g.adjacency()
@@ -513,7 +544,7 @@ def ref_signed_spectral_features(g, k, tau=0.25, top=_top_eigh):
     return _fix_sign(top(reg, k)[1])
 
 
-def ref_hermitian_vectors(g, k, top=_top_eigh):
+def ref_hermitian_vectors(g, k, top=_blas.top_eigh):
     """``_hermitian_vectors`` as it was written, holding A, S and S^T S."""
     a = g.adjacency()
     n = g.num_nodes
@@ -552,7 +583,12 @@ def test_dense_features_fall_back_to_full_eigh(monkeypatch, k):
     # where LAPACKE_dsyevr is not found, the features are those of the
     # top k of a full np.linalg.eigh, byte for byte
     monkeypatch.setattr(_blas, "lapacke_dsyevr", lambda: None)
-    assert _blas.top_eigh(np.eye(3), 1) is None
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.5]])
+    vals, vecs = _blas.top_eigh(a.copy(), 1)  # the top pair: 3, (1, 1, 0) / sqrt 2
+    want_vals, want = eigh_top(a, 1)
+    assert vals.tobytes() == want_vals.tobytes() and vecs.tobytes() == want.tobytes()
+    assert vecs.shape == (3, 1) and vecs.flags.c_contiguous
+    assert np.allclose(vals, [3.0]) and np.allclose(np.abs(vecs[:, 0]), [0.5 ** 0.5] * 2 + [0])
     for name, g in _dense_feature_graphs().items():
         for tau in (0.0, 0.25):
             want = ref_signed_spectral_features(g, k, tau, top=eigh_top)
@@ -577,7 +613,7 @@ def test_top_eigh_matches_full_eigh():
         scale = max(1.0, float(np.linalg.norm(op)))
         ks = (1, 3, 8) if kind == "signed" else (2, 4, 8)  # S^T S pairs its values
         for k in ks:
-            got_vals, got = _top_eigh(op.copy(), k)
+            got_vals, got = _blas.top_eigh(op.copy(), k)
             assert got.shape == (op.shape[0], k)
             assert np.abs(got_vals - vals[::-1][:k]).max() <= 1e-12 * scale, (name, kind, k)
             assert np.abs(got.T @ got - np.eye(k)).max() <= 1e-12, (name, kind, k)
@@ -590,13 +626,46 @@ def test_top_eigh_matches_full_eigh():
 
 def test_top_eigh_is_deterministic():
     for _, _, op in _feature_operators():
-        runs = [_top_eigh(op.copy(), 8) for _ in range(3)]
+        runs = [_blas.top_eigh(op.copy(), 8) for _ in range(3)]
         for vals, vecs in runs[1:]:
             assert vals.tobytes() == runs[0][0].tobytes()
             assert vecs.tobytes() == runs[0][1].tobytes()
 
 
+def test_dsyevr_lookup_reads_no_process_maps(monkeypatch):
+    # the symbol is looked up on the handle of numpy's own LAPACK extension,
+    # so it is found with /proc/self/maps unreadable
+    import builtins
+    try:  # numpy >= 1.26
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except TypeError:
+        lapack = {}
+    if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in \
+            lapack.get("openblas configuration", ""):
+        pytest.skip("numpy does not link the ILP64 scipy-openblas")
+    real_open = builtins.open
+
+    def no_maps(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            raise PermissionError(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_maps)
+    _blas.lapacke_dsyevr.cache_clear()
+    try:
+        assert _blas.lapacke_dsyevr() is not None
+        vals, vecs = _blas.top_eigh(np.diag([1.0, 3.0, 2.0]), 2)
+        assert vals.tolist() == [3.0, 2.0] and np.abs(vecs).tolist() == [[0, 0], [1, 0], [0, 1]]
+    finally:
+        _blas.lapacke_dsyevr.cache_clear()
+
+
 def test_top_eigh_rejects_bad_input_and_failed_solves():
+    # both routes check the input before solving
+    for bad, k in ((np.eye(6)[:, ::2].copy(), 2), (np.eye(6)[::-1], 2),
+                   (np.eye(6, dtype=np.float32), 2), (np.eye(6), 0), (np.eye(6), 7)):
+        with pytest.raises(ValueError):
+            _blas.top_eigh(bad, k)
     if _blas.lapacke_dsyevr() is None:
         pytest.skip("LAPACKE_dsyevr not found")
     # LAPACKE rejects a NaN entry with info = -6, which is never ignored
@@ -604,10 +673,6 @@ def test_top_eigh_rejects_bad_input_and_failed_solves():
     a[2, 3] = a[3, 2] = np.nan
     with pytest.raises(NumericError, match=r"dsyevr \(n=6, k=2\) returned info=-6"):
         _blas.top_eigh(a, 2)
-    for bad, k in ((np.eye(6)[:, ::2].copy(), 2), (np.eye(6)[::-1], 2),
-                   (np.eye(6, dtype=np.float32), 2), (np.eye(6), 0), (np.eye(6), 7)):
-        with pytest.raises(ValueError):
-            _blas.top_eigh(bad, k)
 
 
 def _traced_peak(fn):

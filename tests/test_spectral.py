@@ -601,21 +601,26 @@ def test_largest_abs_through_real_skew_part_matches_dense_oracle(monkeypatch, fa
     assert seen == ["f"] * 6
 
 
-def test_largest_abs_at_the_real_solver_limit_takes_the_complex_solver(monkeypatch):
-    # the real solver needs 2 ceil(k/2) < n - 1: at n = 5, k = 3 asks for 4
+def test_largest_abs_beyond_the_real_solver_limit_takes_the_dense_route(monkeypatch):
+    # the real solver needs 2 ceil(k/2) < n - 1: at n = 5, k = 3 asks for 4.
+    # Beyond it the dense decomposition keeps +sigma of the pair an odd k
+    # splits, as the real route does, by position
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0), (3, 4, 1.0), (4, 0, 1.0), (1, 3, 1.0)]
+    graphs = {4: G(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0), (3, 0, 1.0), (1, 3, 1.0)]),
+              5: G(5, edges),
+              6: G(6, edges + [(4, 5, 1.0), (5, 1, 1.0)])}
     seen = _solver_dtypes(monkeypatch)
-    ops = [hermitian_imbalance(G(5, edges)),
-           hermitian_imbalance(G(6, edges + [(4, 5, 1.0), (5, 1, 1.0)]))]
-    for op in ops:
-        got = eigh(op, 3, "largest_abs")
-        vals = np.linalg.eigvalsh(op.toarray())
-        order = np.sort(np.argsort(-np.abs(vals), kind="stable")[:3])
-        assert np.allclose(np.sort(np.abs(got.values)), np.sort(np.abs(vals[order])),
-                           rtol=0, atol=1e-9)
-        res = op.entries @ got.vectors - got.vectors * got.values[None, :]
-        assert np.linalg.norm(res, axis=0).max() <= 1e-9
-    assert seen == ["c", "f"]  # n = 5 complex, n = 6 real
+    for n, g in graphs.items():
+        op = hermitian_imbalance(g)
+        for k in (1, 3):
+            seen.clear()
+            got = eigh(op, k, "largest_abs")
+            dense = (n, k) in ((4, 3), (5, 3))
+            assert seen == ([] if dense else ["f"]), (n, k, seen)
+            assert np.allclose(got.values, _imbalance_oracle(op, k), rtol=0, atol=1e-9), (n, k)
+            assert (got.values > 0).sum() == (k + 1) // 2, (n, k, got.values)
+            res = op.entries @ got.vectors - got.vectors * got.values[None, :]
+            assert np.linalg.norm(res, axis=0).max() <= 1e-9, (n, k)
 
 
 def test_lanczos_non_convergence_raises_numeric_error(monkeypatch):

@@ -175,7 +175,7 @@ def main(argv=None) -> None:
 
     dg = dsbm(meta_graph("cycle", K, eta=0.1), n, K, DEGREE / n, seed=1).graph
     skew = spectral.hermitian_imbalance(dg)
-    route = "real S" if spectral._skew_route(skew.entries, K, "largest_abs") else "complex"
+    route = "real S" if spectral._skew_route(skew.entries, "largest_abs") else "complex"
     print(f"dsbm cycle, n={n}, p={DEGREE:g}/n, m = {dg.num_edges}")
     pairs = stage("eigh(hermitian_imbalance, k=3)", spectral.eigh, skew, K, "largest_abs")
     residual = np.linalg.norm(skew.entries @ pairs.vectors - pairs.vectors * pairs.values,
