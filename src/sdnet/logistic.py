@@ -19,6 +19,15 @@ through only stops the fresh test allows too. Otherwise the fresh Hessian
 is formed, tested against eps * loss and solved for the step. Not getting
 there within a fixed iteration cap, or a line search that finds no
 acceptable step, raises ``NumericError``.
+
+A ``Design`` holds the training rows prepared once: checked, their labels
+encoded against the class list, transposed to [x | 1]^T and indexed by
+(class, row). ``logistic_train`` builds one from arrays, or takes one in
+their place, so a chain of fits over one fold (``pipeline.L2_GRID``)
+checks, encodes and copies its rows once. A warm start's theta is
+``np.hstack`` of the start's W^T and b, which is F-ordered, and not a
+C-ordered theta carried over from the previous fit: ``theta @ x1t``
+rounds by layout, and a C-ordered theta moves the last bit of some fits.
 """
 
 from __future__ import annotations
@@ -65,12 +74,13 @@ class LogisticModel:
         return self.classes[np.argmax(self.predict_proba(x), axis=1)]
 
 
-def _loss_grad(x1t, yi, theta, l2):
+def _loss_grad(x1t, at_y, theta, l2):
     """Loss, gradient and class probabilities at ``theta``.
 
     ``x1t`` is [x | 1]^T (d+1 x m), ``theta`` is [W; b]^T (K x d+1) and
-    ``yi`` holds class indices; everything runs class-major, so the
-    per-row reductions run along the long axis. The loss is the mean
+    ``at_y`` holds each row's flat (class, row) index into a K x m array
+    (``Design.at_y``); everything runs class-major, so the per-row
+    reductions run along the long axis. The loss is the mean
     cross-entropy plus (l2/2)||W||^2; the bias is unregularized.
 
     Each row's cross-entropy is log1p(s) - z_y, with the logits z shifted
@@ -80,21 +90,22 @@ def _loss_grad(x1t, yi, theta, l2):
     z_y is the maximum.
     """
     k, m = theta.shape[0], x1t.shape[1]
-    at_y = np.ravel_multi_index((yi, np.arange(m)), (k, m))  # each (y, row) entry
     logits = theta @ x1t
     logits -= logits.max(axis=0)
-    e = np.exp(logits)
-    below = logits < 0.0
-    # the exponentials below the maximum, plus 1 per further tied maximum
-    s = (e * below).sum(axis=0) + ((k - 1) - below.sum(axis=0))
-    norm = 1.0 + s
-    p = e / norm
     zy = logits.take(at_y)
+    below = logits < 0.0
+    # logits, e and p share one K x m array; a second holds e * below, then diff
+    e = np.exp(logits, out=logits)
+    # the exponentials below the maximum, plus 1 per further tied maximum
+    diff = np.multiply(e, below)
+    s = diff.sum(axis=0) + ((k - 1) - below.sum(axis=0))
+    norm = 1.0 + s
+    p = np.divide(e, norm, out=e)
     w = theta[:, :-1]
     loss = (float(np.sum(np.log1p(s)) - np.sum(zy)) / m
             + 0.5 * l2 * float((w * w).sum()))
-    diff = p.copy()
-    diff.put(at_y, np.where(zy == 0.0, -s / norm, p.take(at_y) - 1.0))
+    diff[...] = p
+    diff.reshape(-1)[at_y] = np.where(zy == 0.0, -s / norm, p.take(at_y) - 1.0)
     grad = diff @ x1t.T / m
     grad[:, :-1] += l2 * w
     return loss, grad, p
@@ -125,48 +136,81 @@ def _hessian(x1t: np.ndarray, p: np.ndarray, l2: float,
             h[i, :, i, :] += c
             h[j, :, j, :] += c
     h = h.reshape(k * d1, k * d1)
-    reg = np.full(d1, l2)
-    reg[-1] = 0.0
-    h[np.diag_indices_from(h)] += np.tile(reg, k)
-    bias = np.arange(k) * d1 + d1 - 1
-    h[np.ix_(bias, bias)] += 1.0 / k
+    diag = h.reshape(-1)[::k * d1 + 1].reshape(k, d1)  # views, as h is contiguous
+    diag[:, :-1] += l2  # the bias is unregularized
+    h[d1 - 1::d1, d1 - 1::d1] += 1.0 / k  # the K x K bias entries
     return h
 
 
-def logistic_train(x, y, classes=None, l2: float = 1e-4,
-                   start: LogisticModel | None = None) -> LogisticModel:
-    """Fit to the optimum from zero weights, or from ``start``'s weights.
+class Design:
+    """Training rows (m x d) with their labels, prepared for any number of fits.
 
     ``classes`` lists the class ids (default: those in ``y``); every one
     must occur in ``y``, since an absent class has no finite optimal bias.
-    ``l2`` must be positive. A warm start must have the same classes and
-    feature count.
+    The rows are checked and the labels encoded once. The class ids,
+    ``x1t`` = [x | 1]^T (d+1 x m) and ``at_y``, each row's flat
+    (class, row) index into a K x m array, are kept read-only. ``shape``
+    is (m, d), so ``np.shape`` of a Design reads as that of its rows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y).ravel()
-    if x.ndim != 2 or x.shape[0] != y.size:
-        raise ValueError("x must be (m x d) aligned with y")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+
+    def __init__(self, x, y, classes=None):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y).ravel()
+        if x.ndim != 2 or x.shape[0] != y.size:
+            raise ValueError("x must be (m x d) aligned with y")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x must be finite")
+        present = np.unique(y)
+        if present.size < 2:
+            raise ValueError("logistic regression needs at least two classes present")
+        # a copy of the caller's classes, since it is made read-only
+        classes = present if classes is None else np.array(classes)
+        order = np.argsort(classes, kind="stable")
+        pos = np.minimum(np.searchsorted(classes, y, sorter=order), classes.size - 1)
+        yi = order[pos]
+        bad = classes[yi] != y
+        if bad.any():
+            raise ValueError(f"label {y[bad].tolist()[0]!r} not in the class list")
+        if np.bincount(yi, minlength=classes.size).min() == 0:
+            raise ValueError("every listed class must occur in y")
+        m, d = x.shape
+        x1t = np.empty((d + 1, m))
+        x1t[:d] = x.T
+        x1t[d] = 1.0
+        self.classes = classes
+        self.x1t = x1t
+        self.at_y = np.ravel_multi_index((yi, np.arange(m)), (classes.size, m))
+        for a in (self.classes, self.x1t, self.at_y):
+            a.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        d1, m = self.x1t.shape
+        return m, d1 - 1
+
+
+def logistic_train(x, y=None, classes=None, l2: float = 1e-4,
+                   start: LogisticModel | None = None) -> LogisticModel:
+    """Fit to the optimum from zero weights, or from ``start``'s weights.
+
+    ``x`` is the rows (m x d) with labels ``y`` and ``classes`` as in
+    ``Design``, or a ``Design``, which brings its own labels and classes:
+    passing ``y`` or ``classes`` beside one raises ValueError. ``l2`` must
+    be positive. A warm start must have the same classes and feature count.
+    """
+    if isinstance(x, Design):
+        if y is not None or classes is not None:
+            raise ValueError("a Design brings its own y and classes")
+        design = x
+    elif y is None:
+        raise TypeError("logistic_train needs y unless x is a Design")
+    else:
+        design = Design(x, y, classes)
     if not l2 > 0:
         raise ValueError("l2 must be positive")
-    present = np.unique(y)
-    if present.size < 2:
-        raise ValueError("logistic regression needs at least two classes present")
-    classes = present if classes is None else np.asarray(classes)
-    order = np.argsort(classes, kind="stable")
-    pos = np.minimum(np.searchsorted(classes, y, sorter=order), classes.size - 1)
-    yi = order[pos]
-    bad = classes[yi] != y
-    if bad.any():
-        raise ValueError(f"label {y[bad].tolist()[0]!r} not in the class list")
-    if np.bincount(yi, minlength=classes.size).min() == 0:
-        raise ValueError("every listed class must occur in y")
-    m, d = x.shape
+    x1t, at_y, classes = design.x1t, design.at_y, design.classes
+    m, d = design.shape
     k = classes.size
-    x1t = np.empty((d + 1, m))
-    x1t[:d] = x.T
-    x1t[d] = 1.0
     if start is None:
         theta = np.zeros((k, d + 1))
     else:
@@ -174,7 +218,7 @@ def logistic_train(x, y, classes=None, l2: float = 1e-4,
             raise ValueError("the warm start's classes or feature count differ")
         theta = np.hstack([start.weights.T, start.bias[:, None]])
     buf = np.empty((d + 1, min(m, _BLOCK)))
-    loss, grad, p = _loss_grad(x1t, yi, theta, l2)
+    loss, grad, p = _loss_grad(x1t, at_y, theta, l2)
     losses = []
     h = None  # the previous iteration's Hessian
     for _ in range(_MAX_ITER):
@@ -194,7 +238,7 @@ def logistic_train(x, y, classes=None, l2: float = 1e-4,
         t = 1.0
         while True:
             trial = theta + t * step
-            loss_t, grad_t, p_t = _loss_grad(x1t, yi, trial, l2)
+            loss_t, grad_t, p_t = _loss_grad(x1t, at_y, trial, l2)
             if loss_t <= loss - _ARMIJO * t * decrement:
                 break
             # near the optimum the loss cannot see the step; the gradient can

@@ -127,11 +127,18 @@ def macro_f1(pred, true, classes=None) -> float:
 
 
 def auc(scores, true_binary) -> float:
-    """Rank-statistic AUC; tied scores contribute one half (midranks)."""
+    """Rank-statistic AUC; tied scores contribute one half (midranks).
+
+    Labels are 0 and 1 (or False and True); any other value raises
+    ValueError.
+    """
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(true_binary).ravel().astype(np.int64)
+    y = np.asarray(true_binary).ravel()
     if scores.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
+    bad = (y != 0) & (y != 1)
+    if bad.any():
+        raise ValueError(f"AUC labels must be 0 or 1, not {y[bad].tolist()[0]!r}")
     if not (np.any(y == 1) and np.any(y == 0)):
         raise ValueError("AUC needs both classes present")
     # a tie group holding 1-based ranks end - count + 1 .. end shares their mean

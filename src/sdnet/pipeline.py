@@ -31,7 +31,7 @@ from .cluster import (_embedding, is_complex, kmeans_seeds, real_columns,
                       spectral_cluster, spectral_embedding)
 from .graph import (SignedDirectedGraph, signed_degree_features,
                     standardize_columns)
-from .logistic import logistic_train
+from .logistic import Design, logistic_train
 from .metrics import accuracy, ari, auc, macro_f1
 from .rng import derive
 from .splitters import canonical_task, link_class_split, node_split
@@ -239,10 +239,11 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
     ``phase`` with a real embedding raises ValueError.
 
     Every split's one embedding gives features for the train, validation
-    and test folds. The classifier is fit on the training fold for each
-    l2 in L2_GRID and the fit with the highest validation accuracy is
-    scored on the test fold; ties go to the larger l2. An empty
-    validation fold or an empty ``seeds`` raises ValueError.
+    and test folds. The classifier is fit on the training fold, prepared
+    once as a ``logistic.Design``, for each l2 in L2_GRID and the fit
+    with the highest validation accuracy is scored on the test fold;
+    ties go to the larger l2. An empty validation fold or an empty
+    ``seeds`` raises ValueError.
 
     Reports accuracy and the test-fold majority-class rate for every
     task, plus AUC (score = probability of class 1) and macro F1 for
@@ -265,22 +266,22 @@ def linkpred_run(g: SignedDirectedGraph, task: str,
                                    split.test_pairs),
             embed_method, embed_dim, combine, q, tau)
         classes = np.arange(len(split.label_names))
+        design = Design(x_train, split.train_labels, classes)
         fit, best_acc = None, -1.0
         for l2 in L2_GRID:
-            fit = logistic_train(x_train, split.train_labels, classes=classes,
-                                 l2=l2, start=fit)
+            fit = logistic_train(design, l2=l2, start=fit)
             val_acc = accuracy(fit.predict(x_val), split.val_labels)
             if val_acc > best_acc:
                 model, best_acc = fit, val_acc
-        pred = model.predict(x_test)
+        proba = model.predict_proba(x_test)
+        pred = model.classes[np.argmax(proba, axis=1)]
         truth = split.test_labels
         records.append(RunRecord(0.0, 0, s, "accuracy", accuracy(pred, truth)))
         counts = np.bincount(truth, minlength=len(split.label_names))
         records.append(RunRecord(0.0, 0, s, "majority",
                                  float(counts.max() / counts.sum())))
         if len(split.label_names) == 2:
-            scores = model.predict_proba(x_test)[:, 1]
-            records.append(RunRecord(0.0, 0, s, "auc", auc(scores, truth)))
+            records.append(RunRecord(0.0, 0, s, "auc", auc(proba[:, 1], truth)))
             records.append(RunRecord(0.0, 0, s, "macro_f1",
                                      macro_f1(pred, truth, classes=classes)))
     return RunResult(tuple(records))

@@ -3,7 +3,7 @@ import pytest
 
 import sdnet.logistic as logistic
 from sdnet._blas import sum_squares
-from sdnet.logistic import logistic_train, _loss_grad
+from sdnet.logistic import Design, logistic_train, _loss_grad
 from sdnet.rng import stream
 from sdnet.spectral import NumericError
 
@@ -160,9 +160,10 @@ def test_gradient_matches_finite_differences():
     x = rng.normal(size=(20, 4))
     y = rng.integers(0, 3, size=20)
     x1t = np.vstack([x.T, np.ones(20)])
+    at_y = y * 20 + np.arange(20)  # each row's flat (class, row) index
     theta = rng.normal(size=(3, 5)) * 0.1
     l2 = 1e-3
-    loss, grad, _ = _loss_grad(x1t, y, theta, l2)
+    loss, grad, _ = _loss_grad(x1t, at_y, theta, l2)
     ref_loss, ref_gw, ref_gb = ref_loss_grad(x, _onehot(y, 3), theta[:, :-1].T,
                                              theta[:, -1], l2)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
@@ -171,8 +172,8 @@ def test_gradient_matches_finite_differences():
     for idx in [(0, 0), (2, 1), (1, 3), (0, 4), (1, 4), (2, 4)]:
         tp = theta.copy(); tp[idx] += eps
         tm = theta.copy(); tm[idx] -= eps
-        lp, _, _ = _loss_grad(x1t, y, tp, l2)
-        lm, _, _ = _loss_grad(x1t, y, tm, l2)
+        lp, _, _ = _loss_grad(x1t, at_y, tp, l2)
+        lm, _, _ = _loss_grad(x1t, at_y, tm, l2)
         fd = (lp - lm) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, rel=1e-5)
 
@@ -266,20 +267,28 @@ def _assert_fits_as_oracle(fit, ref):
 
 def test_warm_started_chains_match_the_fresh_hessian_oracle(monkeypatch):
     # the stop test by the previous Hessian forms fewer Hessians and moves
-    # no bit of any fit along the l2 chains linkpred_run takes
+    # no bit of any fit along the l2 chains linkpred_run takes, whether
+    # every fit is given the arrays or one Design serves the whole chain
     from sdnet.pipeline import L2_GRID
     calls = _count_hessians(monkeypatch)
-    ref_hessians = 0
+    problems = []  # (x, y, k, the oracle's fit at each l2 of the chain)
     for seed in range(40):
         x, y, k = _battery_problem(seed)
-        fit, start = None, None
+        refs, start = [], None
         for l2 in L2_GRID:
-            fit = logistic_train(x, y, classes=np.arange(k), l2=l2, start=fit)
-            ref = ref_newton(x, y, k, l2, start)
-            _assert_fits_as_oracle(fit, ref)
-            start = ref[:2]
-            ref_hessians += ref[4]
-    assert calls[0] < ref_hessians
+            refs.append(ref_newton(x, y, k, l2, start))
+            start = refs[-1][:2]
+        problems.append((x, y, k, refs))
+    ref_hessians = sum(ref[4] for *_, refs in problems for ref in refs)
+    for prepared in (False, True):
+        calls[0] = 0
+        for x, y, k, refs in problems:
+            args = (Design(x, y, np.arange(k)),) if prepared else (x, y, np.arange(k))
+            fit = None
+            for l2, ref in zip(L2_GRID, refs):
+                fit = logistic_train(*args, l2=l2, start=fit)
+                _assert_fits_as_oracle(fit, ref)
+        assert calls[0] < ref_hessians
 
 
 def test_stale_decrement_above_its_bound_forms_a_fresh_hessian(monkeypatch):
@@ -312,6 +321,51 @@ def test_listed_class_absent_from_y_raises():
         logistic_train(x, y, classes=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="not in the class list"):
         logistic_train(x, y + 1, classes=np.array([0, 1]))
+
+
+def test_design_raises_the_fit_errors():
+    x, y = _random_problem(2, 2)
+    with pytest.raises(ValueError, match="aligned with y"):
+        Design(x[:-1], y)
+    with pytest.raises(ValueError, match="aligned with y"):
+        Design(x[:, 0], y)
+    bad = x.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Design(bad, y)
+    with pytest.raises(ValueError, match="at least two classes"):
+        Design(x, np.zeros_like(y))
+    with pytest.raises(ValueError, match="label 2 not in the class list"):
+        Design(x, y + 1, classes=np.array([0, 1]))
+    with pytest.raises(ValueError, match="every listed class"):
+        Design(x, y, classes=np.array([0, 1, 2]))
+
+
+def test_design_brings_its_own_labels():
+    x, y = _random_problem(2, 2)
+    design = Design(x, y)
+    with pytest.raises(ValueError, match="its own y"):
+        logistic_train(design, y)
+    with pytest.raises(ValueError, match="its own y"):
+        logistic_train(design, classes=np.array([0, 1]))
+    with pytest.raises(TypeError):
+        logistic_train(x)
+    with pytest.raises(ValueError, match="l2 must be positive"):
+        logistic_train(design, l2=0.0)
+    fit = logistic_train(design)
+    ref = logistic_train(x, y)
+    assert fit.weights.tobytes() == ref.weights.tobytes()
+    assert fit.losses == ref.losses
+
+
+def test_design_reads_as_its_rows():
+    # perfbench's tracer records np.shape(x)[0] of logistic_train's x
+    x, y = _random_problem(4, 3, m=57, d=6)
+    design = Design(x, y)
+    assert np.shape(design) == x.shape == (57, 6)
+    np.testing.assert_array_equal(design.classes, [0, 1, 2])
+    for a in (design.classes, design.x1t, design.at_y):
+        assert not a.flags.writeable
 
 
 def test_identical_calls_give_identical_weights():

@@ -133,6 +133,20 @@ def test_auc_single_class_error():
         auc([0.1, 0.2], [1, 1])
 
 
+def test_auc_rejects_labels_other_than_0_and_1():
+    # unchecked, a third label is ranked but counted in neither class (AUC
+    # 2.0 here), and a fractional one truncates to 0 (AUC 1.0 here)
+    with pytest.raises(ValueError, match="not 2"):
+        auc([0.1, 0.9, 0.5], [0, 1, 2])
+    with pytest.raises(ValueError, match="not 0.7"):
+        auc([0.1, 0.9, 0.5], [0.0, 1.0, 0.7])
+    scores = [0.1, 0.9, 0.5, 0.3]
+    want = auc(scores, [0, 1, 1, 0])
+    for labels in ([False, True, True, False], [0.0, 1.0, 1.0, 0.0],
+                   np.array([0, 1, 1, 0], dtype=np.int8)):
+        assert auc(scores, labels) == want
+
+
 def test_macro_f1_empty_class_contributes_zero():
     # class 2 never predicted nor true among explicit classes
     assert macro_f1([0, 0, 1], [0, 1, 1], classes=[0, 1, 2]) == pytest.approx(

@@ -9,7 +9,8 @@ builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs,
 clusters the row-normalized [Re | Im] embedding and scores the soft
 assignment (``pbnc_loss``, then ``prob_imbalance``), splits its links
 for 5C and fits the link classifier's ``L2_GRID`` warm-started chain on
-the training fold's signed-degree ``concat`` features (K = 5), printing
+the training fold's signed-degree ``concat`` features (K = 5), prepared
+once as a ``logistic.Design`` as ``linkpred_run`` does, printing
 after each stage its wall time, its own traced peak (tracemalloc, in
 bytes per edge above what was held when the stage began), the process's
 peak RSS so far (``ru_maxrss``) and its current RSS (Linux's ``VmRSS``);
@@ -61,7 +62,7 @@ from sdnet import _blas, graph, metrics, spectral
 from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import dsbm, f1_meta, meta_graph, sdsbm
-from sdnet.logistic import logistic_train
+from sdnet.logistic import Design, logistic_train
 from sdnet.pipeline import L2_GRID, edge_feature_matrix
 from sdnet.splitters import link_class_split, spanning_forest
 
@@ -162,9 +163,10 @@ def main(argv=None) -> None:
     iterations = []
 
     def fit_chain():
+        design = Design(x, split.train_labels, classes)
         fit = None
         for l2 in L2_GRID:
-            fit = logistic_train(x, split.train_labels, classes=classes, l2=l2, start=fit)
+            fit = logistic_train(design, l2=l2, start=fit)
             iterations.append(len(fit.losses))
 
     stage(f"logistic_train(5C, {len(L2_GRID)} l2 fits)", fit_chain)
