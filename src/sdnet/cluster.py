@@ -8,9 +8,9 @@ operator; or a ``graph`` feature function, whose [Re | Im] columns
 ``hermitian_spectral`` packs back into complex vectors), stacks
 real and imaginary parts of complex ones and row-normalizes; it holds
 the one eigensolve.
-``cluster_embedding`` runs k-means on it; soft assignments come from a
-softmax over negated distances to the final centroids (temperature 1),
-and hard labels feed the metrics.
+``cluster_embedding`` runs k-means on it and returns the partition
+twice: as labels and as their one-hot ``SoftAssignment``, so every score
+reads the partition itself.
 
 ``kmeans_full`` runs all its restarts as one array program. Only the
 k-means++ seeding draws from the seeded stream, so every restart is
@@ -323,19 +323,11 @@ def spectral_embedding(g: SignedDirectedGraph, method: str, k: int,
 
 
 def cluster_embedding(emb: np.ndarray, k: int, seed: int = 0):
-    """k-means on an embedding plus soft assignments from its centroids.
-
-    Returns (SoftAssignment, hard labels); the soft rows are a softmax
-    over negated distances to the final centroids (temperature 1).
-    """
-    labels, centers, _ = kmeans_full(emb, k, seed=seed)
-    diff = emb[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    logits = -dist
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return SoftAssignment(p), labels
+    """k-means on an embedding: (the labels' one-hot n x k
+    SoftAssignment, hard labels), so a score of the SoftAssignment is a
+    score of the partition."""
+    labels, _, _ = kmeans_full(emb, k, seed=seed)
+    return SoftAssignment.from_labels(labels, k), labels
 
 
 def spectral_cluster(g: SignedDirectedGraph, method: str, k: int, seed: int = 0,
@@ -343,7 +335,8 @@ def spectral_cluster(g: SignedDirectedGraph, method: str, k: int, seed: int = 0,
     """Cluster nodes with the given spectral method.
 
     ``spectral_embedding`` followed by ``cluster_embedding``. Returns
-    (SoftAssignment, hard labels). ``q`` only affects magnetic kinds and
-    ``tau`` only the regularized-adjacency features.
+    (the labels' one-hot SoftAssignment, hard labels). ``q`` only
+    affects magnetic kinds and ``tau`` only the regularized-adjacency
+    features.
     """
     return cluster_embedding(spectral_embedding(g, method, k, q=q, tau=tau), k, seed=seed)

@@ -325,7 +325,7 @@ def _meta_core(kind, K, eta, rng):
         for l in range(K):
             if l != center:
                 F[center, l] = 1 - eta if l % 2 == 1 else eta
-                F[l, center] = 1 - eta if l % 2 == 1 else eta
+                F[l, center] = 1 - F[center, l]
     else:
         raise ValueError(f"unsupported meta-graph kind {kind!r}")
     return F, pattern

@@ -204,8 +204,9 @@ def _edge_rows(source) -> np.ndarray:
         raise ValueError(f"malformed edge line: {err}") from None
 
 
-def read_edge_tsv(path, num_nodes: int | None = None) -> SignedDirectedGraph:
-    """Read an edge-list TSV; ``# num_nodes = N`` headers are honored.
+def read_edge_tsv(path) -> SignedDirectedGraph:
+    """Read an edge-list TSV; the last ``# num_nodes = N`` header, or else
+    the largest node id plus one, sets the node count.
 
     Blank lines and ``#`` comments are skipped. Any other line must hold
     exactly three tab-separated fields (int, int, float), or
@@ -219,9 +220,9 @@ def read_edge_tsv(path, num_nodes: int | None = None) -> SignedDirectedGraph:
     # explicit column copies: handing the graph the strided field views
     # (which it copies itself) measured ~3 MB more peak RSS on large_sparse
     src, dst = np.ascontiguousarray(rows["src"]), np.ascontiguousarray(rows["dst"])
-    if num_nodes is None and headers:
+    if headers:
         num_nodes = int(headers[-1])
-    if num_nodes is None:
+    else:
         num_nodes = int(max(src.max(), dst.max())) + 1 if src.size else 0
     return SignedDirectedGraph(num_nodes, src, dst, np.ascontiguousarray(rows["weight"]))
 

@@ -36,10 +36,11 @@ from .metrics import accuracy, ari, auc, macro_f1
 from .rng import derive
 from .splitters import canonical_task, link_class_split, node_split
 
-# Edge combiners for ``linkpred_run``. ``phase`` needs a complex
-# embedding (``cluster.is_complex``) and is their default; real
-# embeddings default to ``concat``.
-EDGE_COMBINERS = ("concat", "hadamard", "difference", "phase")
+# Edge combiners for ``linkpred_run``: ``concat`` is [x_u | x_v], the
+# default for real embeddings; ``phase`` is [Re | Im] of conj(z_u) * z_v
+# (``_phase_block``), which needs a complex embedding
+# (``cluster.is_complex``) and is their default.
+EDGE_COMBINERS = ("concat", "phase")
 # l2 penalties ``linkpred_run`` chooses from on the validation fold,
 # strongest first: each fit warm-starts from the one before it
 L2_GRID = (1.0, 1e-1, 1e-2, 1e-3)
@@ -133,27 +134,29 @@ def generate_from_params(params: dict, seed: int | None = None) -> gen.Generated
     return fn(*args, **kwargs)
 
 
+def _phase_block(z: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """[Re | Im] of conj(z_u) * z_v per column of the complex z, written
+    into the first 2 * z.shape[1] columns of ``out`` (len(pairs) rows):
+    swapping the endpoints negates the Im block, and a column's global
+    phase cancels. Returns ``out``."""
+    r = z.shape[1]
+    prod = np.conj(z[pairs[:, 0]]) * z[pairs[:, 1]]
+    out[:, :r] = prod.real
+    out[:, r:2 * r] = prod.imag
+    return out
+
+
 def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,
                         combine: str = "concat") -> np.ndarray:
-    """Map query pairs to edge features from endpoint embeddings.
-
-    ``phase`` takes a complex node matrix z and returns [Re | Im] of
-    conj(z_u) * z_v per column: swapping the endpoints negates the Im
-    block, and a column's global phase cancels.
-    """
+    """Map query pairs to edge features from endpoint embeddings:
+    [x_u | x_v] for ``concat``, ``_phase_block`` of a complex node
+    matrix for ``phase``."""
     if combine == "concat":
         return node_x[pairs].reshape(len(pairs), 2 * node_x.shape[1])  # [x_u | x_v], one gather
-    xu = node_x[pairs[:, 0]]
-    xv = node_x[pairs[:, 1]]
     if combine == "phase":
         if not np.iscomplexobj(node_x):
             raise ValueError("the phase combiner needs a complex node embedding")
-        prod = np.conj(xu) * xv
-        return np.hstack([prod.real, prod.imag])
-    if combine == "hadamard":
-        return xu * xv
-    if combine == "difference":
-        return xu - xv
+        return _phase_block(node_x, pairs, np.empty((len(pairs), 2 * node_x.shape[1])))
     raise ValueError(f"unknown edge combiner {combine!r}")
 
 
@@ -178,10 +181,10 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
     """Edge features for each pair set from one embedding of ``g``.
 
     ``phase`` takes the complex embedding z as it is, writes each pair
-    set's [Re | Im] phase-difference block (``edge_feature_matrix``) and
-    both endpoints' signed degrees into one array and standardizes every
-    column in place with the statistics of the first pair set (the
-    training fold), as ``standardize_columns`` would.
+    set's ``_phase_block`` and both endpoints' signed degrees into one
+    array and standardizes every column in place with the statistics of
+    the first pair set (the training fold), as ``standardize_columns``
+    would.
     """
     if combine != "phase":
         node_x = link_node_embedding(g, embed_method, embed_dim, q=q, tau=tau)
@@ -191,10 +194,7 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
     r, c = z.shape[1], 2 * deg.shape[1]
     xs = []
     for p in pair_sets:
-        x = np.empty((len(p), 2 * r + c))
-        prod = np.conj(z[p[:, 0]]) * z[p[:, 1]]
-        x[:, :r] = prod.real
-        x[:, r:2 * r] = prod.imag
+        x = _phase_block(z, p, np.empty((len(p), 2 * r + c)))
         x[:, 2 * r:] = deg[p].reshape(len(p), c)
         xs.append(x)
     mean, std = xs[0].mean(axis=0), xs[0].std(axis=0)

@@ -90,6 +90,37 @@ k = 3
     assert (out / "pred_labels.csv").exists()
 
 
+def _metric_rows(path):
+    """{metric: value} of a metrics.csv."""
+    rows = [ln.split(",") for ln in Path(path).read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    return {r[0]: r[1] for r in rows[1:]}
+
+
+def test_cluster_scores_its_partition_as_the_metrics_command_does(tmp_path):
+    import json
+    from sdnet.config import load
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ssbm_cluster.toml"
+    out = tmp_path / "cluster"
+    assert run(["cluster", "--config", shipped, "--out", out]) == 0
+    # JSON spells these strings and numbers as TOML does
+    graph = "\n".join(f"{key} = {json.dumps(value)}"
+                      for key, value in load(shipped)["graph"].items())
+    mcfg = write(tmp_path / "m.toml", f"""
+[graph]
+{graph}
+
+[metrics]
+labels_pred = "{out}/pred_labels.csv"
+names = ["unhappy_ratio", "pbnc_loss"]
+""")
+    assert run(["metrics", "--config", mcfg, "--out", tmp_path / "metrics"]) == 0
+    clustered = _metric_rows(out / "metrics.csv")
+    scored = _metric_rows(tmp_path / "metrics" / "metrics.csv")
+    assert {name: clustered[name] for name in scored} == scored
+    assert scored["pbnc_loss"] == "0.0"
+
+
 def test_linkpred_command(tmp_path):
     cfg = write(tmp_path / "lp.toml", """
 [graph]

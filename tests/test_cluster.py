@@ -56,6 +56,16 @@ def test_spectral_cluster_ssbm_zero_noise():
     assert np.array_equal(soft.P.argmax(axis=1), labels)
 
 
+@pytest.mark.parametrize("method", ["signed_laplacian_sym", "hermitian_imbalance"])
+def test_spectral_cluster_soft_is_the_one_hot_of_its_labels(method):
+    inst = (ssbm(150, 3, 0.1, 0.1, eta=0.2, seed=5) if method == "signed_laplacian_sym"
+            else dsbm(meta_graph("cycle", 3, eta=0.2), 150, 3, 0.1, seed=5))
+    soft, labels = spectral_cluster(inst.graph, method, 3, seed=1)
+    onehot = np.zeros((150, 3))
+    onehot[np.arange(150), labels] = 1.0
+    assert soft.P.dtype == np.float64 and soft.P.tobytes() == onehot.tobytes()
+
+
 def test_spectral_cluster_dsbm_hermitian_zero_noise():
     inst = dsbm(meta_graph("cycle", 3), 150, 3, 0.15, seed=1)
     _, labels = spectral_cluster(inst.graph, "hermitian_imbalance", 3, seed=0)

@@ -187,9 +187,19 @@ def test_meta_star_structure():
         if l != center:
             expect = 0.9 if l % 2 == 1 else 0.1
             assert m.F[center, l] == pytest.approx(expect)
-            assert m.F[l, center] == pytest.approx(expect)
+            assert m.F[l, center] == pytest.approx(1 - expect)
     # non-center off-diagonal entries are structural zeros, filled with 0.5
     assert m.F[0, 1] == 0.0 and m.F_filled[0, 1] == 0.5
+
+
+@pytest.mark.parametrize("kind", ["cycle", "path", "complete", "star"])
+def test_meta_pattern_pairs_split_their_flow(kind):
+    # every off-diagonal pattern entry is eta or 1 - eta, so F > 0 marks it
+    m = meta_graph(kind, 5, eta=0.1, seed=3)
+    pattern = (m.F > 0) & ~np.eye(5, dtype=bool)
+    assert pattern.any() and np.array_equal(pattern, pattern.T)
+    k, l = np.nonzero(pattern)
+    np.testing.assert_allclose(m.F[k, l] + m.F[l, k], 1.0, rtol=0, atol=1e-15)
 
 
 def test_meta_ambient_cycle():

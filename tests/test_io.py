@@ -129,7 +129,8 @@ def test_edge_tsv_blank_lines_and_late_header(tmp_path):
     g = sio.read_edge_tsv(path)
     assert g.num_nodes == 9
     assert g.edge_list() == [(0, 1, 0.5), (2, 3, -1.5)]
-    assert sio.read_edge_tsv(path, num_nodes=12).num_nodes == 12
+    with pytest.raises(TypeError):  # the file alone sets the node count
+        sio.read_edge_tsv(path, num_nodes=12)
     # keys that merely contain num_nodes are not the header
     path.write_text("# num_nodes_total = 30\n# x = \"num_nodes = 40\"\n0\t1\t1.0\n")
     assert sio.read_edge_tsv(path).num_nodes == 2

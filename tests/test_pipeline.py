@@ -30,10 +30,6 @@ def test_edge_feature_combiners():
     pairs = np.array([[0, 2], [1, 0]])
     cat = edge_feature_matrix(x, pairs, "concat")
     assert cat.shape == (2, 4) and list(cat[0]) == [1.0, 2.0, 5.0, 6.0]
-    had = edge_feature_matrix(x, pairs, "hadamard")
-    assert list(had[0]) == [5.0, 12.0]
-    diff = edge_feature_matrix(x, pairs, "difference")
-    assert list(diff[1]) == [2.0, 2.0]
     with pytest.raises(ValueError):
         edge_feature_matrix(x, pairs, "outer")
 
@@ -59,6 +55,31 @@ def test_phase_combiner_ignores_column_global_phase():
     np.testing.assert_allclose(edge_feature_matrix(rotated, pairs, "phase"),
                                edge_feature_matrix(z, pairs, "phase"),
                                atol=1e-12)
+
+
+def test_phase_combiner_and_link_features_share_one_phase_block(monkeypatch):
+    # the property tests above reach the block linkpred_run's features use
+    import sdnet.pipeline as pipeline
+    from sdnet.splitters import link_class_split
+    calls = []
+
+    def record(z, pairs, out):
+        calls.append(out.shape)
+        return real(z, pairs, out)
+
+    real = pipeline._phase_block
+    monkeypatch.setattr(pipeline, "_phase_block", record)
+    rng = np.random.default_rng(2)
+    z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+    assert edge_feature_matrix(z, np.array([[0, 1], [2, 5]]), "phase").shape == (2, 6)
+    assert calls == [(2, 6)]
+    g = generate_from_params({"model": "dsbm", "meta": "cycle", "n": 90, "k": 3,
+                              "p": 0.2}, seed=1).graph
+    split = link_class_split(g, "DP", seed=0)
+    folds = (split.train_pairs, split.val_pairs, split.test_pairs)
+    xs = pipeline._link_features(split.observed_graph, folds, "hermitian_spectral",
+                                 4, "phase", 0.25, 0.25)
+    assert calls[1:] == [x.shape for x in xs] and all(x.shape[1] == 16 for x in xs)
 
 
 def test_phase_combiner_rejects_real_embedding():

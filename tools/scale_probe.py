@@ -6,11 +6,12 @@ takes the largest weakly connected component of the read-back graph
 and its spanning forest (the two callers of one Borůvka routine),
 splits its links for 4C with ``maintain_connectedness`` and for EP,
 builds its signed magnetic Laplacian, solves it for k = 3 eigenpairs,
-clusters the row-normalized [Re | Im] embedding and scores the soft
-assignment (``pbnc_loss``, then ``prob_imbalance``), splits its links
-for 5C and fits the link classifier's ``L2_GRID`` warm-started chain on
-the training fold's signed-degree ``concat`` features (K = 5), prepared
-once as a ``logistic.Design`` as ``linkpred_run`` does, printing
+clusters the row-normalized [Re | Im] embedding and scores the
+partition's one-hot assignment (``pbnc_loss``, then ``prob_imbalance``),
+splits its links for 5C and fits the link classifier's ``L2_GRID``
+warm-started chain on the training fold's signed-degree ``concat``
+features (K = 5), prepared once as a ``logistic.Design`` as
+``linkpred_run`` does, printing
 after each stage its wall time, its own traced peak (tracemalloc, in
 bytes per edge above what was held when the stage began), the process's
 peak RSS so far (``ru_maxrss``) and its current RSS (Linux's ``VmRSS``);
