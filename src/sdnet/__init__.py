@@ -13,7 +13,7 @@ from .graph import (FeatureMatrix, SignedDirectedGraph,
                     hermitian_spectral_features, is_directed, is_signed,
                     largest_weakly_connected_component, signed_degree_features,
                     signed_spectral_features)
-from .logistic import LogisticModel, logistic_train
+from .logistic import Design, LogisticModel, logistic_train
 from .metrics import (MetricReport, SoftAssignment, accuracy, ari, auc,
                       balanced_triangle_ratio, macro_f1, pbnc_loss,
                       prob_imbalance, unhappy_ratio)
@@ -29,7 +29,7 @@ from .splitters import (LinkTaskSplit, NodeSplit, link_class_split, node_split,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockSizes", "EigenPairs", "FeatureMatrix", "GeneratedInstance",
+    "BlockSizes", "Design", "EigenPairs", "FeatureMatrix", "GeneratedInstance",
     "LinkTaskSplit", "LogisticModel", "MetaGraph", "MetricReport", "NodeSplit",
     "NumericError", "RunRecord", "RunResult", "SignedDirectedGraph",
     "SoftAssignment", "SpectralMatrix", "accuracy", "ari", "auc",

@@ -64,22 +64,25 @@ def _need(sec: dict, key: str, where: str):
     return sec[key]
 
 
-# metric name -> (needs true labels, fn(graph, true, pred, soft)); reports
-# follow the order the names are requested in
+# metric name -> (needs true labels, fn(graph, true, pred, k)); reports
+# follow the order the names are requested in, and the partition losses
+# score the one-hot assignment of ``pred`` over k clusters
 METRICS = {
-    "ari": (True, lambda g, true, pred, soft: met.ari(true, pred)),
-    "accuracy": (True, lambda g, true, pred, soft: met.accuracy(pred, true)),
-    "unhappy_ratio": (False, lambda g, true, pred, soft: met.unhappy_ratio(g, pred)),
-    "balanced_triangle_ratio": (False, lambda g, true, pred, soft:
+    "ari": (True, lambda g, true, pred, k: met.ari(true, pred)),
+    "accuracy": (True, lambda g, true, pred, k: met.accuracy(pred, true)),
+    "unhappy_ratio": (False, lambda g, true, pred, k: met.unhappy_ratio(g, pred)),
+    "balanced_triangle_ratio": (False, lambda g, true, pred, k:
                                 met.balanced_triangle_ratio(g)),
-    "prob_imbalance": (False, lambda g, true, pred, soft: met.prob_imbalance(g, soft)),
-    "pbnc_loss": (False, lambda g, true, pred, soft: met.pbnc_loss(g, soft)),
+    "prob_imbalance": (False, lambda g, true, pred, k:
+                       met.prob_imbalance(g, met.SoftAssignment.from_labels(pred, k))),
+    "pbnc_loss": (False, lambda g, true, pred, k:
+                  met.pbnc_loss(g, met.SoftAssignment.from_labels(pred, k))),
 }
-SOFT_METRICS = ("prob_imbalance", "pbnc_loss")
 
 
-def _metric_reports(names, graph, true, pred, soft) -> list:
-    """One MetricReport per name, in order; ``soft`` feeds SOFT_METRICS."""
+def _metric_reports(names, graph, true, pred, k) -> list:
+    """One MetricReport per name, in order; ``k`` is the cluster count of
+    ``pred`` (None: pred.max() + 1)."""
     reports = []
     for name in names:
         if name not in METRICS:
@@ -87,7 +90,7 @@ def _metric_reports(names, graph, true, pred, soft) -> list:
         needs_true, fn = METRICS[name]
         if needs_true and true is None:
             raise ConfigError(f"{name} needs true labels")
-        reports.append(met.MetricReport(name, fn(graph, true, pred, soft),
+        reports.append(met.MetricReport(name, fn(graph, true, pred, k),
                                         graph.num_nodes))
     return reports
 
@@ -157,7 +160,7 @@ def cmd_cluster(cfg, outdir: Path, seed_override):
     kw = _kwargs(cfg, "cluster", spectral_cluster)
     is_complex(kw["method"])  # ValueError for an unknown method
     graph, labels, gparams = _load_graph(cfg, seed_override)
-    soft, pred = spectral_cluster(graph, **kw)
+    _, pred = spectral_cluster(graph, **kw)
     params = _provenance(gparams, "cluster", kw)
     sio.write_labels_csv(outdir / "pred_labels.csv", pred, params)
     names = [] if labels is None else ["ari"]
@@ -165,7 +168,7 @@ def cmd_cluster(cfg, outdir: Path, seed_override):
         names += ["unhappy_ratio", "pbnc_loss"]
     if is_directed(graph) and kw["k"] >= 2:
         names.append("prob_imbalance")
-    reports = _metric_reports(names, graph, labels, pred, soft)
+    reports = _metric_reports(names, graph, labels, pred, kw["k"])
     sio.write_metric_reports_csv(outdir / "metrics.csv", reports, params)
 
 
@@ -208,9 +211,7 @@ def cmd_metrics(cfg, outdir: Path, seed_override):
     if "labels_true" in sec:
         true = sio.read_labels_csv(sec["labels_true"])
     names = sec.get("names", ["ari"])
-    soft = (met.SoftAssignment.from_labels(pred)
-            if any(name in SOFT_METRICS for name in names) else None)
-    reports = _metric_reports(names, graph, true, pred, soft)
+    reports = _metric_reports(names, graph, true, pred, None)
     sio.write_metric_reports_csv(outdir / "metrics.csv", reports, gparams)
 
 

@@ -199,11 +199,13 @@ def _block_pairs(rng, sizes, prob, directed: bool):
     return np.divmod(np.sort(np.concatenate(codes)), n)
 
 
-def _both_directions(u, v, w):
+def _both_directions(u, v, w, n: int):
+    """Both ordered copies of each undirected pair of n nodes, sorted by
+    (src, dst) through their distinct codes src * n + dst."""
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     ww = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
+    order = np.argsort(src * n + dst)
     return src[order], dst[order], ww[order]
 
 
@@ -230,7 +232,7 @@ def ssbm(n: int, K: int, p_in: float, p_out: float, rho: float = 1.0,
     same = labels[u] == labels[v]
     sign = np.where(same, 1.0, -1.0)
     flip = rng.random(u.size) < np.where(same, eta_in, eta_out)
-    src, dst, ww = _both_directions(u, v, np.where(flip, -sign, sign))
+    src, dst, ww = _both_directions(u, v, np.where(flip, -sign, sign), n)
     params = {"model": "ssbm", "n": n, "k": K, "p_in": p_in, "p_out": p_out,
               "rho": rho, "eta_in": eta_in, "eta_out": eta_out, "seed": seed}
     return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww), labels, params)
@@ -243,7 +245,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> GeneratedInstance:
     rng = stream(seed)
     u, v = _block_pairs(rng, [n], np.full((1, 1), p), directed=False)
     w = np.where(rng.random(u.size) < 0.5, 1.0, -1.0)
-    src, dst, ww = _both_directions(u, v, w)
+    src, dst, ww = _both_directions(u, v, w, n)
     params = {"model": "erdos_renyi", "n": n, "p": p, "seed": seed}
     return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww),
                              np.zeros(n, dtype=np.int64), params)
@@ -282,7 +284,7 @@ def pol_ssbm(n: int, r: int, p: float, rho: float = 1.0, eta: float = 0.0,
     sign = np.where(lu == lv, 1.0, -1.0)
     x = rng.random(u.size)
     w = np.where(planted, np.where(x < eta, -sign, sign), np.where(x < 0.5, 1.0, -1.0))
-    src, dst, ww = _both_directions(u, v, w)
+    src, dst, ww = _both_directions(u, v, w, n)
     params = {"model": "pol_ssbm", "n": n, "r": r, "p": p, "rho": rho,
               "eta": eta, "community_nodes": N, "seed": seed}
     return GeneratedInstance(SignedDirectedGraph(n, src, dst, ww), labels, params)

@@ -22,12 +22,12 @@ acceptable step, raises ``NumericError``.
 
 A ``Design`` holds the training rows prepared once: checked, their labels
 encoded against the class list, transposed to [x | 1]^T and indexed by
-(class, row). ``logistic_train`` builds one from arrays, or takes one in
-their place, so a chain of fits over one fold (``pipeline.L2_GRID``)
-checks, encodes and copies its rows once. A warm start's theta is
-``np.hstack`` of the start's W^T and b, which is F-ordered, and not a
-C-ordered theta carried over from the previous fit: ``theta @ x1t``
-rounds by layout, and a C-ordered theta moves the last bit of some fits.
+(class, row). ``logistic_train`` fits a Design, so a chain of fits over
+one fold (``pipeline.L2_GRID``) checks, encodes and copies its rows
+once. A warm start's theta is ``np.hstack`` of the start's W^T and b,
+which is F-ordered, and not a C-ordered theta carried over from the
+previous fit: ``theta @ x1t`` rounds by layout, and a C-ordered theta
+moves the last bit of some fits.
 """
 
 from __future__ import annotations
@@ -189,23 +189,13 @@ class Design:
         return m, d1 - 1
 
 
-def logistic_train(x, y=None, classes=None, l2: float = 1e-4,
+def logistic_train(design: Design, l2: float = 1e-4,
                    start: LogisticModel | None = None) -> LogisticModel:
-    """Fit to the optimum from zero weights, or from ``start``'s weights.
+    """Fit ``design`` to the optimum from zero weights, or from ``start``'s weights.
 
-    ``x`` is the rows (m x d) with labels ``y`` and ``classes`` as in
-    ``Design``, or a ``Design``, which brings its own labels and classes:
-    passing ``y`` or ``classes`` beside one raises ValueError. ``l2`` must
-    be positive. A warm start must have the same classes and feature count.
+    ``l2`` must be positive. A warm start must have the design's classes
+    and feature count.
     """
-    if isinstance(x, Design):
-        if y is not None or classes is not None:
-            raise ValueError("a Design brings its own y and classes")
-        design = x
-    elif y is None:
-        raise TypeError("logistic_train needs y unless x is a Design")
-    else:
-        design = Design(x, y, classes)
     if not l2 > 0:
         raise ValueError("l2 must be positive")
     x1t, at_y, classes = design.x1t, design.at_y, design.classes

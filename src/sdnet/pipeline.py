@@ -1,14 +1,16 @@
 """End-to-end experiment pipelines.
 
 ``linkpred_run`` realizes the embed-then-classify link-prediction
-recipe: split the task queries, embed nodes of the observed graph
-(spectral features stacked with signed degree features), form edge
-features from the query endpoints, fit a logistic classifier on the
-training fold for each l2 in ``L2_GRID`` and keep the fit with the best
-validation accuracy; complex embeddings feed the ``phase`` combiner,
-whose conj(z_u) * z_v block carries edge direction. ``cluster_sweep``
-drives spectral clustering over a swept generator parameter and reports
-test-mask agreement per run.
+recipe: split the task queries, embed the nodes of the observed graph
+once and turn every fold's query endpoints into edge features
+(``_link_features``, the one builder for both combiners: spectral
+features stacked with signed degree features), fit a logistic
+classifier on the training fold's ``logistic.Design`` for each l2 in
+``L2_GRID`` and keep the fit with the best validation accuracy; complex
+embeddings feed the ``phase`` combiner, whose conj(z_u) * z_v block
+carries edge direction. ``cluster_sweep`` drives spectral clustering
+over a swept generator parameter and reports test-mask agreement per
+run.
 
 ``bind`` maps a flat record (generator parameters, a CLI section) onto
 a call's signature, which lists its keys and defaults; RECORD_KEYS is
@@ -146,39 +148,17 @@ def _phase_block(z: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def edge_feature_matrix(node_x: np.ndarray, pairs: np.ndarray,
-                        combine: str = "concat") -> np.ndarray:
-    """Map query pairs to edge features from endpoint embeddings:
-    [x_u | x_v] for ``concat``, ``_phase_block`` of a complex node
-    matrix for ``phase``."""
-    if combine == "concat":
-        return node_x[pairs].reshape(len(pairs), 2 * node_x.shape[1])  # [x_u | x_v], one gather
-    if combine == "phase":
-        if not np.iscomplexobj(node_x):
-            raise ValueError("the phase combiner needs a complex node embedding")
-        return _phase_block(node_x, pairs, np.empty((len(pairs), 2 * node_x.shape[1])))
-    raise ValueError(f"unknown edge combiner {combine!r}")
-
-
-def link_node_embedding(g: SignedDirectedGraph, embed_method: str,
-                        embed_dim: int, q: float = 0.25,
-                        tau: float = 0.25) -> np.ndarray:
-    """Spectral embedding stacked with standardized signed degrees.
-
-    A complex embedding enters as [Re | Im]. Columns are standardized so
-    eigenvector coordinates (magnitude about n**-0.5) and degree features
-    share a common scale for the classifier.
-    """
-    deg = signed_degree_features(g).values
-    if embed_method == "signed_degree":
-        return deg
-    emb = real_columns(_embedding(g, embed_method, embed_dim, q, tau))
-    return np.hstack([standardize_columns(emb), deg])
-
-
 def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
                    embed_dim: int, combine: str, q: float, tau: float) -> list:
     """Edge features for each pair set from one embedding of ``g``.
+
+    ``combine`` is a ``resolve_combiner`` result; both combiners read the
+    signed degrees of ``g`` once. ``concat`` gathers [x_u | x_v] from the
+    node table [standardize_columns(real_columns(z)) | deg], or from the
+    degrees alone for ``signed_degree``: a complex z enters as [Re | Im],
+    and its columns are standardized so eigenvector coordinates (magnitude
+    about n**-0.5) and degree features share a common scale for the
+    classifier.
 
     ``phase`` takes the complex embedding z as it is, writes each pair
     set's ``_phase_block`` and both endpoints' signed degrees into one
@@ -186,11 +166,14 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
     the first pair set (the training fold), as ``standardize_columns``
     would.
     """
-    if combine != "phase":
-        node_x = link_node_embedding(g, embed_method, embed_dim, q=q, tau=tau)
-        return [edge_feature_matrix(node_x, p, combine) for p in pair_sets]
-    z = _embedding(g, embed_method, embed_dim, q, tau)
     deg = signed_degree_features(g).values
+    if combine == "concat":
+        node_x = deg
+        if embed_method != "signed_degree":
+            emb = real_columns(_embedding(g, embed_method, embed_dim, q, tau))
+            node_x = np.hstack([standardize_columns(emb), deg])
+        return [node_x[p].reshape(len(p), 2 * node_x.shape[1]) for p in pair_sets]
+    z = _embedding(g, embed_method, embed_dim, q, tau)
     r, c = z.shape[1], 2 * deg.shape[1]
     xs = []
     for p in pair_sets:

@@ -313,6 +313,9 @@ def test_unknown_method_rejected_before_generating(tmp_path, monkeypatch, capsys
     ("split", '[split]\nkind = "link"\n', "[split] is missing required key 'task'"),
     ("split", '[split]\nkind = "link"\ntask = "XY"\n', "unknown link task 'XY'"),
     ("linkpred", '[linkpred]\ntask = "XY"\n', "unknown link task 'XY'"),
+    ("split", '[split]\nkind = "edge"\n', "unknown split kind 'edge'"),
+    ("linkpred", '[linkpred]\ntask = "SP"\ncombine = "outer"\n',
+     "unknown edge combiner 'outer'"),
     ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
               'k = 3\nseeds = []\n', "need at least one seed"),
     ("sweep", '[sweep]\nparam = "eta"\nvalues = []\nmethod = "signed_laplacian_sym"\n'
@@ -509,6 +512,46 @@ k = 3
     out = tmp_path / "out"
     assert run(["cluster", "--config", cfg, "--out", out]) == 2
     assert "[graph] has unknown key(s) 'label_path'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_path_graph_with_labels_path_clusters_as_the_generated_graph(tmp_path):
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "ssbm_cluster.toml"
+    generated, gdir = tmp_path / "generated", tmp_path / "gen"
+    assert run(["cluster", "--config", shipped, "--out", generated]) == 0
+    assert run(["generate", "--config", shipped, "--out", gdir]) == 0
+    cfg = write(tmp_path / "c.toml", f"""
+[graph]
+path = "{gdir}/edges.tsv"
+labels_path = "{gdir}/labels.csv"
+
+[cluster]
+method = "signed_laplacian_sym"
+k = 3
+""")
+    out = tmp_path / "out"
+    assert run(["cluster", "--config", cfg, "--out", out]) == 0
+    # the value column only: params_hash covers the header, which differs
+    read = _metric_rows(out / "metrics.csv")
+    assert list(read) == ["ari", "unhappy_ratio", "pbnc_loss"]
+    assert read == _metric_rows(generated / "metrics.csv")
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("split", '[split]\nkind = "node"\n',
+     "node splits need labels (generated or labels_path)"),
+    ("sweep", '[sweep]\nparam = "eta"\nvalues = [0.0]\nmethod = "signed_laplacian_sym"\n'
+              'k = 3\n', "sweep needs generator parameters, not a file path"),
+])
+def test_path_graph_without_what_the_command_needs_exits_2(tmp_path, capsys, command,
+                                                          section, message):
+    gdir = tmp_path / "gen"
+    assert run(["generate", "--config", write(tmp_path / "g.toml", GEN_CFG),
+                "--out", gdir]) == 0
+    cfg = write(tmp_path / "c.toml", f'[graph]\npath = "{gdir}/edges.tsv"\n\n{section}')
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert message in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

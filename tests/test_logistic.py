@@ -141,7 +141,7 @@ def test_linearly_separable_two_class():
     rng = stream(0)
     x = np.vstack([rng.normal(size=(30, 2)) + 3.0, rng.normal(size=(30, 2)) - 3.0])
     y = np.repeat([0, 1], 30)
-    model = logistic_train(x, y)
+    model = logistic_train(Design(x, y))
     assert np.mean(model.predict(x) == y) == 1.0
 
 
@@ -150,7 +150,7 @@ def test_constant_features_give_class_frequencies():
     # the bias and the probabilities are the class frequencies
     x = np.ones((4, 3))
     y = np.array([0, 1, 2, 0])
-    model = logistic_train(x, y)
+    model = logistic_train(Design(x, y))
     np.testing.assert_allclose(model.predict_proba(x),
                                np.tile([0.5, 0.25, 0.25], (4, 1)), atol=1e-9)
 
@@ -182,7 +182,7 @@ def test_gradient_matches_finite_differences():
 def test_newton_beats_gradient_descent_oracle(k):
     for seed in range(3):
         x, y = _random_problem(seed + 20 * k, k)
-        model = logistic_train(x, y)
+        model = logistic_train(Design(x, y))
         onehot = _onehot(y, k)
         w, b = ref_gradient_descent(x, y, k, epochs=2000)
         ref_loss, _, _ = ref_loss_grad(x, onehot, w, b, 1e-4)
@@ -198,7 +198,7 @@ def test_line_search_losses_decrease_monotonically():
         rng = stream(seed + 10)
         x = rng.normal(size=(40, 5))
         y = rng.integers(0, 3, size=40)
-        model = logistic_train(x, y)
+        model = logistic_train(Design(x, y))
         losses = np.asarray(model.losses)
         assert losses.size >= 2 and losses[-1] < losses[0]
         # Armijo steps decrease the loss; a step taken once the loss cannot
@@ -218,7 +218,7 @@ def test_confident_fit_converges(seed, k, m, d, scale):
     centers = rng.normal(size=(k, d)) * scale
     y = np.arange(m) % k
     x = (centers[y] + rng.normal(size=(m, d)) * scale + 6) * 1e3
-    model = logistic_train(x, y, l2=1e-7)
+    model = logistic_train(Design(x, y), l2=1e-7)
     _, gw, gb = ref_loss_grad(x, _onehot(y, k), model.weights, model.bias, 1e-7)
     assert np.linalg.norm(np.vstack([gw, gb])) <= 1e-8
     assert model.grad_norm <= 1e-8
@@ -226,13 +226,14 @@ def test_confident_fit_converges(seed, k, m, d, scale):
 
 def test_warm_start_reaches_the_same_optimum():
     x, y = _random_problem(7, 3)
-    cold = logistic_train(x, y, l2=1e-3)
-    warm = logistic_train(x, y, l2=1e-3, start=logistic_train(x, y, l2=1e-1))
+    design = Design(x, y)
+    cold = logistic_train(design, l2=1e-3)
+    warm = logistic_train(design, l2=1e-3, start=logistic_train(design, l2=1e-1))
     assert len(warm.losses) < len(cold.losses)
     np.testing.assert_allclose(warm.predict_proba(x), cold.predict_proba(x),
                                atol=1e-8)
     with pytest.raises(ValueError):
-        logistic_train(x[:, :3], y, start=cold)
+        logistic_train(Design(x[:, :3], y), start=cold)
 
 
 def _battery_problem(seed):
@@ -267,8 +268,8 @@ def _assert_fits_as_oracle(fit, ref):
 
 def test_warm_started_chains_match_the_fresh_hessian_oracle(monkeypatch):
     # the stop test by the previous Hessian forms fewer Hessians and moves
-    # no bit of any fit along the l2 chains linkpred_run takes, whether
-    # every fit is given the arrays or one Design serves the whole chain
+    # no bit of any fit along the l2 chains linkpred_run takes, one Design
+    # serving each whole chain
     from sdnet.pipeline import L2_GRID
     calls = _count_hessians(monkeypatch)
     problems = []  # (x, y, k, the oracle's fit at each l2 of the chain)
@@ -280,15 +281,14 @@ def test_warm_started_chains_match_the_fresh_hessian_oracle(monkeypatch):
             start = refs[-1][:2]
         problems.append((x, y, k, refs))
     ref_hessians = sum(ref[4] for *_, refs in problems for ref in refs)
-    for prepared in (False, True):
-        calls[0] = 0
-        for x, y, k, refs in problems:
-            args = (Design(x, y, np.arange(k)),) if prepared else (x, y, np.arange(k))
-            fit = None
-            for l2, ref in zip(L2_GRID, refs):
-                fit = logistic_train(*args, l2=l2, start=fit)
-                _assert_fits_as_oracle(fit, ref)
-        assert calls[0] < ref_hessians
+    calls[0] = 0
+    for x, y, k, refs in problems:
+        design = Design(x, y, np.arange(k))
+        fit = None
+        for l2, ref in zip(L2_GRID, refs):
+            fit = logistic_train(design, l2=l2, start=fit)
+            _assert_fits_as_oracle(fit, ref)
+    assert calls[0] < ref_hessians
 
 
 def test_stale_decrement_above_its_bound_forms_a_fresh_hessian(monkeypatch):
@@ -296,7 +296,7 @@ def test_stale_decrement_above_its_bound_forms_a_fresh_hessian(monkeypatch):
     # eps * loss / 4 and stops on a fresh Hessian, one per iterate
     x, y, k = _battery_problem(1)
     calls = _count_hessians(monkeypatch)
-    fit = logistic_train(x, y, classes=np.arange(k), l2=1.0)
+    fit = logistic_train(Design(x, y, np.arange(k)), l2=1.0)
     ref = ref_newton(x, y, k, 1.0)
     _assert_fits_as_oracle(fit, ref)
     assert len(fit.losses) >= 2
@@ -307,20 +307,20 @@ def test_iteration_cap_raises_numeric_error(monkeypatch):
     x, y = _random_problem(1, 3)
     monkeypatch.setattr(logistic, "_MAX_ITER", 2)
     with pytest.raises(NumericError):
-        logistic_train(x, y)
+        logistic_train(Design(x, y))
 
 
 def test_single_class_error():
     with pytest.raises(ValueError):
-        logistic_train(np.ones((3, 2)), np.array([1, 1, 1]))
+        Design(np.ones((3, 2)), np.array([1, 1, 1]))
 
 
 def test_listed_class_absent_from_y_raises():
     x, y = _random_problem(2, 2)
     with pytest.raises(ValueError, match="every listed class"):
-        logistic_train(x, y, classes=np.array([0, 1, 2]))
+        Design(x, y, classes=np.array([0, 1, 2]))
     with pytest.raises(ValueError, match="not in the class list"):
-        logistic_train(x, y + 1, classes=np.array([0, 1]))
+        Design(x, y + 1, classes=np.array([0, 1]))
 
 
 def test_design_raises_the_fit_errors():
@@ -344,22 +344,17 @@ def test_design_raises_the_fit_errors():
 def test_design_brings_its_own_labels():
     x, y = _random_problem(2, 2)
     design = Design(x, y)
-    with pytest.raises(ValueError, match="its own y"):
-        logistic_train(design, y)
-    with pytest.raises(ValueError, match="its own y"):
-        logistic_train(design, classes=np.array([0, 1]))
-    with pytest.raises(TypeError):
-        logistic_train(x)
     with pytest.raises(ValueError, match="l2 must be positive"):
         logistic_train(design, l2=0.0)
     fit = logistic_train(design)
-    ref = logistic_train(x, y)
+    ref = logistic_train(Design(x, y, np.array([0, 1])))
+    np.testing.assert_array_equal(fit.classes, design.classes)
     assert fit.weights.tobytes() == ref.weights.tobytes()
     assert fit.losses == ref.losses
 
 
 def test_design_reads_as_its_rows():
-    # perfbench's tracer records np.shape(x)[0] of logistic_train's x
+    # perfbench's tracer records np.shape(args[0])[0] of logistic_train, its Design
     x, y = _random_problem(4, 3, m=57, d=6)
     design = Design(x, y)
     assert np.shape(design) == x.shape == (57, 6)
@@ -370,7 +365,7 @@ def test_design_reads_as_its_rows():
 
 def test_identical_calls_give_identical_weights():
     x, y = _random_problem(3, 4)
-    a, b = logistic_train(x, y), logistic_train(x, y)
+    a, b = logistic_train(Design(x, y)), logistic_train(Design(x, y))
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.bias.tobytes() == b.bias.tobytes()
     assert a.losses == b.losses
@@ -379,6 +374,6 @@ def test_identical_calls_give_identical_weights():
 def test_explicit_class_list_predicts_class_ids():
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.1], [0.1, 1.0]])
     y = np.array([5, 9, 5, 9])
-    model = logistic_train(x, y, classes=np.array([5, 9]))
+    model = logistic_train(Design(x, y, classes=np.array([5, 9])))
     assert set(model.predict(x)) <= {5, 9}
     assert model.predict_proba(x).shape == (4, 2)

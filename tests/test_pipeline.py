@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from sdnet.generators import custom_meta, dsbm
-from sdnet.pipeline import (RunRecord, RunResult, cluster_sweep,
-                            edge_feature_matrix, generate_from_params,
-                            linkpred_run)
+from sdnet.pipeline import (RunRecord, RunResult, _phase_block, cluster_sweep,
+                            generate_from_params, linkpred_run, resolve_combiner)
 
 
 def test_generate_from_params_dispatch():
@@ -26,25 +25,28 @@ def test_generate_from_params_dispatch():
 
 
 def test_edge_feature_combiners():
-    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    pairs = np.array([[0, 2], [1, 0]])
-    cat = edge_feature_matrix(x, pairs, "concat")
-    assert cat.shape == (2, 4) and list(cat[0]) == [1.0, 2.0, 5.0, 6.0]
-    with pytest.raises(ValueError):
-        edge_feature_matrix(x, pairs, "outer")
+    assert resolve_combiner("signed_spectral") == "concat"
+    assert resolve_combiner("hermitian_spectral") == "phase"
+    assert resolve_combiner("hermitian_spectral", "concat") == "concat"
+    with pytest.raises(ValueError, match="unknown edge combiner 'outer'"):
+        resolve_combiner("signed_spectral", "outer")
+    with pytest.raises(ValueError, match="needs a complex embedding"):
+        resolve_combiner("signed_spectral", "phase")
+
+
+def _phase(z, pairs):
+    return _phase_block(z, pairs, np.empty((len(pairs), 2 * z.shape[1])))
 
 
 def test_phase_combiner_swap_negates_imaginary_block():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     pairs = np.array([[0, 1], [2, 5], [4, 3]])
-    fwd = edge_feature_matrix(z, pairs, "phase")
-    bwd = edge_feature_matrix(z, pairs[:, ::-1], "phase")
+    fwd = _phase(z, pairs)
+    bwd = _phase(z, pairs[:, ::-1])
     assert fwd.shape == (3, 6)
     np.testing.assert_allclose(bwd[:, :3], fwd[:, :3])
     np.testing.assert_allclose(bwd[:, 3:], -fwd[:, 3:])
-    with pytest.raises(ValueError):
-        edge_feature_matrix(z.real, pairs, "phase")
 
 
 def test_phase_combiner_ignores_column_global_phase():
@@ -52,9 +54,7 @@ def test_phase_combiner_ignores_column_global_phase():
     z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
     pairs = np.array([[0, 1], [2, 5], [4, 3], [1, 0]])
     rotated = z * np.exp(1j * np.array([0.3, -2.0, 1.7]))[None, :]
-    np.testing.assert_allclose(edge_feature_matrix(rotated, pairs, "phase"),
-                               edge_feature_matrix(z, pairs, "phase"),
-                               atol=1e-12)
+    np.testing.assert_allclose(_phase(rotated, pairs), _phase(z, pairs), atol=1e-12)
 
 
 def test_phase_combiner_and_link_features_share_one_phase_block(monkeypatch):
@@ -69,17 +69,13 @@ def test_phase_combiner_and_link_features_share_one_phase_block(monkeypatch):
 
     real = pipeline._phase_block
     monkeypatch.setattr(pipeline, "_phase_block", record)
-    rng = np.random.default_rng(2)
-    z = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-    assert edge_feature_matrix(z, np.array([[0, 1], [2, 5]]), "phase").shape == (2, 6)
-    assert calls == [(2, 6)]
     g = generate_from_params({"model": "dsbm", "meta": "cycle", "n": 90, "k": 3,
                               "p": 0.2}, seed=1).graph
     split = link_class_split(g, "DP", seed=0)
     folds = (split.train_pairs, split.val_pairs, split.test_pairs)
     xs = pipeline._link_features(split.observed_graph, folds, "hermitian_spectral",
                                  4, "phase", 0.25, 0.25)
-    assert calls[1:] == [x.shape for x in xs] and all(x.shape[1] == 16 for x in xs)
+    assert calls == [x.shape for x in xs] and all(x.shape[1] == 16 for x in xs)
 
 
 def test_phase_combiner_rejects_real_embedding():
@@ -142,7 +138,7 @@ def test_linkpred_sp_signal():
 @pytest.mark.parametrize("task,embed", [("SP", "signed_spectral"),
                                         ("DP", "hermitian_spectral")])
 def test_linkpred_chooses_l2_on_the_validation_fold(task, embed):
-    from sdnet.logistic import logistic_train
+    from sdnet.logistic import Design, logistic_train
     from sdnet.metrics import accuracy, auc
     from sdnet.pipeline import L2_GRID, _link_features, resolve_combiner
     from sdnet.splitters import link_class_split
@@ -154,10 +150,10 @@ def test_linkpred_chooses_l2_on_the_validation_fold(task, embed):
     x_train, x_val, x_test = _link_features(
         split.observed_graph, (split.train_pairs, split.val_pairs, split.test_pairs),
         embed, 6, resolve_combiner(embed), 0.25, 0.25)
+    design = Design(x_train, split.train_labels, np.arange(2))
     fits, prev = [], None
     for l2 in L2_GRID:
-        prev = logistic_train(x_train, split.train_labels, classes=np.arange(2),
-                              l2=l2, start=prev)
+        prev = logistic_train(design, l2=l2, start=prev)
         fits.append((accuracy(prev.predict(x_val), split.val_labels), prev))
     best = max(acc for acc, _ in fits)
     chosen = next(fit for acc, fit in fits if acc == best)  # larger l2 wins ties
@@ -183,13 +179,49 @@ def test_phase_features_equal_the_stacked_standardized_composition(embed):
     folds = (split.train_pairs, split.val_pairs, split.test_pairs)
     z = _embedding(obs, embed, 6, 0.25, 0.25)
     deg = signed_degree_features(obs).values
-    xs = [np.hstack([edge_feature_matrix(z, p, "phase"),
-                     edge_feature_matrix(deg, p, "concat")]) for p in folds]
+    xs = [np.hstack([_phase(z, p), deg[p].reshape(len(p), -1)]) for p in folds]
     ref = [standardize_columns(x, ref=xs[0]) for x in xs]
     got = _link_features(obs, folds, embed, 6, "phase", 0.25, 0.25)
     assert (xs[0].std(axis=0) == 0).any()
     for a, b in zip(got, ref):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SDSBM = {"model": "sdsbm", "n": 150, "p": 0.2, "meta": "f1", "gamma": 0.0}
+# embedding -> (link task, graph record) of each concat case
+CONCAT_CASES = {
+    "signed_spectral": ("SP", SDSBM),
+    "signed_laplacian_sym": ("SP", SDSBM),
+    "signed_magnetic_laplacian": ("DP", {"model": "dsbm", "meta": "cycle", "n": 150,
+                                         "k": 3, "p": 0.2}),
+    "signed_degree": ("SP", {"model": "ssbm", "n": 150, "k": 2, "p_in": 0.2,
+                             "p_out": 0.1, "eta": 0.1}),
+}
+
+
+@pytest.mark.parametrize("embed", list(CONCAT_CASES))
+def test_concat_features_equal_the_gathered_node_table(embed):
+    # reference: the node table [standardize_columns(real_columns(z)) | deg],
+    # or deg alone for signed_degree, indexed by each fold's pairs
+    from sdnet.cluster import real_columns
+    from sdnet.graph import signed_degree_features, standardize_columns
+    from sdnet.pipeline import _embedding, _link_features
+    from sdnet.splitters import link_class_split
+    task, params = CONCAT_CASES[embed]
+    g = generate_from_params(params, seed=4).graph
+    split = link_class_split(g, task, seed=3)
+    obs = split.observed_graph
+    folds = (split.train_pairs, split.val_pairs, split.test_pairs)
+    deg = signed_degree_features(obs).values
+    table = deg
+    if embed != "signed_degree":
+        z = _embedding(obs, embed, 4, 0.25, 0.25)
+        table = np.hstack([standardize_columns(real_columns(z)), deg])
+    got = _link_features(obs, folds, embed, 4, "concat", 0.25, 0.25)
+    assert len(got) == len(folds)
+    for x, p in zip(got, folds):
+        ref = table[p].reshape(len(p), -1)
+        assert x.shape == (len(p), 2 * table.shape[1]) and x.tobytes() == ref.tobytes()
 
 
 def test_linkpred_needs_a_validation_fold():

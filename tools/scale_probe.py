@@ -64,7 +64,7 @@ from sdnet import io as sio
 from sdnet.cluster import cluster_embedding, real_columns
 from sdnet.generators import dsbm, f1_meta, meta_graph, sdsbm
 from sdnet.logistic import Design, logistic_train
-from sdnet.pipeline import L2_GRID, edge_feature_matrix
+from sdnet.pipeline import L2_GRID
 from sdnet.splitters import link_class_split, spanning_forest
 
 N = 100_000
@@ -159,7 +159,7 @@ def main(argv=None) -> None:
 
     split = stage("link_class_split(5C)", link_class_split, g, "5C")
     deg = graph.signed_degree_features(split.observed_graph).values
-    x = edge_feature_matrix(deg, split.train_pairs, "concat")
+    x = deg[split.train_pairs].reshape(len(split.train_pairs), -1)
     classes = np.arange(len(split.label_names))
     iterations = []
 
