@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph
+from .graph import SignedDirectedGraph, integral
 from .rng import stream
 
 META_KINDS = ("cycle", "path", "complete", "star", "custom")
@@ -45,7 +45,7 @@ class BlockSizes:
     sizes: np.ndarray
 
     def __post_init__(self):
-        sizes = np.asarray(self.sizes, dtype=np.int64).ravel()
+        sizes = integral(self.sizes, "block sizes").astype(np.int64, copy=False).ravel()
         if sizes.size == 0 or np.any(sizes <= 0):
             raise ValueError("all block sizes must be positive")
         if np.any(np.diff(sizes) < 0):
@@ -98,7 +98,7 @@ class GeneratedInstance:
     params: dict
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64).ravel()
+        labels = integral(self.labels, "labels").astype(np.int64, copy=False).ravel()
         if labels.shape[0] != self.graph.num_nodes:
             raise ValueError("labels length must equal node count")
         object.__setattr__(self, "labels", labels)
@@ -120,7 +120,7 @@ def block_sizes(n: int, K: int, rho: float = 1.0) -> BlockSizes:
     if rho < 1:
         raise ValueError("rho must be >= 1")
     if K == 1:
-        return BlockSizes(np.array([n], dtype=np.int64))
+        return BlockSizes([n])
     r0 = rho ** (1.0 / (K - 1))
     if r0 == 1.0:  # exact rho=1, or so close the root rounds to 1
         base = n // K
@@ -132,7 +132,7 @@ def block_sizes(n: int, K: int, rho: float = 1.0) -> BlockSizes:
         sizes.append(n - sum(sizes))
     if min(sizes) <= 0:
         raise ValueError(f"infeasible block sizes {sizes} for n={n}, K={K}, rho={rho}")
-    return BlockSizes(np.asarray(sizes, dtype=np.int64))
+    return BlockSizes(sizes)
 
 
 def _check_prob(name, value, upper=1.0):

@@ -6,7 +6,8 @@ equal weights; negative weights encode hostile/negative ties. A graph is
 its node count and its edges only: node labels travel beside it (a
 generator's ``GeneratedInstance.labels``, a labels CSV) and node features
 are built from it (``FeatureMatrix``). Graphs are immutable after
-construction and every operation here is a pure function.
+construction and every operation here is a pure function, except
+``standardize_columns``, which scales the tables it is given in place.
 
 Weak components and the splitters' spanning forest share one routine:
 Borůvka rounds over windows of the edges (``_component_roots``).
@@ -20,6 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas
+
+
+def integral(values, what: str) -> np.ndarray:
+    """``values`` as an integer array, never truncated.
+
+    Integer and boolean arrays come back as they are. Anything else is
+    cast to int64 and must equal its cast: a fraction, NaN or inf raises
+    ValueError naming ``what``.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "biu":
+        return values
+    with np.errstate(invalid="ignore"):  # NaN and inf are caught below
+        cast = values.astype(np.int64)
+    bad = cast != values
+    if bad.any():
+        raise ValueError(f"{what} must be integers, not {values[bad].tolist()[0]!r}")
+    return cast
 
 
 @dataclass(frozen=True)
@@ -40,8 +59,8 @@ class SignedDirectedGraph:
         n = int(self.num_nodes)
         if n < 0:
             raise ValueError("num_nodes must be nonnegative")
-        src = np.asarray(self.src, dtype=np.int64).ravel()
-        dst = np.asarray(self.dst, dtype=np.int64).ravel()
+        src = integral(self.src, "edge endpoints").astype(np.int64, copy=False).ravel()
+        dst = integral(self.dst, "edge endpoints").astype(np.int64, copy=False).ravel()
         weight = np.asarray(self.weight, dtype=np.float64).ravel()
         if not (src.shape == dst.shape == weight.shape):
             raise ValueError("src, dst and weight must have equal length")
@@ -65,9 +84,8 @@ class SignedDirectedGraph:
     def from_edges(cls, num_nodes, edges):
         """Build a graph from an iterable of (src, dst, weight) triples."""
         edges = list(edges)
-        if edges:
-            arr = np.asarray(edges, dtype=np.float64)
-            src, dst, w = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        if edges:  # a column each, so ids above 2**53 survive
+            src, dst, w = (np.array(column) for column in zip(*edges, strict=True))
         else:
             src = dst = np.zeros(0, dtype=np.int64)
             w = np.zeros(0, dtype=np.float64)
@@ -436,18 +454,17 @@ def signed_degree_counts(g: SignedDirectedGraph) -> np.ndarray:
     return counts
 
 
-def standardize_columns(x: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
-    """Zero-mean unit-variance columns by the statistics of ``ref`` (default x).
-
-    Columns constant in ``ref`` come out as 0.
-    """
-    ref = x if ref is None else ref
-    mean = ref.mean(axis=0)
-    std = ref.std(axis=0)
-    out = np.zeros_like(x)
+def standardize_columns(x: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """Standardize ``x`` and each table in ``more`` in place by the column
+    mean and std of ``x``; returns ``x``. Columns constant in ``x`` become
+    +0.0 in every table, and so do all when ``x`` has no rows (no mean)."""
+    mean, std = (x.mean(axis=0), x.std(axis=0)) if len(x) else (0.0, np.zeros(x.shape[1]))
     nz = std > 0
-    out[:, nz] = (x[:, nz] - mean[nz]) / std[nz]
-    return out
+    for t in (x, *more):
+        t -= mean
+        np.divide(t, std, out=t, where=nz)
+        t[:, ~nz] = 0.0
+    return x
 
 
 def signed_degree_features(g: SignedDirectedGraph) -> FeatureMatrix:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import SignedDirectedGraph
+from .graph import SignedDirectedGraph, integral
 
 
 # a TOML basic string escapes the quotation mark, the backslash and every
@@ -228,7 +228,7 @@ def read_edge_tsv(path) -> SignedDirectedGraph:
 
 
 def write_labels_csv(path, labels, params: dict | None = None) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = integral(labels, "labels")
     _write_lines(path, params, ["label"] + [str(int(v)) for v in labels])
 
 
@@ -279,7 +279,7 @@ def write_link_split_csv(path, split, params: dict | None = None) -> None:
 
 def write_pairs_csv(path, pairs, params: dict | None = None) -> None:
     """Rows (u, v), one per node pair; a negative id raises ``ValueError``."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = integral(pairs, "pairs").astype(np.int64, copy=False).reshape(-1, 2)
     if pairs.size and pairs.min() < 0:
         raise ValueError("negative node id in pairs")
     num_nodes = int(pairs.max()) + 1 if pairs.size else 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph, pair_row_sums, symmetric_pairs
+from .graph import SignedDirectedGraph, integral, pair_row_sums, symmetric_pairs
 
 # wedges searched per step of balanced_triangle_ratio, which bounds the
 # step's temporaries (about 3 MB)
@@ -45,7 +45,7 @@ class SoftAssignment:
 
     @classmethod
     def from_labels(cls, labels, num_clusters: int | None = None) -> "SoftAssignment":
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = integral(labels, "labels").astype(np.int64, copy=False)
         k = int(labels.max()) + 1 if num_clusters is None else num_clusters
         if np.any((labels < 0) | (labels >= k)):
             raise ValueError(f"labels must lie in [0, {k})")
@@ -130,12 +130,16 @@ def auc(scores, true_binary) -> float:
     """Rank-statistic AUC; tied scores contribute one half (midranks).
 
     Labels are 0 and 1 (or False and True); any other value raises
-    ValueError.
+    ValueError, as does a NaN score, which has no rank. Scores of +-inf
+    are ranked like any other.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(true_binary).ravel()
     if scores.shape != y.shape:
         raise ValueError("scores and labels must have equal length")
+    nan = np.isnan(scores)
+    if nan.any():
+        raise ValueError(f"AUC scores must not be NaN (first at position {np.argmax(nan)})")
     bad = (y != 0) & (y != 1)
     if bad.any():
         raise ValueError(f"AUC labels must be 0 or 1, not {y[bad].tolist()[0]!r}")
@@ -157,7 +161,7 @@ def unhappy_ratio(g: SignedDirectedGraph, labels) -> float:
     Violations are positive edges across clusters and negative edges
     within clusters, weighted by |weight|.
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = integral(labels, "labels").astype(np.int64, copy=False).ravel()
     if labels.size != g.num_nodes:
         raise ValueError("labels length must equal node count")
     if g.num_edges == 0:

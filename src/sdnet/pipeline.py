@@ -163,8 +163,8 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
     ``phase`` takes the complex embedding z as it is, writes each pair
     set's ``_phase_block`` and both endpoints' signed degrees into one
     array and standardizes every column in place with the statistics of
-    the first pair set (the training fold), as ``standardize_columns``
-    would.
+    the first pair set (the training fold), by ``standardize_columns``.
+    Either combiner scales in place only arrays it built itself.
     """
     deg = signed_degree_features(g).values
     if combine == "concat":
@@ -180,12 +180,7 @@ def _link_features(g: SignedDirectedGraph, pair_sets, embed_method: str,
         x = _phase_block(z, p, np.empty((len(p), 2 * r + c)))
         x[:, 2 * r:] = deg[p].reshape(len(p), c)
         xs.append(x)
-    mean, std = xs[0].mean(axis=0), xs[0].std(axis=0)
-    nz = std > 0
-    for x in xs:
-        x -= mean
-        np.divide(x, std, out=x, where=nz)
-        x[:, ~nz] = 0.0
+    standardize_columns(*xs)
     return xs
 
 

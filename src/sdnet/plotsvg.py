@@ -1,12 +1,14 @@
 """Minimal self-contained SVG 1.1 line plots with error bars.
 
 No plotting dependencies; output bytes are deterministic for identical
-inputs (fixed geometry and %.6g number formatting).
+inputs (fixed geometry and %.6g number formatting). The file is UTF-8
+written in binary mode, and its text is XML-escaped.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
@@ -26,6 +28,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 def render_line_plot(path, xs, means, sds, title: str = "",
                      xlabel: str = "", ylabel: str = "") -> None:
     """One series of (x, mean +- sd) points joined by a polyline."""
+    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
     xs = [float(v) for v in xs]
     means = [float(v) for v in means]
     sds = [float(v) for v in sds]
@@ -96,4 +99,4 @@ def render_line_plot(path, xs, means, sds, title: str = "",
         parts.append(f'<circle cx="{_num(px(x))}" cy="{_num(py(m))}" r="3" '
                      f'fill="steelblue"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDirectedGraph, _component_roots, _sorted_pair_codes, index_dtype
+from .graph import (SignedDirectedGraph, _component_roots, _sorted_pair_codes, index_dtype,
+                    integral)
 from .rng import stream
 
 # pairs put in (min, max) order per step by ``_order_pairs`` (512 KiB)
@@ -134,7 +135,7 @@ def node_split(labels, train_frac: float = 0.8, val_frac: float = 0.1,
     class (floor(seed_frac * class_size), at least 1 when positive, at
     most the training count).
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = integral(labels, "labels").astype(np.int64, copy=False).ravel()
     fracs = (train_frac, val_frac, test_frac)
     if any(f < 0 or f > 1 for f in fracs) or not 0 <= seed_frac <= 1:
         raise ValueError("fractions must lie in [0, 1]")
@@ -192,7 +193,7 @@ class LinkTaskSplit:
     def __post_init__(self):
         alphabet = len(self.label_names)
         names = ("train_pairs", "val_pairs", "test_pairs", "discarded_pairs")
-        given = [np.asarray(getattr(self, name)).reshape(-1, 2) for name in names]
+        given = [integral(getattr(self, name), name).reshape(-1, 2) for name in names]
         # the id farthest from 0 sets one width for every pair array
         top = max((max(int(pairs.max()), -int(pairs.min())) for pairs in given if pairs.size),
                   default=0)

@@ -207,6 +207,18 @@ def test_sweep_command_outputs_and_determinism(tmp_path):
     assert len(rows) == 2 * 1 * 2
 
 
+def test_sweep_plot_escapes_its_text_and_writes_bytes(tmp_path):
+    import xml.etree.ElementTree as ET
+    from sdnet.plotsvg import render_line_plot
+    path = tmp_path / "p.svg"
+    render_line_plot(path, [0.0, 1.0], [0.5, 0.25], [0.1, 0.0], title="a & b < c",
+                     xlabel="x > 0", ylabel="<y>")
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"</svg>\n")
+    texts = [el.text for el in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a & b < c", "x > 0", "<y>"} <= set(texts)
+
+
 def test_metrics_command(tmp_path):
     cfg = write(tmp_path / "g.toml", GEN_CFG)
     gdir = tmp_path / "gen"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from sdnet.graph import (FeatureMatrix, SignedDirectedGraph, _component_roots,
                          signed_spectral_features,
                          hermitian_spectral_features, standardize_columns,
                          symmetric_pairs)
-from sdnet.generators import f1_meta, f2_meta, sdsbm, ssbm, dsbm, meta_graph, erdos_renyi
+from sdnet.generators import (BlockSizes, GeneratedInstance, f1_meta, f2_meta, sdsbm,
+                              ssbm, dsbm, meta_graph, erdos_renyi)
+from sdnet.io import write_labels_csv, write_pairs_csv
+from sdnet.metrics import SoftAssignment, unhappy_ratio
+from sdnet.splitters import LABEL_NAMES, LinkTaskSplit, node_split
 from sdnet.cluster import kmeans_full
 from sdnet.pipeline import linkpred_run
 from sdnet.rng import stream
@@ -117,11 +123,34 @@ def test_is_directed_matches_dense_oracle():
 
 def test_standardize_columns_uses_reference_statistics():
     x = np.array([[1.0, 5.0, 2.0], [3.0, 5.0, 4.0]])
+    y = x.copy()
     ref = np.array([[0.0, 7.0, 2.0], [2.0, 7.0, 2.0]])
-    assert np.array_equal(standardize_columns(x, ref=ref),
-                          [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    standardize_columns(ref.copy(), y)
+    assert np.array_equal(y, [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     assert np.array_equal(standardize_columns(x),
                           [[-1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])
+
+
+def test_standardize_columns_works_in_place():
+    x = np.array([[1.0, -2.0, 0.0], [3.0, -2.0, 2.0], [5.0, -2.0, 4.0]])
+    y = np.array([[7.0, -5.0, 2.0], [-1.0, 4.0, 1.0]])
+    empty = np.zeros((0, 3))
+    scale = np.sqrt(8.0 / 3.0)
+    want_x = np.array([[-2.0, 0.0, -2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 2.0]]) / scale
+    want_y = np.array([[4.0, 0.0, 0.0], [-4.0, 0.0, -1.0]]) / scale
+    assert standardize_columns(x, y, empty) is x
+    assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+    # the column constant in x is +0.0 even where a table held less than its mean
+    assert not np.signbit(x[:, 1]).any() and not np.signbit(y[:, 1]).any()
+    # an x without rows takes no mean, which would warn "Mean of empty
+    # slice", and counts every column as constant
+    z = np.array([[1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        none = np.zeros((0, 2))
+        assert standardize_columns(none, z) is none
+        assert signed_degree_features(G(0, [])).values.shape == (0, 4)
+    assert z.tobytes() == np.zeros((1, 2)).tobytes()
 
 
 # ------------------------------------------------- weakly connected component
@@ -721,6 +750,57 @@ def _add_at_degree_counts(g):
     np.add.at(counts[:, 2], g.src[~pos], -g.weight[~pos])
     np.add.at(counts[:, 3], g.dst[~pos], -g.weight[~pos])
     return counts
+
+
+# each entry point that reads node ids or labels, called with the value v
+INTEGRAL_ENTRY_POINTS = {
+    "graph": lambda v, tmp: SignedDirectedGraph(3, np.array([v]), np.array([2.0]),
+                                                np.array([1.0])).src,
+    "from_edges": lambda v, tmp: G(3, [(0, v, 1.0)]).dst,
+    "link_task_split": lambda v, tmp: LinkTaskSplit(
+        "SP", train_pairs=[[v, 2]], train_labels=[0], val_pairs=[], val_labels=[],
+        test_pairs=[], test_labels=[], observed_graph=G(3, []), discarded_pairs=[],
+        label_names=LABEL_NAMES["SP"]).train_pairs,
+    "generated_instance": lambda v, tmp: GeneratedInstance(G(3, []), [v, 0, 2], {}).labels,
+    "node_split": lambda v, tmp: node_split([v, v, 0, 0], 0.5, 0.5, 0.0, seed=3).train,
+    "soft_assignment": lambda v, tmp: SoftAssignment.from_labels([v, 0]).P,
+    "unhappy_ratio": lambda v, tmp: unhappy_ratio(G(3, [(0, 1, 1.0), (1, 2, -1.0)]),
+                                                  [v, 1, 0]),
+    "write_labels_csv": lambda v, tmp: (write_labels_csv(tmp / "y.csv", [v, 0]),
+                                        (tmp / "y.csv").read_bytes())[1],
+    "write_pairs_csv": lambda v, tmp: (write_pairs_csv(tmp / "p.csv", [[v, 2]]),
+                                       (tmp / "p.csv").read_bytes())[1],
+    "block_sizes": lambda v, tmp: BlockSizes([v, 2]).sizes,
+}
+
+
+@pytest.mark.parametrize("entry", list(INTEGRAL_ENTRY_POINTS))
+def test_non_integral_ids_and_labels_raise(entry, tmp_path):
+    # unchecked, an int64 cast truncates 0.5 to node or label 0
+    call = INTEGRAL_ENTRY_POINTS[entry]
+    for bad in (0.5, 1.5, -0.5, np.nan, np.inf, 2.0 ** 63):
+        with pytest.raises(ValueError, match="must be integers, not"):
+            call(bad, tmp_path)
+    assert np.array_equal(call(1.0, tmp_path), call(1, tmp_path))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fractional_node_count_raises(k):
+    # unchecked, a block model asked for 4.5 nodes built one on 4
+    with pytest.raises(ValueError, match="block sizes must be integers, not"):
+        ssbm(4.5, k, 0.5, 0.5, seed=1)
+    assert ssbm(4.0, k, 0.5, 0.5, seed=1).labels.tobytes() == \
+        ssbm(4, k, 0.5, 0.5, seed=1).labels.tobytes()
+
+
+def test_integer_ids_and_labels_pass_through_uncopied():
+    inst = sdsbm(f1_meta(0.2), 60, 0.2, seed=1)
+    again = GeneratedInstance(inst.graph, inst.labels, inst.params)
+    assert np.shares_memory(again.labels, inst.labels)
+    g = SignedDirectedGraph(inst.graph.num_nodes, inst.graph.src, inst.graph.dst,
+                            inst.graph.weight)
+    assert np.shares_memory(g.src, inst.graph.src) and np.shares_memory(g.dst, inst.graph.dst)
+    assert graph.integral(np.array([True, False]), "x").dtype == bool
 
 
 def _random_weighted(n, m, seed):

@@ -133,6 +133,16 @@ def test_auc_single_class_error():
         auc([0.1, 0.2], [1, 1])
 
 
+def test_auc_rejects_nan_scores_and_ranks_infinities():
+    # unchecked, np.unique sorts the NaN above every score (AUC 1.0 here)
+    with pytest.raises(ValueError, match="NaN \\(first at position 1\\)"):
+        auc([0.1, np.nan, 0.9, 0.2], [0, 1, 1, 0])
+    with pytest.raises(ValueError, match="position 2"):
+        auc([0.1, 0.5, np.nan, np.nan], [0, 1, 1, 0])
+    assert auc([-np.inf, np.inf, 0.9, 0.2], [0, 1, 1, 0]) == 1.0
+    assert auc([np.inf, 0.3, -np.inf, 0.2], [0, 1, 1, 0]) == 0.25
+
+
 def test_auc_rejects_labels_other_than_0_and_1():
     # unchecked, a third label is ranked but counted in neither class (AUC
     # 2.0 here), and a fractional one truncates to 0 (AUC 1.0 here)
